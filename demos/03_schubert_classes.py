@@ -2,8 +2,8 @@
 
 The descent route peels divided differences from the point class at the
 top of the flag graph; the solve route determines each localization from
-the edge divisibility constraints by exact linear algebra.  They must
-agree, and restriction to any Schubert variety preserves the basis.
+the edge divisibility constraints by a remainder-theorem recursion.  They
+must agree, and restriction to any Schubert variety preserves the basis.
 """
 
 from gkmcalc import (

@@ -185,6 +185,8 @@ def cmd_ddiff(args) -> int:
             raise CliError("need --class FILE or --type/--v")
         basis = KnutsonTaoBasis(g)
         cls = basis.cls(g.rs.parse_element(args.v))
+    if cls.graph.rs is None:
+        raise CliError("ddiff needs a class on a flag or Schubert graph")
     if args.side == "left":
         out = left_divided_difference(args.i, cls)
     else:

@@ -13,8 +13,8 @@ Two independent constructions are provided and tested against each other:
   full flag graph and applies left divided differences along a reduced
   word, and
 * the solve route, which walks the vertices upward and determines each
-  localization from the divisibility constraints by exact rational linear
-  algebra.
+  localization from the divisibility constraints by a remainder-theorem
+  recursion over the out-edge labels.
 
 Schubert-variety classes are restrictions of the flag classes; the solver
 also works for external graphs, where it reports failure rather than
@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .linalg import LinearSystemError, solve_unique
 from .moment_graph import (
     MomentGraph,
     build_flag_moment_graph,
@@ -40,7 +39,6 @@ from .polyring import (
     Polynomial,
     divides,
     exact_divide,
-    homogeneous_exponents,
     polynomial_from_json,
     reduce_modulo,
     to_string,
@@ -315,21 +313,41 @@ def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
     return EquivariantClass(g, cls._loc, base=v)
 
 
-_reduction_cache: dict = {}
+def _solve_vertex(
+    name: str, n: int, d: int, labels: list, residues: list
+) -> Polynomial:
+    """The degree-d p with p = residues[j] modulo labels[j] for every j.
 
-
-def _reduced_monomials(label: Polynomial, d: int) -> dict:
-    """Map each degree-d monomial to its residue modulo the linear form."""
-    key = (label, d)
-    got = _reduction_cache.get(key)
-    if got is None:
-        n = label.n
-        got = {
-            exp: reduce_modulo(Polynomial(n, {exp: 1}), label)
-            for exp in homogeneous_exponents(n, d)
-        }
-        _reduction_cache[key] = got
-    return got
+    Remainder-theorem recursion over pairwise independent linear forms:
+    p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
+    q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
+    already reduced modulo labels[j], and so is every quotient, so only
+    t_1 and a_1 need reducing.  A q exists exactly when the quotient is
+    exact; q is unique once the degree drops below zero.
+    """
+    levels: list = []
+    while d >= 0:
+        if not labels:
+            raise SolveError(f"constraints at vertex {name} are underdetermined")
+        a1, t1 = labels[0], residues[0]
+        nxt = []
+        for aj, tj in zip(labels[1:], residues[1:]):
+            try:
+                nxt.append(
+                    exact_divide(tj - reduce_modulo(t1, aj), reduce_modulo(a1, aj))
+                )
+            except ExactDivisionError as exc:
+                raise SolveError(
+                    f"constraints at vertex {name} are inconsistent"
+                ) from exc
+        levels.append((a1, t1))
+        labels, residues, d = labels[1:], nxt, d - 1
+    if any(residues):
+        raise SolveError(f"constraints at vertex {name} are inconsistent")
+    p = Polynomial.zero(n)
+    for a, t in reversed(levels):
+        p = t + a * p
+    return p
 
 
 def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
@@ -337,10 +355,11 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
     Walking the vertices from minimal to maximal, each localization is the
     unique homogeneous solution of the divisibility constraints along its
-    out-edges; the base is pinned to its out-label product and vertices
-    with no path down to v are pinned to zero.  Raises SolveError when a
-    vertex system is inconsistent (no class exists) or underdetermined
-    (uniqueness fails, e.g. the graph is not Palais-Smale).
+    out-edges, found by the remainder-theorem recursion of _solve_vertex;
+    the base is pinned to its out-label product and vertices with no path
+    down to v are pinned to zero.  Raises SolveError when a vertex system
+    is inconsistent (no class exists) or underdetermined (uniqueness
+    fails, e.g. the graph is not Palais-Smale).
     """
     if v not in g._vstr:
         raise ValueError(f"unknown vertex {v!r}")
@@ -373,36 +392,19 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
             loc[u] = Polynomial.zero(n)
             check_pinned(u)
             continue
-        monos = homogeneous_exponents(n, d)
-        col = {exp: k for k, exp in enumerate(monos)}
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for e in g.out_edges(u):
-            reduced = _reduced_monomials(e.label, d)
-            target = reduce_modulo(loc[e.head], e.label)
-            support: set = set(target.terms())
-            for exp in monos:
-                support |= set(reduced[exp].terms())
-            for mu in sorted(support):
-                row = [Fraction(0)] * len(monos)
-                for exp in monos:
-                    cval = reduced[exp].coefficient(mu)
-                    if cval:
-                        row[col[exp]] = cval
-                rows.append(row)
-                rhs.append(target.coefficient(mu))
-        if not rows:
+        out = g.out_edges(u)
+        if not out:
             raise SolveError(
                 f"vertex {g.vertex_str(u)} has no out-edges but must carry a "
                 f"degree-{d} class: underdetermined"
             )
-        try:
-            x = solve_unique(rows, rhs)
-        except LinearSystemError as exc:
-            raise SolveError(
-                f"constraints at vertex {g.vertex_str(u)} are {exc.status}"
-            ) from exc
-        loc[u] = Polynomial(n, {exp: x[col[exp]] for exp in monos})
+        loc[u] = _solve_vertex(
+            g.vertex_str(u),
+            n,
+            d,
+            [e.label for e in out],
+            [reduce_modulo(loc[e.head], e.label) for e in out],
+        )
     return EquivariantClass(g, loc, base=v)
 
 

@@ -1,9 +1,11 @@
 """Exact rational linear algebra helpers.
 
-Two small tools used elsewhere in the package: Gaussian elimination over
-``Fraction`` for square-free unique solves (the Knutson-Tao class solver),
-and Fourier-Motzkin elimination for strict homogeneous feasibility (the
-flow-orientation search for the Palais-Smale check).
+Two small tools: Fourier-Motzkin elimination for strict homogeneous
+feasibility (the flow-orientation search for the Palais-Smale check), and
+Gaussian elimination over ``Fraction`` for unique solves.  The Knutson-Tao
+solver does not use the latter: it is kept as the independent dense
+reference that the solver's differential tests compare against, and the
+benchmark's layer tracer wraps it by name.
 """
 
 from __future__ import annotations

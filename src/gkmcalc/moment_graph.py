@@ -86,6 +86,7 @@ class MomentGraph:
             key = lambda v: (0, self._vstr[v])
         self.vertices = tuple(sorted(vlist, key=key))
         self._vkey = {v: key(v) for v in self.vertices}
+        self._by_str = {s: v for v, s in self._vstr.items()}
 
         vset = set(self.vertices)
         for e in edges:
@@ -123,10 +124,10 @@ class MomentGraph:
         return self._vstr[v]
 
     def vertex_by_str(self, s: str):
-        for v in self.vertices:
-            if self._vstr[v] == s:
-                return v
-        raise KeyError(f"no vertex named {s!r}")
+        try:
+            return self._by_str[s]
+        except (KeyError, TypeError):  # TypeError: an unhashable name from JSON
+            raise KeyError(f"no vertex named {s!r}") from None
 
     def out_edges(self, v) -> list[Edge]:
         return list(self._out[v])

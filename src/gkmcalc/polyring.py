@@ -480,7 +480,10 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             if not seen_factor:
                 raise ValueError(f"misplaced '*' in {text!r}")
         elif kind == "num":
-            c = Fraction(val)
+            try:
+                c = Fraction(val)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {val!r}") from None
             coeff = c if coeff is None else coeff * c
             seen_factor, pending = True, False
         elif kind == "var":

@@ -472,7 +472,7 @@ def suite_gkm(max_n: int = 4, **_) -> list[CheckResult]:
 
     ok = True
     count = 0
-    for label in _general_labels(min(max_n, 3)):
+    for label in _general_labels(min(max_n, 4)):
         rs = root_system(label)
         g = build_flag_moment_graph(rs)
         basis = flag_basis(rs)

@@ -1,11 +1,17 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.moment_graph import toric_hexagon_json
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -258,3 +264,46 @@ class TestOutputFiles:
         code, out2, _ = run(capsys, "graph", "--load", str(gpath2), "--format", "json")
         assert code == 0
         assert json.loads(out2) == json.loads(out1)
+
+
+_HEX_CLASS = {
+    "graph_ref": {"graph": toric_hexagon_json()},
+    "base": "e",
+    "localizations": {v: "1" for v in toric_hexagon_json()["vertices"]},
+}
+_BAD_HEX = toric_hexagon_json()
+_BAD_HEX["edges"][0]["label"] = "1/0*t1"
+
+MALFORMED = [
+    (("graph", "--load", "{div0}"), {"div0": _BAD_HEX}),
+    (("ddiff", "--side", "left", "--i", "1", "--class", "{cls}"), {"cls": _HEX_CLASS}),
+    (("ddiff", "--side", "right", "--i", "1", "--class", "{cls}"), {"cls": _HEX_CLASS}),
+    (("graph", "--load", "{nov}"), {"nov": {"edges": []}}),
+    (("expand", "--class", "{cls}"), {"cls": _HEX_CLASS | {"base": ["e"]}}),
+    (("class", "--type", "A:3", "--v", "1x3"), {}),
+    (("act", "--type", "A:3", "--perm", "21", "--v", "213"), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    MALFORMED,
+    ids=[f"{k}-{argv[0]}" for k, (argv, _) in enumerate(MALFORMED)],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
+    """Bad input exits 2 with a single error line and no traceback."""
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmcalc.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, *sys.path])},
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

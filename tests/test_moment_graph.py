@@ -213,6 +213,16 @@ class TestExternalLoading:
                 }
             )
 
+    def test_zero_denominator_label(self):
+        with pytest.raises(GraphParseError, match="zero denominator"):
+            load_external_graph(
+                {
+                    "vertices": ["a", "b"],
+                    "edges": [{"tail": "a", "head": "b", "label": "1/0*t1"}],
+                    "metadata": {"n": 2},
+                }
+            )
+
     def test_duplicate_vertices(self):
         with pytest.raises(GraphParseError):
             load_external_graph({"vertices": ["a", "a"], "edges": []})
@@ -224,6 +234,14 @@ class TestExternalLoading:
     def test_dimension_inferred_from_labels(self):
         g = load_external_graph(toric_hexagon_json() | {"metadata": {}})
         assert g.n == 3
+
+    def test_vertex_by_str(self):
+        for g in (toric_hexagon_graph(), build_flag_moment_graph(root_system("B2"))):
+            for v in g.vertices:
+                assert g.vertex_by_str(g.vertex_str(v)) == v
+            for bad in ("nope", ["e"]):
+                with pytest.raises(KeyError):
+                    g.vertex_by_str(bad)
 
 
 class TestSerialization:
