@@ -9,10 +9,8 @@ from gkmcalc import (
     Polynomial,
     divides,
     exact_divide,
-    inversions,
     parse_permutation,
     poly_divided_difference,
-    reduced_word,
     root_system,
     to_string,
     type_a,
@@ -29,12 +27,13 @@ print(f"divided difference of t1*t2 in direction 1: {poly_divided_difference(t1 
 
 print()
 print("== permutations and inversion sets ==")
+rs = type_a(3)
 for name in ("213", "231", "321"):
     w = parse_permutation(name)
-    forms = sorted(to_string(f) for f in inversions(w))
+    forms = sorted(to_string(rs.root_form(r)) for r in rs.inversions(w))
     print(
-        f"w = {name} {w.cycle_str():>6}: length {w.length()}, "
-        f"reduced word {reduced_word(w)}, inversions {forms}"
+        f"w = {name} {w.cycle_str():>6}: length {rs.length(w)}, "
+        f"reduced word {rs.reduced_word(w)}, inversions {forms}"
     )
 
 print()

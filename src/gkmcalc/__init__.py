@@ -22,15 +22,8 @@ from .polyring import (
 from .coxeter import (
     Permutation,
     all_permutations,
-    apply_to_variables,
-    bruhat_leq,
-    compose,
     inversion_pairs,
-    inversions,
-    length,
-    lower_interval,
     parse_permutation,
-    reduced_word,
 )
 from .root_system import RootSystem, root_system, type_a
 from .moment_graph import (
@@ -72,7 +65,6 @@ from .repaction import (
     DecompositionReport,
     act,
     act_on_schubert_basis,
-    act_pointwise,
     act_word,
     average_class,
     decompose,

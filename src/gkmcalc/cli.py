@@ -22,14 +22,9 @@ from .gkm import (
     class_to_json,
     expand_in_basis,
     expansion_to_json,
-    flag_basis,
-    knutson_tao_class_descent,
-    knutson_tao_class_solve,
     kt_report,
-    restrict,
 )
 from .moment_graph import (
-    GraphParseError,
     graph_to_dot,
     graph_to_json,
     is_palais_smale,
@@ -77,6 +72,13 @@ def _load_json_file(path: str) -> dict:
         raise CliError(f"bad JSON in {path}: {exc}") from exc
 
 
+def _load_class(path: str):
+    try:
+        return class_from_json(_load_json_file(path))
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"bad class file: {exc}") from exc
+
+
 def _graph_for(args) -> "MomentGraph":
     if getattr(args, "load", None):
         return load_external_graph(_load_json_file(args.load))
@@ -85,6 +87,17 @@ def _graph_for(args) -> "MomentGraph":
     rs = root_system(args.type)
     w_text = args.w if args.w else rs.element_str(rs.longest_element())
     return schubert_graph(args.type, w_text)
+
+
+def _vertex_arg(g, text: str):
+    """The vertex of g named by text; CliError when it is not in the variety."""
+    try:
+        v = g.rs.parse_element(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if v not in g._vstr:
+        raise CliError(f"vertex {text!r} is not in the chosen variety")
+    return v
 
 
 def _class_table(cls) -> str:
@@ -120,28 +133,14 @@ def cmd_graph(args) -> int:
 
 def cmd_class(args) -> int:
     g = _graph_for(args)
-    try:
-        v = g.rs.parse_element(args.v) if g.rs else g.vertex_by_str(args.v)
-    except (ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
-    if g.rs is not None and v not in g._vstr:
-        raise CliError(f"vertex {args.v!r} is not in the chosen variety")
-    route = args.route
-    if route is None:
-        route = {"flag": "descent", "schubert": "restrict", "external": "solve"}[
-            g.variety
-        ]
-    if route == "descent":
-        cls = knutson_tao_class_descent(g, v)
-    elif route == "solve":
-        cls = knutson_tao_class_solve(g, v)
-    else:
-        cls = restrict(flag_basis(g.rs).cls(v), g)
+    v = _vertex_arg(g, args.v)
+    basis = KnutsonTaoBasis(g, route=args.route)
+    cls = basis.cls(v)
     if args.format == "table":
         _emit(_class_table(cls), args.output)
     else:
         payload = class_to_json(cls)
-        payload["route"] = route
+        payload["route"] = basis.route
         payload["kt_conditions"] = kt_report(cls).to_json()
         _emit(_json_text(payload), args.output)
     return 0
@@ -150,15 +149,11 @@ def cmd_class(args) -> int:
 def cmd_act(args) -> int:
     g = _graph_for(args)
     rs = g.rs
-    if rs is None:
-        raise CliError("act needs a flag or Schubert graph (--type)")
     try:
         u = rs.parse_element(args.perm)
-        v = rs.parse_element(args.v)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if v not in g._vstr:
-        raise CliError(f"vertex {args.v!r} is not in the chosen variety")
+    v = _vertex_arg(g, args.v)
     basis = KnutsonTaoBasis(g)
     acted = act(u, basis.cls(v), basis)
     expansion = expand_in_basis(acted, basis)
@@ -174,17 +169,12 @@ def cmd_act(args) -> int:
 
 def cmd_ddiff(args) -> int:
     if args.class_file:
-        obj = _load_json_file(args.class_file)
-        try:
-            cls = class_from_json(obj)
-        except (KeyError, ValueError, GraphParseError) as exc:
-            raise CliError(f"bad class file: {exc}") from exc
+        cls = _load_class(args.class_file)
     else:
         g = _graph_for(args)
         if not args.v:
             raise CliError("need --class FILE or --type/--v")
-        basis = KnutsonTaoBasis(g)
-        cls = basis.cls(g.rs.parse_element(args.v))
+        cls = KnutsonTaoBasis(g).cls(_vertex_arg(g, args.v))
     if cls.graph.rs is None:
         raise CliError("ddiff needs a class on a flag or Schubert graph")
     if args.side == "left":
@@ -199,11 +189,7 @@ def cmd_ddiff(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    obj = _load_json_file(args.class_file)
-    try:
-        cls = class_from_json(obj)
-    except (KeyError, ValueError, GraphParseError) as exc:
-        raise CliError(f"bad class file: {exc}") from exc
+    cls = _load_class(args.class_file)
     basis = KnutsonTaoBasis(cls.graph)
     expansion = expand_in_basis(cls, basis)
     _emit(_json_text(expansion_to_json(expansion, cls.graph)), args.output)
@@ -211,10 +197,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _graph_for(args)
-    if g.rs is None:
-        raise CliError("decompose needs a flag or Schubert graph (--type)")
-    rep = decompose(g)
+    rep = decompose(_graph_for(args))
     if args.format == "table":
         _emit(rep.table(), args.output)
     else:
@@ -243,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_variety(p, need_w=False):
+    def add_variety(p):
         p.add_argument("--type", help="variety type: A:n, B2, or G2")
         p.add_argument(
             "--w",
@@ -302,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify", help="run invariant suites and print a ledger")
-    p.add_argument("--type", help="unused selector kept for symmetry", default=None)
     p.add_argument(
         "--suite", choices=("all", *SUITES), default="all", help="which suite to run"
     )
@@ -318,10 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, GraphParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

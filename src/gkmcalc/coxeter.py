@@ -1,21 +1,21 @@
-"""Symmetric group combinatorics for the type A flag variety.
+"""Permutations of 1..n: the Weyl group elements of type A, and their parsing.
 
 Permutations are stored in one-line notation ``[w(1), ..., w(n)]`` with the
 convention that w sends the basis vector e_i to e_{w(i)}.  Products compose
 as functions: (u * v)(i) = u(v(i)).  Inversions are the pairs (i, j) with
-i < j whose values w^{-1}(i) > w^{-1}(j); each corresponds to the linear
-form t_i - t_j, and the length of w counts them.
+i < j whose values w^{-1}(i) > w^{-1}(j), and the length of w counts them.
 
-Bruhat order is decided by the subword property: v <= w exactly when v is
-the ordered product of a subsequence of a fixed reduced word for w.
+Reduced words, Bruhat intervals and the action on polynomials are methods
+of :func:`gkmcalc.root_system.type_a`, which uses these objects as its
+group elements.
 
 >>> s1, s2 = Permutation.simple(3, 1), Permutation.simple(3, 2)
 >>> (s1 * s2).one_line
 (2, 3, 1)
->>> reduced_word(Permutation((3, 2, 1)))
-[1, 2, 1]
->>> sorted(str(v) for v in lower_interval(s1 * s2))
-['123', '132', '213', '231']
+>>> inversion_pairs(s1 * s2)
+[(1, 2), (1, 3)]
+>>> parse_permutation("(123)") == s1 * s2
+True
 """
 
 from __future__ import annotations
@@ -24,18 +24,9 @@ import re
 from dataclasses import dataclass
 from itertools import permutations as _all_tuples
 
-from .polyring import Polynomial
-
 __all__ = [
     "Permutation",
-    "compose",
-    "length",
     "inversion_pairs",
-    "inversions",
-    "bruhat_leq",
-    "lower_interval",
-    "reduced_word",
-    "apply_to_variables",
     "all_permutations",
     "parse_permutation",
 ]
@@ -121,15 +112,6 @@ class Permutation:
         return "".join("(" + "".join(map(str, c)) + ")" for c in cycles)
 
 
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """Function composition (u o v)(i) = u(v(i))."""
-    return u * v
-
-
-def length(w: Permutation) -> int:
-    return w.length()
-
-
 def inversion_pairs(w: Permutation) -> list[tuple[int, int]]:
     """Sorted pairs (i, j), i < j, with w^{-1}(i) > w^{-1}(j)."""
     pos = {v: i for i, v in enumerate(w.one_line, start=1)}
@@ -140,59 +122,6 @@ def inversion_pairs(w: Permutation) -> list[tuple[int, int]]:
         for j in range(i + 1, n + 1)
         if pos[i] > pos[j]
     ]
-
-
-def inversions(w: Permutation) -> frozenset[Polynomial]:
-    """The inversion set as linear forms t_i - t_j."""
-    n = w.n
-    return frozenset(
-        Polynomial.linear_form(n, {i: 1, j: -1}) for i, j in inversion_pairs(w)
-    )
-
-
-def _left_descent(w: Permutation) -> int | None:
-    """Smallest i with l(s_i w) < l(w), i.e. i appears after i+1 in w."""
-    pos = {v: i for i, v in enumerate(w.one_line, start=1)}
-    for i in range(1, w.n):
-        if pos[i] > pos[i + 1]:
-            return i
-    return None
-
-
-def reduced_word(w: Permutation) -> list[int]:
-    """Reduced word by the leftmost-descent rule: w = s_{i_1} ... s_{i_k}."""
-    word: list[int] = []
-    cur = w
-    while True:
-        i = _left_descent(cur)
-        if i is None:
-            return word
-        word.append(i)
-        cur = Permutation.simple(cur.n, i) * cur
-
-
-def lower_interval(w: Permutation) -> frozenset[Permutation]:
-    """All v <= w in Bruhat order, as products of subwords of reduced_word(w)."""
-    out = {Permutation.identity(w.n)}
-    for i in reduced_word(w):
-        s = Permutation.simple(w.n, i)
-        out |= {u * s for u in out}
-    return frozenset(out)
-
-
-def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    if v.n != w.n:
-        raise ValueError(f"size mismatch: {v.n} vs {w.n}")
-    return v in lower_interval(w)
-
-
-def apply_to_variables(u: Permutation, p: Polynomial) -> Polynomial:
-    """The variable action u . p(t_1, ..., t_n) = p(t_{u(1)}, ..., t_{u(n)})."""
-    if u.n != p.n:
-        raise ValueError(f"size mismatch: permutation {u.n} vs ring {p.n}")
-    return p.substitute(
-        {i: Polynomial.variable(p.n, u(i)) for i in range(1, u.n + 1) if u(i) != i}
-    )
 
 
 def all_permutations(n: int) -> list[Permutation]:

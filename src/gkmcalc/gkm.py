@@ -31,7 +31,6 @@ from typing import Mapping
 from .moment_graph import (
     MomentGraph,
     build_flag_moment_graph,
-    build_schubert_moment_graph,
     validate_axioms,
 )
 from .polyring import (
@@ -426,8 +425,10 @@ def restrict(c: EquivariantClass, g_sub: MomentGraph) -> EquivariantClass:
 class KnutsonTaoBasis:
     """Lazily computed Knutson-Tao classes for every vertex of a graph.
 
-    Route defaults: descent on the full flag graph, restriction of flag
-    classes on Schubert graphs, and the upward solver on external graphs.
+    This is the one place that picks a construction route.  Defaults:
+    descent on the full flag graph, restriction of the cached flag basis on
+    Schubert graphs, and the upward solver on external graphs; an explicit
+    route is checked against the kind of graph and reported as ``route``.
     """
 
     def __init__(self, graph: MomentGraph, route: str | None = None):
@@ -446,13 +447,6 @@ class KnutsonTaoBasis:
         self.graph = graph
         self.route = route
         self._cache: dict = {}
-        self._flag = None
-
-    def _flag_pair(self):
-        if self._flag is None:
-            fg = build_flag_moment_graph(self.graph.rs)
-            self._flag = (fg, flag_basis(self.graph.rs))
-        return self._flag
 
     def cls(self, v) -> EquivariantClass:
         got = self._cache.get(v)
@@ -462,8 +456,7 @@ class KnutsonTaoBasis:
             elif self.route == "solve":
                 got = knutson_tao_class_solve(self.graph, v)
             else:
-                _, fb = self._flag_pair()
-                got = restrict(fb.cls(v), self.graph)
+                got = restrict(flag_basis(self.graph.rs).cls(v), self.graph)
             self._cache[v] = got
         return got
 
@@ -549,11 +542,18 @@ def graph_ref(g: MomentGraph) -> dict:
     return {"graph": graph_to_json(g)}
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def resolve_graph_ref(ref: dict) -> MomentGraph:
     from .moment_graph import load_external_graph, schubert_graph
 
+    ref = _json_object(ref, "graph_ref")
     if "type" in ref:
-        return schubert_graph(ref["type"], ref["w"])
+        return schubert_graph(str(ref["type"]), str(ref["w"]))
     if "graph" in ref:
         return load_external_graph(ref["graph"])
     raise ValueError(f"cannot resolve graph reference {ref!r}")
@@ -571,9 +571,10 @@ def class_to_json(c: EquivariantClass) -> dict:
 
 
 def class_from_json(obj: dict, graph: MomentGraph | None = None) -> EquivariantClass:
+    obj = _json_object(obj, "a class")
     g = graph if graph is not None else resolve_graph_ref(obj["graph_ref"])
     loc = {}
-    for name, text in obj["localizations"].items():
+    for name, text in _json_object(obj["localizations"], "localizations").items():
         v = g.vertex_by_str(name)
         loc[v] = polynomial_from_json(text, g.n)
     base = obj.get("base")
@@ -593,8 +594,9 @@ def expansion_to_json(expansion: Mapping, g: MomentGraph) -> dict:
 
 
 def expansion_from_json(obj: dict, graph: MomentGraph | None = None) -> dict:
+    obj = _json_object(obj, "an expansion")
     g = graph if graph is not None else resolve_graph_ref(obj["graph_ref"])
     return {
         g.vertex_by_str(name): polynomial_from_json(text, g.n)
-        for name, text in obj["coefficients"].items()
+        for name, text in _json_object(obj["coefficients"], "coefficients").items()
     }

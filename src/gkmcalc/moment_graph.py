@@ -548,9 +548,15 @@ def load_external_graph(description) -> MomentGraph:
             raise GraphParseError(f"bad JSON: {exc}") from exc
     else:
         obj = description
-    if not isinstance(obj, dict) or "vertices" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):
         raise GraphParseError("graph JSON needs a 'vertices' list")
-    meta = dict(obj.get("metadata", {}))
+    records = obj.get("edges", [])
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise GraphParseError("graph JSON 'edges' must be a list of objects")
+    meta = obj.get("metadata", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("n", 0), (int, float, str)):
+        raise GraphParseError("graph JSON 'metadata' must be an object, 'n' a number")
+    meta = dict(meta)
     n = int(meta["n"]) if "n" in meta else _infer_dimension(obj)
     meta["n"] = n
     meta.setdefault("var_prefix", "t")
@@ -561,7 +567,7 @@ def load_external_graph(description) -> MomentGraph:
         raise GraphParseError("duplicate vertices")
     vset = set(vertices)
     edges = []
-    for rec in obj.get("edges", []):
+    for rec in records:
         tail, head = str(rec.get("tail")), str(rec.get("head"))
         if tail not in vset or head not in vset:
             raise GraphParseError(f"dangling edge endpoint: {tail} -> {head}")

@@ -523,6 +523,8 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
         if n is None:
             raise ValueError("string polynomial form needs an explicit dimension")
         return parse_polynomial(obj, n)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a polynomial is a string or an object, not {obj!r}")
     dim = obj["n"] if n is None else n
     if "n" in obj and n is not None and obj["n"] != n:
         raise ValueError(f"polynomial dimension {obj['n']} != expected {n}")

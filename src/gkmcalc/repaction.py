@@ -35,7 +35,6 @@ from .polyring import ExactDivisionError, Polynomial, exact_divide
 
 __all__ = [
     "act",
-    "act_pointwise",
     "act_on_schubert_basis",
     "act_word",
     "left_divided_difference",
@@ -49,18 +48,13 @@ __all__ = [
 ]
 
 
-def act_pointwise(u, c: EquivariantClass) -> EquivariantClass:
-    """Pointwise action; only valid on left-multiplication-closed graphs."""
-    return apply_group_element(u, c)
-
-
 def act(
     u, c: EquivariantClass, basis: KnutsonTaoBasis | None = None
 ) -> EquivariantClass:
     """Group action on a class, routed by the kind of graph it lives on."""
     g = c.graph
     if g.variety == "flag":
-        return act_pointwise(u, c)
+        return apply_group_element(u, c)
     if g.variety == "schubert":
         basis = basis if basis is not None else KnutsonTaoBasis(g)
         exp = expand_in_basis(c, basis)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import coxeter
-from .coxeter import Permutation, all_permutations
+from .coxeter import Permutation, all_permutations, inversion_pairs
 from .gkm import (
     KnutsonTaoBasis,
+    apply_group_element,
     check_gkm,
     expand_in_basis,
     expansions_equal,
@@ -42,13 +42,11 @@ from .polyring import (
     is_linear_form,
     poly_divided_difference,
     reduce_modulo,
-    swap_substitution,
 )
 from .repaction import (
     _act_simple_on_expansion,
     act,
     act_on_schubert_basis,
-    act_pointwise,
     act_word,
     average_class,
     decompose,
@@ -147,84 +145,6 @@ def suite_polyring(max_n: int = 4, seed: int = 0, trials: int = 60) -> list[Chec
     return out
 
 
-def suite_coxeter(max_n: int = 4, **_) -> list[CheckResult]:
-    out: list[CheckResult] = []
-
-    ok = True
-    for n in range(2, max_n + 1):
-        for w in all_permutations(n):
-            ok &= len(coxeter.inversion_pairs(w)) == w.length()
-            word = coxeter.reduced_word(w)
-            prod = Permutation.identity(n)
-            for i in word:
-                prod = prod * Permutation.simple(n, i)
-            ok &= prod == w and len(word) == w.length()
-    out.append(CheckResult("coxeter", "length-and-reduced-words", ok, f"n<= {max_n}"))
-
-    ok = True
-    for n in range(2, max_n + 1):
-        for w in all_permutations(n):
-            for i in range(1, n):
-                s = Permutation.simple(n, i)
-                sw = s * w
-                if sw.length() <= w.length():
-                    continue
-                swapped = {
-                    f.substitute(swap_substitution(n, i, i + 1))
-                    for f in coxeter.inversions(w)
-                }
-                want = swapped | {Polynomial.linear_form(n, {i: 1, i + 1: -1})}
-                ok &= coxeter.inversions(sw) == frozenset(want)
-    out.append(
-        CheckResult("coxeter", "simple-inversion-recursion", ok, "Inv(s_i w) identity")
-    )
-
-    ok = True
-    for n in range(2, max_n + 1):
-        for w in all_permutations(n):
-            for j, k in combinations(range(1, n + 1), 2):
-                t = Permutation.transposition(n, j, k)
-                tw = t * w
-                if tw.length() != w.length() + 1:
-                    continue
-                form = Polynomial.linear_form(n, {j: 1, k: -1})
-                red = lambda f: reduce_modulo(f, form)
-                left = Counter(red(f) for f in coxeter.inversions(tw))
-                right = Counter(red(f) for f in coxeter.inversions(w))
-                right[red(form)] += 1
-                ok &= left == right
-                for i in range(1, n):
-                    s = Permutation.simple(n, i)
-                    if s != t and (s * w).length() > w.length():
-                        ok &= (s * tw).length() > tw.length()
-    out.append(
-        CheckResult(
-            "coxeter", "covering-transposition-lemma", ok, "mod-form multiset + lifting"
-        )
-    )
-
-    ok = True
-    for n in range(2, min(max_n, 4) + 1):
-        perms = all_permutations(n)
-        leq = {
-            (v, w): coxeter.bruhat_leq(v, w) for v in perms for w in perms
-        }
-        for v in perms:
-            ok &= leq[(v, v)]
-            for w in perms:
-                if leq[(v, w)] and leq[(w, v)]:
-                    ok &= v == w
-                if leq[(v, w)] and v != w:
-                    ok &= v.length() < w.length()
-                for u in perms:
-                    if leq[(u, v)] and leq[(v, w)]:
-                        ok &= leq[(u, w)]
-    out.append(
-        CheckResult("coxeter", "bruhat-partial-order", ok, "refines length")
-    )
-    return out
-
-
 def _general_labels(max_n: int) -> list[str]:
     return [f"A:{n}" for n in range(2, max_n + 1)] + ["B2", "G2"]
 
@@ -263,6 +183,24 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
     for label in _general_labels(max_n):
         rs = root_system(label)
         for w in rs.elements():
+            word = rs.reduced_word(w)
+            prod = rs.identity()
+            for i in word:
+                prod = rs.mul(prod, rs.simple_reflection(i))
+            ok &= prod == w and len(word) == rs.length(w) == len(rs.inversions(w))
+    out.append(
+        CheckResult(
+            "root_system",
+            "length-and-reduced-words",
+            ok,
+            ", ".join(_general_labels(max_n)),
+        )
+    )
+
+    ok = True
+    for label in _general_labels(max_n):
+        rs = root_system(label)
+        for w in rs.elements():
             inv_w = set(rs.inversions(w))
             for i in range(1, rs.rank + 1):
                 s = rs.simple_reflection(i)
@@ -274,7 +212,7 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
     out.append(CheckResult("root_system", "simple-edge-recursion", ok))
 
     ok = True
-    for label in ("B2", "G2"):
+    for label in _general_labels(max_n):
         rs = root_system(label)
         for w in rs.elements():
             for alpha in rs.positive_roots:
@@ -294,7 +232,34 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
                         ok &= rs.length(rs.mul(si, saw)) > rs.length(saw)
     out.append(
         CheckResult(
-            "root_system", "covering-reflection-lemma", ok, "mod-alpha multiset + lifting"
+            "root_system",
+            "covering-reflection-lemma",
+            ok,
+            "mod-alpha multiset + lifting; " + ", ".join(_general_labels(max_n)),
+        )
+    )
+
+    ok = True
+    for label in _general_labels(min(max_n, 4)):
+        rs = root_system(label)
+        els = rs.elements()
+        leq = {(v, w): rs.bruhat_leq(v, w) for v in els for w in els}
+        for v in els:
+            ok &= leq[(v, v)]
+            for w in els:
+                if leq[(v, w)] and leq[(w, v)]:
+                    ok &= v == w
+                if leq[(v, w)] and v != w:
+                    ok &= rs.length(v) < rs.length(w)
+                for u in els:
+                    if leq[(u, v)] and leq[(v, w)]:
+                        ok &= leq[(u, w)]
+    out.append(
+        CheckResult(
+            "root_system",
+            "bruhat-partial-order",
+            ok,
+            "refines length; " + ", ".join(_general_labels(min(max_n, 4))),
         )
     )
 
@@ -302,7 +267,7 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
     for n in range(2, max_n + 1):
         rs = type_a(n)
         for w in all_permutations(n):
-            pairs = coxeter.inversion_pairs(w)
+            pairs = inversion_pairs(w)
             vecs = set(rs.inversions(w))
             want = set()
             for i, j in pairs:
@@ -521,8 +486,8 @@ def suite_repaction(max_n: int = 4, **_) -> list[CheckResult]:
         gens = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
         for a in gens:
             for b in gens:
-                lhs = act_pointwise(a, act_pointwise(b, sample))
-                ok &= lhs == act_pointwise(rs.mul(a, b), sample)
+                lhs = apply_group_element(a, apply_group_element(b, sample))
+                ok &= lhs == apply_group_element(rs.mul(a, b), sample)
                 pairs += 1
     out.append(
         CheckResult("repaction", "action-composition", ok, f"{pairs} generator pairs")
@@ -537,7 +502,7 @@ def suite_repaction(max_n: int = 4, **_) -> list[CheckResult]:
         acted = {}
         for v in rs.elements():
             for i in range(1, n):
-                acted[(i, v)] = act_pointwise(
+                acted[(i, v)] = apply_group_element(
                     rs.simple_reflection(i), basis.cls(v)
                 )
         for w in rs.elements():
@@ -566,7 +531,7 @@ def suite_repaction(max_n: int = 4, **_) -> list[CheckResult]:
             for i in range(1, rs.rank + 1):
                 s = rs.simple_reflection(i)
                 sw = rs.mul(s, w)
-                lhs = act_pointwise(s, basis.cls(w))
+                lhs = apply_group_element(s, basis.cls(w))
                 if rs.length(sw) > rs.length(w):
                     ok &= lhs == basis.cls(w)
                 else:
@@ -622,7 +587,7 @@ def suite_repaction(max_n: int = 4, **_) -> list[CheckResult]:
             ok &= all(expansions_equal(r, results[0]) for r in results)
             ok &= expansions_equal(
                 act_word(w0, {v: Polynomial.one(n)}, g),
-                expand_in_basis(act_pointwise(w0, basis.cls(v)), basis),
+                expand_in_basis(apply_group_element(w0, basis.cls(v)), basis),
             )
     out.append(
         CheckResult("repaction", "word-independence", ok, "two reduced words of w0")
@@ -713,7 +678,6 @@ def suite_repaction(max_n: int = 4, **_) -> list[CheckResult]:
 
 SUITES = {
     "polyring": suite_polyring,
-    "coxeter": suite_coxeter,
     "root-system": suite_root_system,
     "moment-graph": suite_moment_graph,
     "gkm": suite_gkm,

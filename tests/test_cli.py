@@ -230,9 +230,9 @@ class TestDecomposeCommand:
 
 class TestVerifyCommand:
     def test_single_suite_ledger(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "coxeter", "--max-n", "3")
+        code, out, _ = run(capsys, "verify", "--suite", "root-system", "--max-n", "3")
         assert code == 0
-        assert "PASS coxeter/" in out
+        assert "PASS root_system/" in out
         assert out.strip().endswith("checks passed (max n = 3)")
 
     def test_unknown_suite_rejected(self, capsys):
@@ -273,6 +273,7 @@ _HEX_CLASS = {
 }
 _BAD_HEX = toric_hexagon_json()
 _BAD_HEX["edges"][0]["label"] = "1/0*t1"
+_A3_CLASS = {"graph_ref": {"type": "A:3", "w": "321"}, "base": None, "localizations": {}}
 
 MALFORMED = [
     (("graph", "--load", "{div0}"), {"div0": _BAD_HEX}),
@@ -282,6 +283,22 @@ MALFORMED = [
     (("expand", "--class", "{cls}"), {"cls": _HEX_CLASS | {"base": ["e"]}}),
     (("class", "--type", "A:3", "--v", "1x3"), {}),
     (("act", "--type", "A:3", "--perm", "21", "--v", "213"), {}),
+    (("ddiff", "--side", "left", "--i", "1", "--type", "A:3", "--w", "231", "--v", "321"), {}),
+    (("expand", "--class", "{cls}"), {"cls": [_A3_CLASS]}),
+    (
+        ("ddiff", "--side", "left", "--i", "1", "--class", "{cls}"),
+        {"cls": _A3_CLASS | {"graph_ref": 5}},
+    ),
+    (("graph", "--load", "{g}"), {"g": {"vertices": ["a"], "edges": [1]}}),
+    (("graph", "--load", "{g}"), {"g": {"vertices": [], "edges": 5}}),
+    (("graph", "--load", "{g}"), {"g": {"vertices": 5}}),
+    (("graph", "--load", "{g}"), {"g": {"vertices": [], "metadata": 5}}),
+    (("graph", "--load", "{g}"), {"g": {"vertices": [], "metadata": {"n": [1]}}}),
+    (("expand", "--class", "{cls}"), {"cls": _A3_CLASS | {"localizations": {"123": 5}}}),
+    (
+        ("expand", "--class", "{cls}"),
+        {"cls": _A3_CLASS | {"graph_ref": {"type": 5, "w": "321"}}},
+    ),
 ]
 
 

@@ -1,24 +1,15 @@
-"""Symmetric group combinatorics: worked examples and the inversion lemmas."""
-
-from collections import Counter
-from itertools import combinations
+"""Permutations and parsing, and the type-A worked examples through type_a(n)."""
 
 import pytest
 
 from gkmcalc.coxeter import (
     Permutation,
     all_permutations,
-    apply_to_variables,
-    bruhat_leq,
-    compose,
     inversion_pairs,
-    inversions,
-    length,
-    lower_interval,
     parse_permutation,
-    reduced_word,
 )
-from gkmcalc.polyring import Polynomial, reduce_modulo, swap_substitution
+from gkmcalc.polyring import Polynomial, swap_substitution
+from gkmcalc.root_system import type_a
 
 
 def perm(s):
@@ -29,89 +20,98 @@ def form(n, i, j):
     return Polynomial.linear_form(n, {i: 1, j: -1})
 
 
+def inversion_forms(w):
+    rs = type_a(w.n)
+    return frozenset(rs.root_form(r) for r in rs.inversions(w))
+
+
+def act_on_variables(u, p):
+    return p.substitute(type_a(u.n).coadjoint_substitution(u))
+
+
 class TestCompose:
     def test_involution(self):
         s1 = Permutation.simple(3, 1)
-        assert compose(s1, s1) == Permutation.identity(3)
+        assert s1 * s1 == Permutation.identity(3)
 
     def test_simple_product_is_three_cycle(self):
         s1, s2 = Permutation.simple(3, 1), Permutation.simple(3, 2)
-        got = compose(s1, s2)
+        got = s1 * s2
         assert got.one_line == (2, 3, 1)
         assert got.length() == 2
 
     def test_identity_neutral(self):
         w = perm("231")
-        assert compose(w, Permutation.identity(3)) == w
+        assert w * Permutation.identity(3) == w
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            compose(Permutation.identity(2), Permutation.identity(3))
+            Permutation.identity(2) * Permutation.identity(3)
 
     def test_convention_composes_as_functions(self):
         u, v = perm("231"), perm("213")
         for i in (1, 2, 3):
-            assert compose(u, v)(i) == u(v(i))
+            assert (u * v)(i) == u(v(i))
 
 
 class TestLength:
     def test_identity(self):
-        assert length(Permutation.identity(3)) == 0
+        assert type_a(3).length(Permutation.identity(3)) == 0
 
     def test_longest(self):
-        assert length(perm("321")) == 3
+        assert type_a(3).length(perm("321")) == 3
 
     def test_three_cycle(self):
-        assert length(perm("231")) == 2
+        assert type_a(3).length(perm("231")) == 2
 
 
 class TestInversions:
     def test_simple(self):
-        assert inversions(perm("213")) == frozenset({form(3, 1, 2)})
+        assert inversion_forms(perm("213")) == frozenset({form(3, 1, 2)})
 
     def test_three_cycle(self):
-        assert inversions(perm("231")) == frozenset(
+        assert inversion_forms(perm("231")) == frozenset(
             {form(3, 1, 2), form(3, 1, 3)}
         )
         assert inversion_pairs(perm("231")) == [(1, 2), (1, 3)]
 
     def test_identity_empty(self):
-        assert inversions(Permutation.identity(3)) == frozenset()
+        assert inversion_forms(Permutation.identity(3)) == frozenset()
 
 
 class TestBruhat:
     def test_identity_below_everything(self):
         e = Permutation.identity(4)
-        assert all(bruhat_leq(e, w) for w in all_permutations(4))
+        assert all(type_a(4).bruhat_leq(e, w) for w in all_permutations(4))
 
     def test_edge_from_figure(self):
-        assert bruhat_leq(perm("213"), perm("231"))
+        assert type_a(3).bruhat_leq(perm("213"), perm("231"))
 
     def test_incomparable_length_one(self):
-        assert not bruhat_leq(perm("213"), perm("132"))
+        assert not type_a(3).bruhat_leq(perm("213"), perm("132"))
 
     def test_lower_interval_identity(self):
         e = Permutation.identity(3)
-        assert lower_interval(e) == frozenset({e})
+        assert type_a(3).lower_interval(e) == frozenset({e})
 
     def test_lower_interval_top(self):
-        assert lower_interval(perm("321")) == frozenset(all_permutations(3))
+        assert type_a(3).lower_interval(perm("321")) == frozenset(all_permutations(3))
 
     def test_lower_interval_three_cycle(self):
-        got = {str(w) for w in lower_interval(perm("231"))}
+        got = {str(w) for w in type_a(3).lower_interval(perm("231"))}
         assert got == {"123", "213", "132", "231"}
 
 
 class TestReducedWords:
     def test_identity(self):
-        assert reduced_word(Permutation.identity(4)) == []
+        assert type_a(4).reduced_word(Permutation.identity(4)) == []
 
     def test_simple(self):
-        assert reduced_word(perm("213")) == [1]
+        assert type_a(3).reduced_word(perm("213")) == [1]
 
     def test_longest_element_leftmost_rule(self):
         w = perm("321")
-        word = reduced_word(w)
+        word = type_a(3).reduced_word(w)
         assert word == [1, 2, 1]
         prod = Permutation.identity(3)
         for i in word:
@@ -122,18 +122,18 @@ class TestReducedWords:
 class TestVariableAction:
     def test_simple_swap(self):
         p = form(3, 1, 2)
-        assert apply_to_variables(Permutation.simple(3, 1), p) == -p
+        assert act_on_variables(Permutation.simple(3, 1), p) == -p
 
     def test_identity(self):
         p = form(3, 1, 3) * form(3, 2, 3)
-        assert apply_to_variables(Permutation.identity(3), p) == p
+        assert act_on_variables(Permutation.identity(3), p) == p
 
     def test_three_cycle(self):
         # t1 -> t2, t3 -> t1 under w = 231
-        assert apply_to_variables(perm("231"), form(3, 1, 3)) == form(3, 1, 2).substitute(
+        assert act_on_variables(perm("231"), form(3, 1, 3)) == form(3, 1, 2).substitute(
             swap_substitution(3, 1, 2)
         )
-        assert apply_to_variables(perm("231"), form(3, 1, 3)) == Polynomial.linear_form(
+        assert act_on_variables(perm("231"), form(3, 1, 3)) == Polynomial.linear_form(
             3, {2: 1, 1: -1}
         )
 
@@ -164,7 +164,7 @@ class TestParsing:
                 parse_permutation(bad, 3)
 
 
-# -- the inversion lemmas, exhaustively -----------------------------------------
+# -- the inversion lemma in linear forms, exhaustively --------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -177,49 +177,7 @@ def test_simple_inversion_recursion(n):
             if sw.length() <= w.length():
                 continue
             swapped = {
-                f.substitute(swap_substitution(n, i, i + 1)) for f in inversions(w)
+                f.substitute(swap_substitution(n, i, i + 1))
+                for f in inversion_forms(w)
             }
-            assert inversions(sw) == frozenset(swapped | {form(n, i, i + 1)})
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_covering_transposition_multiset(n):
-    """When s_jk w covers w, inversions match after reducing mod t_j - t_k."""
-    for w in all_permutations(n):
-        for j, k in combinations(range(1, n + 1), 2):
-            t = Permutation.transposition(n, j, k)
-            tw = t * w
-            if tw.length() != w.length() + 1:
-                continue
-            f = form(n, j, k)
-            left = Counter(reduce_modulo(g, f) for g in inversions(tw))
-            right = Counter(reduce_modulo(g, f) for g in inversions(w))
-            right[reduce_modulo(f, f)] += 1
-            assert left == right
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_covering_preserves_other_ascents(n):
-    """s_i w > w and s_jk w covering w (s_i != s_jk) forces s_i s_jk w > s_jk w."""
-    for w in all_permutations(n):
-        for j, k in combinations(range(1, n + 1), 2):
-            t = Permutation.transposition(n, j, k)
-            tw = t * w
-            if tw.length() != w.length() + 1:
-                continue
-            for i in range(1, n):
-                s = Permutation.simple(n, i)
-                if s != t and (s * w).length() > w.length():
-                    assert (s * tw).length() > tw.length()
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_bruhat_refines_length_and_is_order(n):
-    perms = all_permutations(n)
-    for v in perms:
-        assert bruhat_leq(v, v)
-        for w in perms:
-            if bruhat_leq(v, w) and bruhat_leq(w, v):
-                assert v == w
-            if bruhat_leq(v, w) and v != w:
-                assert v.length() < w.length()
+            assert inversion_forms(sw) == frozenset(swapped | {form(n, i, i + 1)})

@@ -1,4 +1,4 @@
-"""Root system data and the general-type inversion facts."""
+"""Root system data and the general-type inversion and Bruhat facts."""
 
 from collections import Counter
 
@@ -162,7 +162,7 @@ def test_simple_edge_recursion(label):
             assert set(rs.inversions(sw)) == want
 
 
-@pytest.mark.parametrize("label", ["B2", "G2"])
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
 def test_covering_reflection_multiset_mod_alpha(label):
     """Inv(s_a w) = {a} + s_a Inv(w) as multisets after reducing mod a."""
     rs = root_system(label)
@@ -184,8 +184,9 @@ def test_covering_reflection_multiset_mod_alpha(label):
             assert left == right
 
 
-@pytest.mark.parametrize("label", ["B2", "G2"])
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
 def test_covering_preserves_other_ascents_general(label):
+    """s_i w > w and s_a w covering w (s_i != s_a) forces s_i s_a w > s_a w."""
     rs = root_system(label)
     for w in rs.elements():
         for alpha in rs.positive_roots:
@@ -199,6 +200,19 @@ def test_covering_preserves_other_ascents_general(label):
                     continue
                 if rs.length(rs.mul(si, w)) > rs.length(w):
                     assert rs.length(rs.mul(si, saw)) > rs.length(saw)
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
+def test_bruhat_refines_length_and_is_order(label):
+    rs = root_system(label)
+    els = rs.elements()
+    for v in els:
+        assert rs.bruhat_leq(v, v)
+        for w in els:
+            if rs.bruhat_leq(v, w) and rs.bruhat_leq(w, v):
+                assert v == w
+            if rs.bruhat_leq(v, w) and v != w:
+                assert rs.length(v) < rs.length(w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
