@@ -1,7 +1,7 @@
 """Exact torus-equivariant cohomology of Schubert varieties.
 
 The package builds combinatorial moment graphs for flag and Schubert
-varieties in types A (any rank), B2, and G2, constructs their Knutson-Tao
+varieties in types A:n (n <= 8), B2, and G2, constructs their Knutson-Tao
 (Schubert) bases by two independent routes, applies the Weyl group action
 and divided difference operators to equivariant classes, and verifies the
 trivial-summand decomposition of the resulting representations.  All

@@ -79,9 +79,6 @@ class Permutation:
             inv[v - 1] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.one_line, start=1))
-
     def length(self) -> int:
         return len(inversion_pairs(self))
 

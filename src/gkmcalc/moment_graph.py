@@ -11,7 +11,8 @@ Validation never throws: :func:`validate_axioms` returns a report listing
 acyclicity, pairwise label independence at each vertex, and the Schubert
 out-degree/label facts when they apply.  The Palais-Smale check runs either
 on the stored orientation or searches the finitely many orientations
-induced by generic covectors on the edge labels.
+induced by generic covectors on the edge labels; each sign chamber is
+tested for a covector by Fourier-Motzkin elimination (:func:`strict_feasible`).
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import strict_feasible
 from .polyring import (
     Polynomial,
     is_linear_form,
@@ -131,9 +131,6 @@ class MomentGraph:
 
     def out_edges(self, v) -> list[Edge]:
         return list(self._out[v])
-
-    def in_edges(self, v) -> list[Edge]:
-        return list(self._in[v])
 
     def out_degree(self, v) -> int:
         return len(self._out[v])
@@ -425,6 +422,76 @@ def _orientation_acyclic(vertices, directed) -> bool:
             if indeg[b] == 0:
                 ready.append(b)
     return seen == len(vertices)
+
+
+def _normalize(row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    # scale so the first nonzero entry is +-1; preserves the inequality
+    for v in row:
+        if v:
+            s = abs(v)
+            return tuple(x / s for x in row)
+    return row
+
+
+def strict_feasible(rows: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
+    """Find rational x with row . x > 0 for every row, or None.
+
+    The system is homogeneous, so feasibility is scale-invariant; rows of
+    zeros make it infeasible outright.  Uses Fourier-Motzkin elimination,
+    which is cheap at the handful-of-labels scale this package needs.
+    """
+    work = [tuple(map(Fraction, r)) for r in rows]
+    if not work:
+        return []
+    k = len(work[0])
+    if any(len(r) != k for r in work):
+        raise ValueError("ragged inequality rows")
+
+    def solve(rows_k: list[tuple[Fraction, ...]], dim: int) -> list[Fraction] | None:
+        rows_k = list({_normalize(r) for r in rows_k})
+        if any(not any(r) for r in rows_k):
+            return None  # 0 > 0
+        if dim == 0:
+            return [] if not rows_k else None
+        pos, neg, zero = [], [], []
+        for r in rows_k:
+            if r[-1] > 0:
+                pos.append(r)
+            elif r[-1] < 0:
+                neg.append(r)
+            else:
+                zero.append(r[:-1])
+        reduced = list(zero)
+        for p in pos:
+            for q in neg:
+                # eliminate the last variable from the pair p, q
+                combo = tuple(
+                    p[-1] * q[i] - q[-1] * p[i] for i in range(dim - 1)
+                )
+                reduced.append(combo)
+        sub = solve(reduced, dim - 1)
+        if sub is None:
+            return None
+        # back-substitute: p rows bound x from below, q rows from above
+        lo = None
+        for p in pos:
+            v = -sum(c * x for c, x in zip(p[:-1], sub)) / p[-1]
+            lo = v if lo is None or v > lo else lo
+        hi = None
+        for q in neg:
+            v = -sum(c * x for c, x in zip(q[:-1], sub)) / q[-1]
+            hi = v if hi is None or v < hi else hi
+        if lo is None and hi is None:
+            x = Fraction(0)
+        elif lo is None:
+            x = hi - 1
+        elif hi is None:
+            x = lo + 1
+        else:
+            x = (lo + hi) / 2
+        return sub + [x]
+
+    return solve(work, k)
 
 
 def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:

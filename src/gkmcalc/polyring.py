@@ -30,9 +30,6 @@ __all__ = [
     "Exponent",
     "ExactDivisionError",
     "Polynomial",
-    "add",
-    "mul",
-    "substitute",
     "divides",
     "exact_divide",
     "reduce_modulo",
@@ -156,11 +153,6 @@ class Polynomial:
         """True when every term has total degree d (vacuously true for 0)."""
         return all(sum(e) == d for e in self._terms)
 
-    def leading_exponent(self) -> Exponent:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self._terms, key=_grlex)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_dim(self, other: "Polynomial") -> None:
@@ -280,20 +272,6 @@ class Polynomial:
 
 
 # -- module-level operations (the public contract) --------------------------
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Termwise sum; dimensions must agree."""
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Distributive product; dimensions must agree."""
-    return p * q
-
-
-def substitute(p: Polynomial, assignment: Mapping[int, Polynomial]) -> Polynomial:
-    return p.substitute(assignment)
 
 
 def is_homogeneous(p: Polynomial, d: int) -> bool:

@@ -1,4 +1,4 @@
-"""Root systems and Weyl groups for types A (any rank), B2, and G2.
+"""Root systems and Weyl groups for types A:n (n <= 8), B2, and G2.
 
 Type A:n keeps the concrete realization in n ambient variables t_1..t_n:
 roots are the vectors e_i - e_j, Weyl elements are :class:`Permutation`
@@ -9,6 +9,10 @@ pairing, and Weyl elements are stored as permutations of the full root
 list.  Both backends expose one interface, so the moment-graph and
 cohomology layers never branch on type.
 
+Each instance enumerates its Weyl group once, at construction, into one
+table of elements, lengths and simple reflections; Bruhat order is decided
+from that table by the lifting property, with no per-element cache.
+
 Inversion sets follow the usual convention: Inv(w) is the set of positive
 roots that w^{-1} makes negative, and len(Inv(w)) is the Coxeter length.
 """
@@ -18,12 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import (
-    Permutation,
-    all_permutations,
-    inversion_pairs,
-    parse_permutation,
-)
+from .coxeter import Permutation, inversion_pairs, parse_permutation
 from .polyring import Polynomial, exact_divide
 
 __all__ = [
@@ -36,14 +35,22 @@ __all__ = [
 
 RootVector = tuple[int, ...]
 
+# Largest n accepted for A:n.  The group table is built eagerly and grows
+# as n!; at n = 8 it holds 40,320 permutations.
+MAX_TYPE_A_N = 8
+
 
 class RootSystem:
     """Shared interface for the concrete backends.
 
-    Subclasses provide the group operations; this base class supplies the
-    type-independent algorithms (reduced words, Bruhat intervals, the
-    coadjoint divided difference).  Instances are immutable lookup tables;
-    get them through :func:`root_system`, which caches one per label.
+    Subclasses provide the group operations (identity, product, inverse,
+    reflections, the action on roots and on the coordinate ring, element
+    names) and end their constructor with :meth:`_build_group`.  This base
+    class then answers the table questions (elements, lengths, simple
+    reflections, the longest element) by lookup and supplies the
+    type-independent algorithms (reduced words, Bruhat order and intervals,
+    the coadjoint divided difference).  Instances are immutable lookup
+    tables; get them through :func:`root_system`, which caches one per label.
     """
 
     label: str
@@ -59,22 +66,13 @@ class RootSystem:
     def identity(self):
         raise NotImplementedError
 
-    def elements(self) -> tuple:
-        raise NotImplementedError
-
     def mul(self, u, v):
         raise NotImplementedError
 
     def inv(self, w):
         raise NotImplementedError
 
-    def length(self, w) -> int:
-        raise NotImplementedError
-
     def inversions(self, w) -> tuple[RootVector, ...]:
-        raise NotImplementedError
-
-    def simple_reflection(self, i: int):
         raise NotImplementedError
 
     def reflection(self, alpha: RootVector):
@@ -93,6 +91,46 @@ class RootSystem:
 
     def parse_element(self, text: str):
         raise NotImplementedError
+
+    # -- the group table -------------------------------------------------------
+
+    def _build_group(self) -> None:
+        """Enumerate W once, breadth-first from the identity.
+
+        Each step multiplies on the left by a simple reflection, so an
+        element's BFS depth is its length.  Elements are stored sorted by
+        (length, name).
+        """
+        self._simple = tuple(self.reflection(a) for a in self.simple_roots)
+        e = self.identity()
+        self._length = {e: 0}
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for s in self._simple:
+                    sw = self.mul(s, w)
+                    if sw not in self._length:
+                        self._length[sw] = self._length[w] + 1
+                        nxt.append(sw)
+            frontier = nxt
+        self._elements = tuple(
+            sorted(self._length, key=lambda w: (self._length[w], self.element_str(w)))
+        )
+
+    def elements(self) -> tuple:
+        return self._elements
+
+    def length(self, w) -> int:
+        return self._length[w]
+
+    def simple_reflection(self, i: int):
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple index {i} outside 1..{self.rank}")
+        return self._simple[i - 1]
+
+    def longest_element(self):
+        return self._elements[-1]
 
     # -- shared algorithms -----------------------------------------------------
 
@@ -171,22 +209,28 @@ class RootSystem:
 
     def lower_interval(self, w) -> frozenset:
         """All v <= w in Bruhat order, via products of subwords."""
-        cached = self._interval_cache.get(w)
-        if cached is not None:
-            return cached
         out = {self.identity()}
         for i in self.reduced_word(w):
             s = self.simple_reflection(i)
             out |= {self.mul(u, s) for u in out}
-        result = frozenset(out)
-        self._interval_cache[w] = result
-        return result
+        return frozenset(out)
 
     def bruhat_leq(self, v, w) -> bool:
-        return v in self.lower_interval(w)
+        """v <= w in Bruhat order, by the lifting property.
 
-    def longest_element(self):
-        return max(self.elements(), key=self.length)
+        For a left descent s of w: v <= w iff sv <= sw when s is also a
+        left descent of v, and iff v <= sw otherwise.  Each step shortens
+        w by one, so the loop ends at w = e after l(w) steps.
+        """
+        while True:
+            i = self.left_descent(w)
+            if i is None:
+                return v == w
+            s = self.simple_reflection(i)
+            sv = self.mul(s, v)
+            if self.length(sv) < self.length(v):
+                v = sv
+            w = self.mul(s, w)
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
         """Coadjoint divided difference (p - s_i . p) / alpha_i."""
@@ -216,6 +260,11 @@ class TypeARootSystem(RootSystem):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("type A needs n >= 1")
+        if n > MAX_TYPE_A_N:
+            raise ValueError(
+                f"type A:{n} is too large: its Weyl group has n! elements and "
+                f"is tabulated up front, so n is limited to {MAX_TYPE_A_N}"
+            )
         self.label = f"A:{n}"
         self.n = n
         self.dim = n
@@ -232,8 +281,7 @@ class TypeARootSystem(RootSystem):
         self._bilinear = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        self._interval_cache: dict = {}
-        self._elements = tuple(all_permutations(n))
+        self._build_group()
 
     def _pair_root(self, i: int, j: int) -> RootVector:
         vec = [0] * self.n
@@ -243,23 +291,14 @@ class TypeARootSystem(RootSystem):
     def identity(self) -> Permutation:
         return Permutation.identity(self.n)
 
-    def elements(self) -> tuple[Permutation, ...]:
-        return self._elements
-
     def mul(self, u: Permutation, v: Permutation) -> Permutation:
         return u * v
 
     def inv(self, w: Permutation) -> Permutation:
         return w.inverse()
 
-    def length(self, w: Permutation) -> int:
-        return w.length()
-
     def inversions(self, w: Permutation) -> tuple[RootVector, ...]:
         return tuple(self._pair_root(i, j) for i, j in inversion_pairs(w))
-
-    def simple_reflection(self, i: int) -> Permutation:
-        return Permutation.simple(self.n, i)
 
     def reflection(self, alpha: RootVector) -> Permutation:
         i, j = self._root_indices(alpha)
@@ -293,9 +332,6 @@ class TypeARootSystem(RootSystem):
     def parse_element(self, text: str) -> Permutation:
         return parse_permutation(text, self.n)
 
-    def longest_element(self) -> Permutation:
-        return Permutation(tuple(range(self.n, 0, -1)))
-
 
 # Cartan data for the rank-two types: symmetrized bilinear form on the
 # simple-root coordinates, with alpha_1 the short root in both cases.
@@ -322,17 +358,13 @@ class RankTwoRootSystem(RootSystem):
         self._bilinear = _RANK2_DATA[label]
         self.simple_roots = ((1, 0), (0, 1))
         self.positive_roots = self._close_roots()
-        self._interval_cache: dict = {}
 
         pos = self.positive_roots
         self._roots = pos + tuple(tuple(-x for x in r) for r in pos)
         self._root_index = {r: k for k, r in enumerate(self._roots)}
         self._npos = len(pos)
-
-        self._simple = tuple(
-            self._reflection_table(a) for a in self.simple_roots
-        )
-        self._enumerate_group()
+        self._names: dict = {}
+        self._build_group()
 
     def _close_roots(self) -> tuple[RootVector, ...]:
         roots = set(self.simple_roots) | {
@@ -361,38 +393,8 @@ class RankTwoRootSystem(RootSystem):
             )
         return tuple(imgs)
 
-    def _enumerate_group(self) -> None:
-        ident = tuple(range(len(self._roots)))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in self._simple:
-                    prod = tuple(s[w[k]] for k in range(len(w)))
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        self._length = {w: self._length_of(w) for w in seen}
-        # canonical words need lengths, so fill them in a second pass
-        self._word = {w: tuple(self.reduced_word(w)) for w in seen}
-        self._elements = tuple(
-            sorted(seen, key=lambda w: (self._length[w], self._word[w]))
-        )
-
-    def _length_of(self, w) -> int:
-        count = 0
-        for k in range(self._npos, len(self._roots)):
-            if w[k] < self._npos:  # w sends a negative root to a positive one
-                count += 1
-        return count
-
     def identity(self):
         return tuple(range(len(self._roots)))
-
-    def elements(self) -> tuple:
-        return self._elements
 
     def mul(self, u, v):
         return tuple(u[v[k]] for k in range(len(v)))
@@ -403,10 +405,6 @@ class RankTwoRootSystem(RootSystem):
             out[img] = k
         return tuple(out)
 
-    def length(self, w) -> int:
-        got = self._length.get(w)
-        return got if got is not None else self._length_of(w)
-
     def inversions(self, w) -> tuple[RootVector, ...]:
         inv = []
         for k in range(self._npos, len(self._roots)):
@@ -414,11 +412,6 @@ class RankTwoRootSystem(RootSystem):
             if img < self._npos:
                 inv.append(self._roots[img])
         return tuple(sorted(inv, key=lambda r: (sum(r), r)))
-
-    def simple_reflection(self, i: int):
-        if not 1 <= i <= 2:
-            raise ValueError(f"simple index {i} outside 1..2")
-        return self._simple[i - 1]
 
     def reflection(self, alpha: RootVector):
         alpha = tuple(alpha)
@@ -439,10 +432,10 @@ class RankTwoRootSystem(RootSystem):
         }
 
     def element_str(self, w) -> str:
-        word = self._word.get(w)
-        if word is None:
-            word = tuple(self.reduced_word(w))
-        return "".join(map(str, word)) if word else "e"
+        name = self._names.get(w)
+        if name is None:
+            name = self._names[w] = "".join(map(str, self.reduced_word(w))) or "e"
+        return name
 
     def parse_element(self, text: str):
         s = text.strip()

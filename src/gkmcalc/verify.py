@@ -244,6 +244,9 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
         rs = root_system(label)
         els = rs.elements()
         leq = {(v, w): rs.bruhat_leq(v, w) for v in els for w in els}
+        for w in els:
+            below = rs.lower_interval(w)
+            ok &= all(leq[(v, w)] == (v in below) for v in els)
         for v in els:
             ok &= leq[(v, v)]
             for w in els:
@@ -259,7 +262,8 @@ def suite_root_system(max_n: int = 4, **_) -> list[CheckResult]:
             "root_system",
             "bruhat-partial-order",
             ok,
-            "refines length; " + ", ".join(_general_labels(min(max_n, 4))),
+            "refines length, matches subword intervals; "
+            + ", ".join(_general_labels(min(max_n, 4))),
         )
     )
 

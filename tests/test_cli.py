@@ -299,7 +299,16 @@ MALFORMED = [
         ("expand", "--class", "{cls}"),
         {"cls": _A3_CLASS | {"graph_ref": {"type": 5, "w": "321"}}},
     ),
+    (("class", "--type", "A:20", "--v", "1"), {}),
 ]
+
+# Simple indices outside 1..rank; the error line must say "simple index".
+BAD_SIMPLE_INDEX = [
+    ("ddiff", "--side", side, "--i", i, "--type", "A:3", "--v", "213")
+    for side in ("left", "right")
+    for i in ("7", "0", "-1")
+] + [("ddiff", "--side", "left", "--i", "-1", "--type", "B2", "--v", "12")]
+MALFORMED += [(argv, {}) for argv in BAD_SIMPLE_INDEX]
 
 
 @pytest.mark.parametrize(
@@ -324,3 +333,5 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if argv in BAD_SIMPLE_INDEX:
+        assert "simple index" in proc.stderr

@@ -75,6 +75,23 @@ class TestEnumeration:
             rs = root_system(label)
             assert sorted(rs.length(w) for w in rs.elements()) == lengths
 
+    def test_type_a_order_matches_all_permutations(self):
+        for n in (1, 2, 3, 4, 5):
+            assert list(type_a(n).elements()) == all_permutations(n)
+
+    def test_simple_index_range(self):
+        for label in ("A:3", "B2"):
+            rs = root_system(label)
+            for i in (0, -1, rs.rank + 1):
+                with pytest.raises(ValueError, match="simple index"):
+                    rs.simple_reflection(i)
+
+    def test_type_a_size_guard(self):
+        assert len(type_a(6).elements()) == 720
+        with pytest.raises(ValueError, match=r"limited to 8") as exc:
+            root_system("A:9")
+        assert "n!" in str(exc.value) and "\n" not in str(exc.value)
+
     def test_longest_element_inverts_all_positives(self):
         for label in ("A:4", "B2", "G2"):
             rs = root_system(label)
@@ -213,6 +230,28 @@ def test_bruhat_refines_length_and_is_order(label):
                 assert v == w
             if rs.bruhat_leq(v, w) and v != w:
                 assert rs.length(v) < rs.length(w)
+
+
+def _tableau_leq(v, w):
+    """Type-A Bruhat order by the tableau criterion on one-line notation."""
+    return all(
+        all(a <= b for a, b in zip(sorted(v.one_line[:k]), sorted(w.one_line[:k])))
+        for k in range(1, v.n)
+    )
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
+def test_bruhat_leq_matches_lower_interval(label):
+    """The lifting-property order agrees with the subword intervals, and in
+    type A with the tableau criterion."""
+    rs = root_system(label)
+    els = rs.elements()
+    for w in els:
+        below = rs.lower_interval(w)
+        for v in els:
+            assert rs.bruhat_leq(v, w) == (v in below)
+            if label.startswith("A:"):
+                assert rs.bruhat_leq(v, w) == _tableau_leq(v, w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -2,8 +2,9 @@
 
 The reference below is the per-vertex linear system the solver used to
 build: one unknown per degree-d monomial, one row per residue coefficient
-of every out-edge, solved by ``linalg.solve_unique``.  Both must give the
-same class, or the same SolveError text, at every vertex.
+of every out-edge, solved by Gaussian elimination over ``Fraction``
+(``solve_unique``).  Both must give the same class, or the same SolveError
+text, at every vertex.
 """
 
 import json
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmcalc.gkm import SolveError, knutson_tao_class_solve
-from gkmcalc.linalg import LinearSystemError, solve_unique
 from gkmcalc.moment_graph import (
     build_flag_moment_graph,
     build_schubert_moment_graph,
@@ -31,6 +31,63 @@ from gkmcalc.polyring import (
     to_string,
 )
 from gkmcalc.root_system import root_system
+
+
+class LinearSystemError(ValueError):
+    """Raised when a linear system is inconsistent or underdetermined."""
+
+    def __init__(self, status: str, message: str = ""):
+        self.status = status  # "inconsistent" | "underdetermined"
+        super().__init__(message or status)
+
+
+def solve_unique(rows, rhs):
+    """Solve rows * x = rhs, requiring a unique solution.
+
+    Raises LinearSystemError("inconsistent") when no solution exists and
+    LinearSystemError("underdetermined") when the solution is not unique.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    ncols = len(rows[0]) if m else 0
+    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
+
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        # prefer unit pivots to keep fractions small
+        pick = None
+        for i in range(r, m):
+            if a[i][c]:
+                if abs(a[i][c]) == 1:
+                    pick = i
+                    break
+                if pick is None:
+                    pick = i
+        if pick is None:
+            continue
+        a[r], a[pick] = a[pick], a[r]
+        pc = a[r][c]
+        if pc != 1:
+            a[r] = [x / pc for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if a[i][ncols]:
+            raise LinearSystemError("inconsistent")
+    if len(pivots) < ncols:
+        raise LinearSystemError("underdetermined")
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][ncols]
+    return x
 
 
 def dense_solve(g, v):
