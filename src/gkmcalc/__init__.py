@@ -72,6 +72,7 @@ from .repaction import (
     divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
+    symmetrize,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,14 @@ denominator.  Group averaging produces the invariant classes whose graded
 span exhibits the equivariant cohomology of any Schubert variety as a sum
 of trivial representations, one per fixed point, in degrees given by
 length; :func:`decompose` assembles that ledger.
+
+The orbit sum behind averaging (:func:`symmetrize`) runs along the
+parabolic chain W_1 < W_12 < ... < W: the sum over W_{1..k} is the sum of
+c . S over the minimal left coset representatives c of W_{1..k}/W_{1..k-1},
+where S is the sum over W_{1..k-1}.  The representatives form a tree of
+single left multiplications, so the whole sum costs n(n-1)/2
+simple-reflection steps in A:n (m in a dihedral group of order 2m), not
+one step per letter of every one of the |W| elements.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ __all__ = [
     "divided_difference_expansion",
     "AveragedClass",
     "average_class",
+    "symmetrize",
     "DecompositionReport",
     "decompose",
     "divided_difference_closure",
@@ -62,49 +71,71 @@ def act(
     raise ValueError("no group action on external graphs")
 
 
-def _minus_alpha(g: MomentGraph, i: int) -> Polynomial:
-    return -g.rs.simple_root_form(i)
-
-
 def act_on_schubert_basis(i: int, v, g: MomentGraph) -> dict:
     """Expansion of s_i applied to the Knutson-Tao class of v.
 
     The class is fixed when s_i v is longer; when s_i v is shorter the
     class of s_i v enters with coefficient -alpha_i.
     """
-    rs = g.rs
-    if rs is None:
+    if g.rs is None:
         raise ValueError("need a root-system graph")
-    if v not in g._vstr:
-        raise ValueError(f"vertex {v!r} not in graph")
-    siv = rs.mul(rs.simple_reflection(i), v)
-    one = Polynomial.one(g.n)
-    if rs.length(siv) > rs.length(v):
-        return {v: one}
-    return {v: one, siv: _minus_alpha(g, i)}
+    return _act_simple_on_expansion(i, {v: Polynomial.one(g.n)}, g)
 
 
-def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
+def _accumulate(out: dict, v, p: Polynomial) -> None:
+    """Add p to out[v], dropping the entry when the sum vanishes."""
+    if not p:
+        return
+    cur = out.get(v)
+    cur = p if cur is None else cur + p
+    if cur:
+        out[v] = cur
+    else:
+        out.pop(v, None)
+
+
+def _as_polynomials(expansion: Mapping, n: int) -> dict:
+    return {
+        v: (Polynomial.constant(n, p) if isinstance(p, (int, Fraction)) else p)
+        for v, p in expansion.items()
+        if p
+    }
+
+
+def _simple_substitutions(rs) -> list:
+    """Coadjoint substitution of each simple reflection, indexed by i - 1."""
+    return [
+        rs.coadjoint_substitution(rs.simple_reflection(i))
+        for i in range(1, rs.rank + 1)
+    ]
+
+
+def _act_simple_on_expansion(
+    i: int, expansion: Mapping, g: MomentGraph, sub: Mapping | None = None
+) -> dict:
+    """s_i applied to a basis expansion: each coefficient is twisted by s_i,
+    and the class of v also sends -alpha_i times it to s_i v when s_i v is
+    shorter.
+
+    sub is the coadjoint substitution of s_i; callers that apply s_i many
+    times pass it in (see _simple_substitutions) instead of rebuilding it.
+    """
     rs = g.rs
-    sub = rs.coadjoint_substitution(rs.simple_reflection(i))
+    s = rs.simple_reflection(i)
+    if sub is None:
+        sub = rs.coadjoint_substitution(s)
+    minus_alpha = -rs.simple_root_form(i)
     out: dict = {}
-
-    def accumulate(v, p):
-        if not p:
-            return
-        s = out.get(v)
-        s = p if s is None else s + p
-        if s:
-            out[v] = s
-        else:
-            out.pop(v, None)
-
     for v, cv in expansion.items():
+        if v not in g._vstr:
+            raise ValueError(f"vertex {v!r} not in graph")
         if isinstance(cv, (int, Fraction)):
             cv = Polynomial.constant(g.n, cv)
         tw = cv.substitute(sub)
-        for u, factor in act_on_schubert_basis(i, v, g).items():
-            accumulate(u, tw * factor)
+        _accumulate(out, v, tw)
+        sv = rs.mul(s, v)
+        if rs.length(sv) < rs.length(v):
+            _accumulate(out, sv, tw * minus_alpha)
     return out
 
 
@@ -115,15 +146,33 @@ def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     right-to-left, twisting coefficients as it goes; the result does not
     depend on the chosen word.
     """
-    rs = g.rs
-    out = {
-        v: (Polynomial.constant(g.n, p) if isinstance(p, (int, Fraction)) else p)
-        for v, p in expansion.items()
-        if p
-    }
-    for i in reversed(rs.reduced_word(u)):
+    out = _as_polynomials(expansion, g.n)
+    for i in reversed(g.rs.reduced_word(u)):
         out = _act_simple_on_expansion(i, out, g)
     return out
+
+
+def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
+    """The orbit sum of u . E over every u in W, for a basis expansion E.
+
+    Level k of the parabolic chain (RootSystem.coset_chain) turns the sum
+    over W_{1..k-1} into the sum over W_{1..k} by adding its image under
+    each minimal left coset representative.  Each representative is its
+    parent in the chain's tree times one simple reflection, so it costs a
+    single simple-reflection step.
+    """
+    rs = g.rs
+    subs = _simple_substitutions(rs)
+    total = _as_polynomials(expansion, g.n)
+    for level in rs.coset_chain():
+        images = [total]
+        total = dict(total)
+        for parent, i in level:
+            img = _act_simple_on_expansion(i, images[parent], g, subs[i - 1])
+            images.append(img)
+            for x, p in img.items():
+                _accumulate(total, x, p)
+    return total
 
 
 def left_divided_difference(
@@ -182,24 +231,13 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     s = rs.simple_reflection(i)
     sub = rs.coadjoint_substitution(s)
     out: dict = {}
-
-    def accumulate(v, p):
-        if not p:
-            return
-        cur = out.get(v)
-        cur = p if cur is None else cur + p
-        if cur:
-            out[v] = cur
-        else:
-            out.pop(v, None)
-
     for v, cv in expansion.items():
         if isinstance(cv, (int, Fraction)):
             cv = Polynomial.constant(g.n, cv)
-        accumulate(v, rs.divided_difference(cv, i))
+        _accumulate(out, v, rs.divided_difference(cv, i))
         siv = rs.mul(s, v)
         if rs.length(siv) < rs.length(v):
-            accumulate(siv, cv.substitute(sub))
+            _accumulate(out, siv, cv.substitute(sub))
     return out
 
 
@@ -212,20 +250,16 @@ class AveragedClass:
 
 
 def average_class(v, g: MomentGraph) -> AveragedClass:
-    """Average the class of v over the whole Weyl group (exact rationals)."""
+    """Average the class of v over the whole Weyl group (exact rationals).
+
+    The orbit sum comes from :func:`symmetrize`, one simple-reflection step
+    per coset representative of the parabolic chain (n(n-1)/2 steps in
+    A:n), and is divided by |W|.
+    """
     rs = g.rs
     if rs is None:
         raise ValueError("need a root-system graph")
-    total: dict = {}
-    for u in rs.elements():
-        contrib = act_word(u, {v: Polynomial.one(g.n)}, g)
-        for x, p in contrib.items():
-            cur = total.get(x)
-            s = p if cur is None else cur + p
-            if s:
-                total[x] = s
-            else:
-                total.pop(x, None)
+    total = symmetrize({v: Polynomial.one(g.n)}, g)
     scale = Fraction(1, len(rs.elements()))
     return AveragedClass(v, {x: p * scale for x, p in total.items()})
 
@@ -304,6 +338,8 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     )
     gen_ok = {i: True for i in range(1, rs.rank + 1)}
     mod_t_ok = True
+    subs = _simple_substitutions(rs)
+    one = Polynomial.one(g.n)
 
     for v in g.vertices:
         deg = rs.length(v)
@@ -311,11 +347,11 @@ def decompose(g: MomentGraph) -> DecompositionReport:
         invariant = True
         for i in range(1, rs.rank + 1):
             if not expansions_equal(
-                _act_simple_on_expansion(i, avg.expansion, g), avg.expansion
+                _act_simple_on_expansion(i, avg.expansion, g, subs[i - 1]),
+                avg.expansion,
             ):
                 invariant = False
                 gen_ok[i] = False
-        one = Polynomial.one(g.n)
         unitri = avg.expansion.get(v) == one and all(
             rs.bruhat_leq(u, v) for u in avg.expansion
         )
@@ -323,7 +359,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
             report.unitriangular = False
         # the induced action modulo the variable ideal fixes every class
         for i in range(1, rs.rank + 1):
-            image = _act_simple_on_expansion(i, {v: one}, g)
+            image = _act_simple_on_expansion(i, {v: one}, g, subs[i - 1])
             consts = {
                 u: p.constant_term() for u, p in image.items() if p.constant_term()
             }

@@ -11,7 +11,10 @@ cohomology layers never branch on type.
 
 Each instance enumerates its Weyl group once, at construction, into one
 table of elements, lengths and simple reflections; Bruhat order is decided
-from that table by the lifting property, with no per-element cache.
+from that table by the lifting property, with no per-element cache.  The
+minimal coset representatives of the parabolic chain W_1 < W_12 < ... < W,
+which the group average walks, are derived from the same table on first
+use (:meth:`RootSystem.coset_chain`).
 
 Inversion sets follow the usual convention: Inv(w) is the set of positive
 roots that w^{-1} makes negative, and len(Inv(w)) is the Coxeter length.
@@ -131,6 +134,46 @@ class RootSystem:
 
     def longest_element(self):
         return self._elements[-1]
+
+    _chain = None
+
+    def coset_chain(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Minimal left coset representatives along W_1 < W_12 < ... < W.
+
+        Entry k-1 describes level k: the elements c of W_{1..k} with no
+        right descent in {1..k-1}, so every u in W_{1..k} is c u' for one
+        such c and one u' in W_{1..k-1}.  Closed under removing a left
+        descent, they form a tree: node 0 is the identity, and the j-th
+        step (parent, i) makes node j the element s_i * node[parent], one
+        longer.  A:n has n(n-1)/2 steps in all, a dihedral group of order
+        2m has m.  Derived from the group table on first use and kept on
+        the instance.
+        """
+        if self._chain is None:
+            self._chain = tuple(
+                self._coset_level(k) for k in range(1, self.rank + 1)
+            )
+        return self._chain
+
+    def _coset_level(self, k: int) -> tuple[tuple[int, int], ...]:
+        length, simple = self._length, self._simple
+        nodes = [self.identity()]
+        seen = set(nodes)
+        steps = []
+        for parent, c in enumerate(nodes):  # breadth-first: nodes grows
+            for i in range(1, k + 1):
+                sc = self.mul(simple[i - 1], c)
+                if sc in seen or length[sc] < length[c]:
+                    continue
+                if any(
+                    length[self.mul(sc, simple[j - 1])] < length[sc]
+                    for j in range(1, k)
+                ):
+                    continue
+                seen.add(sc)
+                nodes.append(sc)
+                steps.append((parent, i))
+        return tuple(steps)
 
     # -- shared algorithms -----------------------------------------------------
 
@@ -456,11 +499,16 @@ class RankTwoRootSystem(RootSystem):
 def root_system(label: str) -> RootSystem:
     """Factory with one cached instance per type label ('A:3', 'B2', 'G2')."""
     label = label.strip()
+    unknown = f"unknown type selector {label!r} (use A:n, B2, or G2)"
     if label.upper().startswith("A:"):
-        return TypeARootSystem(int(label[2:]))
+        try:
+            n = int(label[2:])
+        except ValueError:
+            raise ValueError(unknown) from None
+        return TypeARootSystem(n)
     if label.upper() in _RANK2_DATA:
         return RankTwoRootSystem(label.upper())
-    raise ValueError(f"unknown type selector {label!r} (use A:n, B2, or G2)")
+    raise ValueError(unknown)
 
 
 def type_a(n: int) -> RootSystem:

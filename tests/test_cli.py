@@ -310,6 +310,16 @@ BAD_SIMPLE_INDEX = [
 ] + [("ddiff", "--side", "left", "--i", "-1", "--type", "B2", "--v", "12")]
 MALFORMED += [(argv, {}) for argv in BAD_SIMPLE_INDEX]
 
+# A type A selector whose rank is not a number; the error line must say
+# "type selector".
+BAD_TYPE_SELECTOR = ("class", "--type", "A:x", "--v", "1")
+# verify below A:2, where every suite would pass without checking anything
+MALFORMED += [
+    (("verify", "--max-n", "1"), {}),
+    (("verify", "--max-n", "-3"), {}),
+    (BAD_TYPE_SELECTOR, {}),
+]
+
 
 @pytest.mark.parametrize(
     "argv,files",
@@ -335,3 +345,5 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     if argv in BAD_SIMPLE_INDEX:
         assert "simple index" in proc.stderr
+    if argv == BAD_TYPE_SELECTOR:
+        assert "type selector" in proc.stderr

@@ -267,3 +267,30 @@ def test_type_a_matches_coxeter_module(n):
         assert set(rs.inversions(w)) == want
         assert rs.length(w) == w.length()
         assert rs.bruhat_leq(w, rs.longest_element())
+
+
+@pytest.mark.parametrize("label", ["A:1", "A:2", "A:3", "A:4", "A:5", "A:6", "B2", "G2"])
+def test_coset_chain_factors_the_group(label):
+    rs = root_system(label)
+    chain = rs.coset_chain()
+    assert len(chain) == rs.rank
+    products = [rs.identity()]
+    for k, level in enumerate(chain, start=1):
+        reps = [rs.identity()]
+        for parent, i in level:
+            assert 1 <= i <= k
+            c = rs.mul(rs.simple_reflection(i), reps[parent])
+            assert rs.length(c) == rs.length(reps[parent]) + 1
+            for j in range(1, k):  # minimal in its coset of W_{1..k-1}
+                assert rs.length(rs.mul(c, rs.simple_reflection(j))) > rs.length(c)
+            reps.append(c)
+        products = [rs.mul(c, u) for c in reps for u in products]
+    # every element of W is c_rank ... c_1 in exactly one way
+    assert len(products) == len(set(products)) == len(rs.elements())
+    steps = sum(len(level) for level in chain)
+    if label.startswith("A:"):
+        n = rs.rank + 1
+        assert steps == n * (n - 1) // 2
+    else:
+        assert steps == len(rs.elements()) // 2
+    assert rs.coset_chain() is chain
