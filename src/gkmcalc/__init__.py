@@ -2,10 +2,10 @@
 
 The package builds combinatorial moment graphs for flag and Schubert
 varieties in types A:n (n <= 8), B2, and G2, constructs their Knutson-Tao
-(Schubert) bases by two independent routes, applies the Weyl group action
-and divided difference operators to equivariant classes, and verifies the
-trivial-summand decomposition of the resulting representations.  All
-arithmetic is exact, over the rationals.
+(Schubert) bases by Billey's formula (checked against two independent
+routes), applies the Weyl group action and divided difference operators to
+equivariant classes, and verifies the trivial-summand decomposition of the
+resulting representations.  All arithmetic is exact, over the rationals.
 """
 
 from .polyring import (
@@ -54,6 +54,7 @@ from .gkm import (
     expansion_to_json,
     expansions_equal,
     flag_basis,
+    knutson_tao_class_billey,
     knutson_tao_class_descent,
     knutson_tao_class_solve,
     kt_report,

@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", help="construct a Knutson-Tao class")
     add_variety(p)
     p.add_argument("--v", required=True, help="base vertex")
-    p.add_argument("--route", choices=("descent", "solve", "restrict"))
+    p.add_argument("--route", choices=("billey", "descent", "solve"))
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
     p.set_defaults(fn=cmd_class)

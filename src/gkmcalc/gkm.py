@@ -7,7 +7,11 @@ vertex v is the class that localizes at v to the product of v's out-edge
 labels, is homogeneous of that degree everywhere, and vanishes wherever no
 directed path leads down to v.
 
-Two independent constructions are provided and tested against each other:
+Flag and Schubert classes are built by Billey's formula, as a column
+recursion down a spanning tree of the Weyl group: each localization costs
+one product by a root per step, with no division and no solving, and a
+Schubert graph never builds the flag graph.  Two independent routes stay
+as checks, and the verify suites and tests compare all three:
 
 * the descent route, which starts from the point class at the top of the
   full flag graph and applies left divided differences along a reduced
@@ -16,16 +20,14 @@ Two independent constructions are provided and tested against each other:
   localization from the divisibility constraints by a remainder-theorem
   recursion over the out-edge labels.
 
-Schubert-variety classes are restrictions of the flag classes; the solver
-also works for external graphs, where it reports failure rather than
-assuming a class exists.
+The solver is also the route for external graphs, where it reports
+failure rather than assuming a class exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .moment_graph import (
@@ -53,6 +55,7 @@ __all__ = [
     "kt_report",
     "apply_group_element",
     "point_class_top",
+    "knutson_tao_class_billey",
     "knutson_tao_class_descent",
     "knutson_tao_class_solve",
     "restrict",
@@ -283,6 +286,77 @@ def point_class_top(g: MomentGraph) -> EquivariantClass:
     return EquivariantClass(g, {top: prod}, base=top)
 
 
+def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
+    """Knutson-Tao class on a flag or Schubert graph by Billey's formula.
+
+    Write xi^u(w) for the localization of the class of u at w, with
+    xi^e = 1.  For w = w' s_i with l(w) = l(w') + 1 and beta = w'(alpha_i),
+    xi^u(w) = xi^u(w') + beta * xi^{u s_i}(w') when u s_i < u, and
+    xi^u(w) = xi^u(w') otherwise: Billey's sum over reduced subwords with
+    the last letter split off.
+
+    Each vertex w != e has the parent w s_i, for its first right descent
+    i; a Schubert graph is closed under this, so its columns xi^.(w) are
+    built depth first down that tree, with only the current path's columns
+    alive.  Row u draws only on the rows u and u s_i < u, so row v needs
+    only the rows u = v s_j ... s_k reached by length-lowering right
+    multiplications: the lower ideal of v in the right weak order, which
+    lies inside [e, v].  Each step down the tree lowers the row length by
+    at most one, so a row u can still reach row v from column x only when
+    l(x) - l(u) <= top - l(v), where top is the largest length in the
+    graph; the other rows are dropped.
+    """
+    rs = g.rs
+    if rs is None:
+        raise ValueError("Billey's formula needs a flag or Schubert graph")
+    if v not in g._vstr:
+        raise ValueError(f"unknown vertex {v!r}")
+    length, mul = rs.length, rs.mul
+    simple = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+    children: dict = {w: [] for w in g.vertices}
+    for w in g.vertices:
+        for i, s in enumerate(simple):
+            ws = mul(w, s)
+            if length(ws) < length(w):
+                children[ws].append((w, i))
+                break
+    rows = {v}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for s in simple:
+            us = mul(u, s)
+            if length(us) < length(u) and us not in rows:
+                rows.add(us)
+                todo.append(us)
+    slack = length(g.vertices[-1]) - length(v)
+    e = rs.identity()
+    loc: dict = {}
+    # (w, i, w', column of w'), with w = w' s_i: w's column is built when
+    # it is popped, so only the columns on the current path stay alive
+    stack: list = [(e, None, None, None)]
+    while stack:
+        w, i, up, parent = stack.pop()
+        if parent is None:
+            col = {e: Polynomial.one(g.n)}
+        else:
+            beta = rs.root_form(rs.act_on_root(up, rs.simple_roots[i]))
+            lw = length(w)
+            col = {u: p for u, p in parent.items() if lw - length(u) <= slack}
+            for u, p in parent.items():
+                us = mul(u, simple[i])
+                if length(us) > length(u) and us in rows and lw - length(us) <= slack:
+                    # a sum of products of positive roots: never zero
+                    q = beta * p
+                    col[us] = col[us] + q if us in col else q
+            if not col:
+                continue  # and so is every column below w
+        if v in col:
+            loc[w] = col[v]
+        stack.extend((x, j, w, col) for x, j in children[w])
+    return EquivariantClass(g, loc, base=v)
+
+
 def _left_divided_difference_pointwise(i: int, c: EquivariantClass) -> EquivariantClass:
     rs = c.graph.rs
     s = rs.simple_reflection(i)
@@ -425,25 +499,22 @@ def restrict(c: EquivariantClass, g_sub: MomentGraph) -> EquivariantClass:
 class KnutsonTaoBasis:
     """Lazily computed Knutson-Tao classes for every vertex of a graph.
 
-    This is the one place that picks a construction route.  Defaults:
-    descent on the full flag graph, restriction of the cached flag basis on
-    Schubert graphs, and the upward solver on external graphs; an explicit
+    This is the one place that picks a construction route.  Flag and
+    Schubert graphs use Billey's formula (``billey``), external graphs the
+    upward solver (``solve``).  The descent route (flag graphs only) and
+    the solver stay as independent checks on Billey's classes; an explicit
     route is checked against the kind of graph and reported as ``route``.
     """
 
     def __init__(self, graph: MomentGraph, route: str | None = None):
         if route is None:
-            route = {
-                "flag": "descent",
-                "schubert": "restrict",
-                "external": "solve",
-            }[graph.variety]
-        if route not in ("descent", "solve", "restrict"):
+            route = "solve" if graph.rs is None else "billey"
+        if route not in ("billey", "descent", "solve"):
             raise ValueError(f"unknown route {route!r}")
+        if route == "billey" and graph.rs is None:
+            raise ValueError("the billey route needs a flag or Schubert graph")
         if route == "descent" and graph.variety != "flag":
             raise ValueError("the descent route needs the full flag graph")
-        if route == "restrict" and graph.rs is None:
-            raise ValueError("the restriction route needs a root-system graph")
         self.graph = graph
         self.route = route
         self._cache: dict = {}
@@ -451,12 +522,12 @@ class KnutsonTaoBasis:
     def cls(self, v) -> EquivariantClass:
         got = self._cache.get(v)
         if got is None:
-            if self.route == "descent":
+            if self.route == "billey":
+                got = knutson_tao_class_billey(self.graph, v)
+            elif self.route == "descent":
                 got = knutson_tao_class_descent(self.graph, v)
-            elif self.route == "solve":
-                got = knutson_tao_class_solve(self.graph, v)
             else:
-                got = restrict(flag_basis(self.graph.rs).cls(v), self.graph)
+                got = knutson_tao_class_solve(self.graph, v)
             self._cache[v] = got
         return got
 
@@ -467,9 +538,9 @@ class KnutsonTaoBasis:
         return expansion_to_class(expansion, self)
 
 
-@lru_cache(maxsize=None)
 def flag_basis(rs) -> KnutsonTaoBasis:
-    return KnutsonTaoBasis(build_flag_moment_graph(rs), route="descent")
+    """The Knutson-Tao basis of the full flag graph of rs (a new one per call)."""
+    return KnutsonTaoBasis(build_flag_moment_graph(rs))
 
 
 def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -> dict:

@@ -10,6 +10,7 @@ import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.moment_graph import toric_hexagon_json
+from gkmcalc.verify import run_suite
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -114,15 +115,22 @@ class TestClassCommand:
 
     def test_routes_agree(self, capsys):
         outs = []
-        for route in ("descent", "solve"):
+        for route in ("billey", "descent", "solve"):
             code, out, _ = run(
                 capsys,
                 "class", "--type", "A:3", "--w", "321", "--v", "213",
                 "--route", route,
             )
             assert code == 0
-            outs.append(json.loads(out)["localizations"])
-        assert outs[0] == outs[1]
+            obj = json.loads(out)
+            assert obj["route"] == route
+            outs.append(obj["localizations"])
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_restrict_route_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "class", "--type", "A:3", "--v", "213", "--route", "restrict")
+        assert exc.value.code == 2
 
     def test_restrict_route_on_schubert(self, capsys):
         code, out, _ = run(
@@ -239,6 +247,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "--suite", "nope")
         assert exc.value.code == 2
+
+    def test_root_system_rows_stop_at_a4(self):
+        # the whole-group rows stay at desk scale for any --max-n
+        results = run_suite("root-system", max_n=7)
+        assert all(r.ok for r in results)
+        for r in results:
+            assert not any(f"A:{n}" in r.detail for n in (5, 6, 7)), r.line()
+        assert any("A:4" in r.detail for r in results)
 
 
 class TestOutputFiles:
