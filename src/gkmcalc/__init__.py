@@ -50,7 +50,6 @@ from .gkm import (
     class_to_json,
     expand_in_basis,
     expansion_from_json,
-    expansion_to_class,
     expansion_to_json,
     expansions_equal,
     flag_basis,

@@ -134,7 +134,7 @@ def cmd_graph(args) -> int:
 def cmd_class(args) -> int:
     g = _graph_for(args)
     v = _vertex_arg(g, args.v)
-    basis = KnutsonTaoBasis(g, route=args.route)
+    basis = KnutsonTaoBasis(g)
     cls = basis.cls(v)
     if args.format == "table":
         _emit(_class_table(cls), args.output)
@@ -218,8 +218,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one ``error: ...`` line and exit 2, like the rest."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(USAGE_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="gkmcalc",
         description="Exact equivariant cohomology of Schubert varieties "
         "on GKM moment graphs.",
@@ -252,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class", help="construct a Knutson-Tao class")
     add_variety(p)
     p.add_argument("--v", required=True, help="base vertex")
-    p.add_argument("--route", choices=("billey", "descent", "solve"))
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
     p.set_defaults(fn=cmd_class)

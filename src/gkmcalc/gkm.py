@@ -11,7 +11,8 @@ Flag and Schubert classes are built by Billey's formula, as a column
 recursion down a spanning tree of the Weyl group: each localization costs
 one product by a root per step, with no division and no solving, and a
 Schubert graph never builds the flag graph.  Two independent routes stay
-as checks, and the verify suites and tests compare all three:
+as checks, which the verify suites and tests call by name and compare
+with Billey's classes:
 
 * the descent route, which starts from the point class at the top of the
   full flag graph and applies left divided differences along a reduced
@@ -20,8 +21,9 @@ as checks, and the verify suites and tests compare all three:
   localization from the divisibility constraints by a remainder-theorem
   recursion over the out-edge labels.
 
-The solver is also the route for external graphs, where it reports
-failure rather than assuming a class exists.
+The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
+Billey's formula on flag and Schubert graphs and the solver on external
+graphs, where it reports failure rather than assuming a class exists.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from typing import Mapping
 from .moment_graph import (
     MomentGraph,
     build_flag_moment_graph,
+    graph_to_json,
+    load_external_graph,
+    schubert_graph,
     validate_axioms,
 )
 from .polyring import (
@@ -62,7 +67,6 @@ __all__ = [
     "KnutsonTaoBasis",
     "flag_basis",
     "expand_in_basis",
-    "expansion_to_class",
     "expansions_equal",
     "class_to_json",
     "class_from_json",
@@ -122,9 +126,6 @@ class EquivariantClass:
         zero = Polynomial.zero(self.graph.n)
         for v in self.graph.vertices:
             yield v, self._loc.get(v, zero)
-
-    def support(self) -> list:
-        return [v for v in self.graph.vertices if v in self._loc]
 
     def is_zero(self) -> bool:
         return not self._loc
@@ -225,12 +226,13 @@ def kt_report(c: EquivariantClass) -> KtReport:
     if c[c.base] != prod:
         failures.append("localization at the base is not the out-label product")
     d = g.out_degree(c.base)
+    above = g.above(c.base)
     for v, p in c.items():
         if p and not p.is_homogeneous(d):
             failures.append(
                 f"localization at {g.vertex_str(v)} is not homogeneous of degree {d}"
             )
-        if p and not g.reaches(v, c.base):
+        if p and v not in above:
             failures.append(
                 f"nonzero localization at {g.vertex_str(v)} with no path to the base"
             )
@@ -445,6 +447,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     prod = Polynomial.one(n)
     for e in g.out_edges(v):
         prod = prod * e.label
+    above = g.above(v)
     loc: dict = {}
 
     def check_pinned(u) -> None:
@@ -461,7 +464,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
             loc[u] = prod
             check_pinned(u)
             continue
-        if not g.reaches(u, v):
+        if u not in above:
             loc[u] = Polynomial.zero(n)
             check_pinned(u)
             continue
@@ -499,24 +502,14 @@ def restrict(c: EquivariantClass, g_sub: MomentGraph) -> EquivariantClass:
 class KnutsonTaoBasis:
     """Lazily computed Knutson-Tao classes for every vertex of a graph.
 
-    This is the one place that picks a construction route.  Flag and
-    Schubert graphs use Billey's formula (``billey``), external graphs the
-    upward solver (``solve``).  The descent route (flag graphs only) and
-    the solver stay as independent checks on Billey's classes; an explicit
-    route is checked against the kind of graph and reported as ``route``.
+    The graph picks the construction, reported as ``route``: Billey's
+    formula (``billey``) on flag and Schubert graphs, the upward solver
+    (``solve``) on external graphs.
     """
 
-    def __init__(self, graph: MomentGraph, route: str | None = None):
-        if route is None:
-            route = "solve" if graph.rs is None else "billey"
-        if route not in ("billey", "descent", "solve"):
-            raise ValueError(f"unknown route {route!r}")
-        if route == "billey" and graph.rs is None:
-            raise ValueError("the billey route needs a flag or Schubert graph")
-        if route == "descent" and graph.variety != "flag":
-            raise ValueError("the descent route needs the full flag graph")
+    def __init__(self, graph: MomentGraph):
         self.graph = graph
-        self.route = route
+        self.route = "solve" if graph.rs is None else "billey"
         self._cache: dict = {}
 
     def cls(self, v) -> EquivariantClass:
@@ -524,18 +517,20 @@ class KnutsonTaoBasis:
         if got is None:
             if self.route == "billey":
                 got = knutson_tao_class_billey(self.graph, v)
-            elif self.route == "descent":
-                got = knutson_tao_class_descent(self.graph, v)
             else:
                 got = knutson_tao_class_solve(self.graph, v)
             self._cache[v] = got
         return got
 
-    def expand(self, c: EquivariantClass) -> dict:
-        return expand_in_basis(c, self)
-
     def reconstruct(self, expansion: Mapping) -> EquivariantClass:
-        return expansion_to_class(expansion, self)
+        """The class sum of c_v times the class of v."""
+        out = EquivariantClass(self.graph, {})
+        for v, cv in expansion.items():
+            if isinstance(cv, (int, Fraction)):
+                cv = Polynomial.constant(self.graph.n, cv)
+            if cv:
+                out = out + self.cls(v).scale(cv)
+        return out
 
 
 def flag_basis(rs) -> KnutsonTaoBasis:
@@ -585,16 +580,6 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
     return coeffs
 
 
-def expansion_to_class(expansion: Mapping, basis: KnutsonTaoBasis) -> EquivariantClass:
-    out = EquivariantClass(basis.graph, {})
-    for v, cv in expansion.items():
-        if isinstance(cv, (int, Fraction)):
-            cv = Polynomial.constant(basis.graph.n, cv)
-        if cv:
-            out = out + basis.cls(v).scale(cv)
-    return out
-
-
 def expansions_equal(a: Mapping, b: Mapping) -> bool:
     """Compare coefficient maps, ignoring explicit zeros."""
     ca = {v: p for v, p in a.items() if p}
@@ -606,8 +591,6 @@ def expansions_equal(a: Mapping, b: Mapping) -> bool:
 
 
 def graph_ref(g: MomentGraph) -> dict:
-    from .moment_graph import graph_to_json
-
     if g.variety in ("flag", "schubert") and g.rs is not None:
         return {"type": g.metadata["type"], "w": g.metadata["w"]}
     return {"graph": graph_to_json(g)}
@@ -620,8 +603,6 @@ def _json_object(value, what: str) -> dict:
 
 
 def resolve_graph_ref(ref: dict) -> MomentGraph:
-    from .moment_graph import load_external_graph, schubert_graph
-
     ref = _json_object(ref, "graph_ref")
     if "type" in ref:
         return schubert_graph(str(ref["type"]), str(ref["w"]))

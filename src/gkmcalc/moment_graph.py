@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .polyring import (
@@ -30,7 +30,7 @@ from .polyring import (
     parse_polynomial,
     to_string,
 )
-from .root_system import RootSystem
+from .root_system import RootSystem, root_system
 
 __all__ = [
     "Edge",
@@ -111,7 +111,6 @@ class MomentGraph:
         for e in self.edges:
             self._out[e.tail].append(e)
             self._in[e.head].append(e)
-        self._desc: dict | None = None
         self._topo: list | None = None
 
     # -- basic queries -------------------------------------------------------
@@ -166,21 +165,22 @@ class MomentGraph:
             self._topo = order
         return list(self._topo)
 
-    def descendants(self, v) -> frozenset:
-        """Vertices reachable from v along directed edges (including v)."""
-        if self._desc is None:
-            desc: dict = {}
-            for u in self.topo_min_first():
-                got = {u}
-                for e in self._out[u]:
-                    got |= desc[e.head]
-                desc[u] = frozenset(got)
-            self._desc = desc
-        return self._desc[v]
+    def above(self, v) -> set:
+        """Vertices with a directed path down to v, v included.
+
+        One upward sweep of the topological order from v: a vertex is
+        above v when one of its out-edges ends above v.
+        """
+        order = self.topo_min_first()
+        got = {v}
+        for u in order[order.index(v) + 1 :]:
+            if any(e.head in got for e in self._out[u]):
+                got.add(u)
+        return got
 
     def reaches(self, a, b) -> bool:
         """True when there is a directed path from a down to b (or a == b)."""
-        return b in self.descendants(a)
+        return a in self.above(b)
 
     def __repr__(self) -> str:
         return (
@@ -192,7 +192,6 @@ class MomentGraph:
 # -- builders -----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def build_flag_moment_graph(rs: RootSystem) -> MomentGraph:
     """Moment graph of the full flag variety for the given root system.
 
@@ -240,8 +239,6 @@ def build_schubert_moment_graph(rs: RootSystem, w) -> MomentGraph:
 
 def schubert_graph(label: str, w_text: str) -> MomentGraph:
     """Convenience: build X_w (or the full flag graph when w is the top)."""
-    from .root_system import root_system
-
     rs = root_system(label)
     w = rs.parse_element(w_text)
     if w == rs.longest_element():
@@ -592,8 +589,6 @@ def graph_to_json(g: MomentGraph) -> dict:
 
 
 def _infer_dimension(obj: dict) -> int:
-    import re
-
     best = 0
     for e in obj.get("edges", []):
         for m in re.finditer(r"[A-Za-z]+(\d+)", str(e.get("label", ""))):

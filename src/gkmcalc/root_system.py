@@ -53,7 +53,7 @@ class RootSystem:
     reflections, the longest element) by lookup and supplies the
     type-independent algorithms (reduced words, Bruhat order and intervals,
     the coadjoint divided difference).  Instances are immutable lookup
-    tables; get them through :func:`root_system`, which caches one per label.
+    tables; get them through :func:`root_system`, which keeps one per type.
     """
 
     label: str
@@ -495,9 +495,9 @@ class RankTwoRootSystem(RootSystem):
         return w
 
 
-@lru_cache(maxsize=None)
 def root_system(label: str) -> RootSystem:
-    """Factory with one cached instance per type label ('A:3', 'B2', 'G2')."""
+    """Factory with one shared instance per type, however the label is
+    spelled: 'a:3', ' A:03 ' and 'A:3' give the same table."""
     label = label.strip()
     unknown = f"unknown type selector {label!r} (use A:n, B2, or G2)"
     if label.upper().startswith("A:"):
@@ -505,10 +505,19 @@ def root_system(label: str) -> RootSystem:
             n = int(label[2:])
         except ValueError:
             raise ValueError(unknown) from None
-        return TypeARootSystem(n)
+        return _canonical_root_system(f"A:{n}")
     if label.upper() in _RANK2_DATA:
-        return RankTwoRootSystem(label.upper())
+        return _canonical_root_system(label.upper())
     raise ValueError(unknown)
+
+
+@lru_cache(maxsize=None)
+def _canonical_root_system(label: str) -> RootSystem:
+    # keyed by the canonical label, so it holds at most one table per type:
+    # a refused rank raises and is never cached
+    if label.startswith("A:"):
+        return TypeARootSystem(int(label[2:]))
+    return RankTwoRootSystem(label)
 
 
 def type_a(n: int) -> RootSystem:

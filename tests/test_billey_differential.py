@@ -84,8 +84,6 @@ def test_rejects_external_graphs_and_unknown_vertices():
     hexagon = moment_graph.toric_hexagon_graph()
     with pytest.raises(ValueError):
         knutson_tao_class_billey(hexagon, "e")
-    with pytest.raises(ValueError):
-        KnutsonTaoBasis(hexagon, route="billey")
     xg = schubert_graph("A:3", "231")
     with pytest.raises(ValueError):
         knutson_tao_class_billey(xg, root_system("A:3").longest_element())
@@ -95,8 +93,6 @@ def test_default_routes():
     assert KnutsonTaoBasis(schubert_graph("A:3", "321")).route == "billey"
     assert KnutsonTaoBasis(schubert_graph("A:3", "231")).route == "billey"
     assert KnutsonTaoBasis(moment_graph.toric_hexagon_graph()).route == "solve"
-    with pytest.raises(ValueError):
-        KnutsonTaoBasis(schubert_graph("A:3", "321"), route="restrict")
 
 
 def test_schubert_basis_never_builds_the_flag_graph(monkeypatch):

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+from gkmcalc import verify
 from gkmcalc.cli import main
-from gkmcalc.moment_graph import toric_hexagon_json
+from gkmcalc.gkm import class_to_json, knutson_tao_class_descent, knutson_tao_class_solve
+from gkmcalc.moment_graph import schubert_graph, toric_hexagon_json
 from gkmcalc.verify import run_suite
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -114,23 +116,31 @@ class TestClassCommand:
         assert obj["kt_conditions"]["ok"] is True
 
     def test_routes_agree(self, capsys):
-        outs = []
-        for route in ("billey", "descent", "solve"):
-            code, out, _ = run(
-                capsys,
-                "class", "--type", "A:3", "--w", "321", "--v", "213",
-                "--route", route,
-            )
-            assert code == 0
-            obj = json.loads(out)
-            assert obj["route"] == route
-            outs.append(obj["localizations"])
-        assert outs[0] == outs[1] == outs[2]
+        code, out, _ = run(
+            capsys, "class", "--type", "A:3", "--w", "321", "--v", "213"
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["route"] == "billey"
+        g = schubert_graph("A:3", "321")
+        v = g.vertex_by_str("213")
+        for check in (knutson_tao_class_descent, knutson_tao_class_solve):
+            assert obj["localizations"] == class_to_json(check(g, v))["localizations"]
 
-    def test_restrict_route_is_gone(self, capsys):
+    def test_route_option_is_gone(self, capsys):
+        for route in ("billey", "descent", "solve", "restrict"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "class", "--type", "A:3", "--v", "213", "--route", route)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err == "error: unrecognized arguments: --route " + route + "\n"
+
+    def test_help_is_not_an_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "class", "--type", "A:3", "--v", "213", "--route", "restrict")
-        assert exc.value.code == 2
+            run(capsys, "class", "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gkmcalc class") and "--route" not in out
 
     def test_restrict_route_on_schubert(self, capsys):
         code, out, _ = run(
@@ -256,6 +266,23 @@ class TestVerifyCommand:
             assert not any(f"A:{n}" in r.detail for n in (5, 6, 7)), r.line()
         assert any("A:4" in r.detail for r in results)
 
+    def test_moment_graph_rows_stop_at_a4(self, monkeypatch):
+        # flag-axioms once built and validated every A:n flag graph up to
+        # --max-n, which grows as n!
+        labels = []
+        build = verify.build_flag_moment_graph
+
+        def recording(rs):
+            labels.append(rs.label)
+            return build(rs)
+
+        monkeypatch.setattr(verify, "build_flag_moment_graph", recording)
+        results = run_suite("moment-graph", max_n=7)
+        assert all(r.ok for r in results)
+        ranks = {int(label[2:]) for label in labels if label.startswith("A:")}
+        assert max(ranks) == 4
+        assert {"B2", "G2"} <= set(labels)
+
 
 class TestOutputFiles:
     def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
@@ -334,6 +361,13 @@ MALFORMED += [
     (("verify", "--max-n", "1"), {}),
     (("verify", "--max-n", "-3"), {}),
     (BAD_TYPE_SELECTOR, {}),
+]
+# argparse's own usage errors: a missing required option, a bad choice and
+# an unknown option (the construction is picked by the graph, not by a flag)
+MALFORMED += [
+    (("class", "--type", "A:3"), {}),
+    (("class", "--type", "A:3", "--v", "213", "--format", "xml"), {}),
+    (("class", "--type", "A:3", "--v", "213", "--route", "x"), {}),
 ]
 
 

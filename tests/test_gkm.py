@@ -130,15 +130,16 @@ class TestPointClassTop:
 
 class TestDescentRoute:
     def test_displayed_classes(self, flag3):
-        b = KnutsonTaoBasis(flag3, route="descent")
-        assert localization_table(b.cls(flag3.vertex_by_str("213"))) == CLASS_12
-        assert localization_table(b.cls(flag3.vertex_by_str("132"))) == CLASS_23
-        assert localization_table(b.cls(flag3.vertex_by_str("123"))) == CLASS_E
+        for name, table in (("213", CLASS_12), ("132", CLASS_23), ("123", CLASS_E)):
+            got = knutson_tao_class_descent(flag3, flag3.vertex_by_str(name))
+            assert localization_table(got) == table
 
     def test_kt_conditions_hold(self, flag3):
-        b = KnutsonTaoBasis(flag3, route="descent")
+        b = KnutsonTaoBasis(flag3)
         for v in flag3.vertices:
-            assert kt_report(b.cls(v)).ok
+            got = knutson_tao_class_descent(flag3, v)
+            assert kt_report(got).ok
+            assert got == b.cls(v)
 
     def test_needs_flag_graph(self):
         rs = type_a(3)

@@ -274,11 +274,13 @@ class TestSerialization:
 
 class TestOrderStructure:
     def test_reaches_matches_bruhat(self):
-        rs = type_a(3)
-        g = build_flag_moment_graph(rs)
-        for v in g.vertices:
-            for w in g.vertices:
-                assert g.reaches(w, v) == rs.bruhat_leq(v, w)
+        for label in ("A:3", "A:4", "B2", "G2"):
+            rs = root_system(label)
+            g = build_flag_moment_graph(rs)
+            for v in g.vertices:
+                above = g.above(v)
+                for w in g.vertices:
+                    assert g.reaches(w, v) == rs.bruhat_leq(v, w) == (w in above)
 
     def test_topological_order(self):
         g = build_flag_moment_graph(type_a(3))

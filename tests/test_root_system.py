@@ -92,6 +92,12 @@ class TestEnumeration:
             root_system("A:9")
         assert "n!" in str(exc.value) and "\n" not in str(exc.value)
 
+    def test_one_table_per_type_whatever_the_spelling(self):
+        assert root_system("a:3") is root_system(" A:03 ") is type_a(3)
+        assert root_system("b2") is root_system(" B2 ")
+        with pytest.raises(ValueError, match="type selector"):
+            root_system("A:x")
+
     def test_longest_element_inverts_all_positives(self):
         for label in ("A:4", "B2", "G2"):
             rs = root_system(label)
