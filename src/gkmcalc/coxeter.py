@@ -44,6 +44,13 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
         object.__setattr__(self, "one_line", tuple(self.one_line))
 
+    @classmethod
+    def _trusted(cls, one_line: tuple[int, ...]) -> "Permutation":
+        # internal: skips the check, for products and inverses of valid ones
+        self = object.__new__(cls)
+        object.__setattr__(self, "one_line", one_line)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.one_line)
@@ -71,13 +78,14 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.one_line[v - 1] for v in other.one_line))
+        mine = self.one_line
+        return Permutation._trusted(tuple([mine[v - 1] for v in other.one_line]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, v in enumerate(self.one_line, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def length(self) -> int:
         return len(inversion_pairs(self))

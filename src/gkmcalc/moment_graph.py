@@ -252,7 +252,7 @@ def schubert_graph(label: str, w_text: str) -> MomentGraph:
 def _form_vector(label: Polynomial, n: int) -> tuple[Fraction, ...]:
     vec = [Fraction(0)] * n
     for exp, c in label.terms().items():
-        vec[exp.index(1)] = c
+        vec[exp.index(1)] = Fraction(c)
     return tuple(vec)
 
 

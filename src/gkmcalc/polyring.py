@@ -1,12 +1,18 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in n variables is stored as a map from exponent vectors
-(length-n tuples of non-negative ints) to nonzero ``Fraction`` coefficients.
-Variables are 1-indexed and print as ``t1``, ``t2``, ... by default; the
-general-type modules render the same ring with an ``a`` prefix for
-simple-root coordinates.  The representation is canonical: two polynomials
-are equal exactly when their term maps are equal, and serialization orders
-terms in descending graded-lexicographic order.
+(length-n tuples of non-negative ints) to nonzero rational coefficients.
+An integral coefficient is stored as an ``int`` and any other as a
+``Fraction``, so the integer classes that dominate the package never pay
+for ``Fraction`` arithmetic; only a division (``exact_divide``, a scalar
+like 1/|W|) leaves a ``Fraction``.  Every constructor and every operation
+restores that form, and the public accessors (``terms``, ``coefficient``,
+``constant_term``) still return ``Fraction``.  Variables are 1-indexed and
+print as ``t1``, ``t2``, ... by default; the general-type modules render
+the same ring with an ``a`` prefix for simple-root coordinates.  The
+representation is canonical: two polynomials are equal exactly when their
+term maps are equal, and serialization orders terms in descending
+graded-lexicographic order.
 
 Everything here is pure and immutable, so values can be shared freely.
 
@@ -21,9 +27,11 @@ True
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -45,6 +53,7 @@ __all__ = [
 ]
 
 Exponent = tuple[int, ...]
+Coefficient = int | Fraction  # int when integral, see the module docstring
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,6 +68,63 @@ def _grlex(exp: Exponent):
     return (sum(exp), exp)
 
 
+def _coeff(c) -> Coefficient:
+    """Any rational scalar in stored form: int when integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon(terms: dict) -> dict:
+    """Drop zero coefficients and store integral ones as int, in place."""
+    fix = [
+        e
+        for e, c in terms.items()
+        if not c or (c.__class__ is Fraction and c.denominator == 1)
+    ]
+    for e in fix:
+        c = terms[e]
+        if c:
+            terms[e] = c.numerator
+        else:
+            del terms[e]
+    return terms
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term maps, canonical."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    b_items = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return _canon(out)
+
+
+def _div(a: Coefficient, b: Coefficient) -> Coefficient:
+    """a / b in stored form, never through float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _single_variable(terms: dict) -> int | None:
+    """Position of the variable a term map equals, if it is one with coefficient 1."""
+    if len(terms) != 1:
+        return None
+    ((exp, c),) = terms.items()
+    if c != 1 or sum(exp) != 1:
+        return None
+    return exp.index(1)
+
+
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients."""
 
@@ -67,30 +133,24 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[Exponent, object] | None = None):
         if n < 0:
             raise ValueError(f"ring dimension must be non-negative, got {n}")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coefficient] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
                 if len(exp) != n or any(e < 0 or not isinstance(e, int) for e in exp):
                     raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
-                c = Fraction(coeff)
-                if c:
-                    c0 = clean.get(exp, _ZERO) + c
-                    if c0:
-                        clean[exp] = c0
-                    else:
-                        clean.pop(exp, None)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+                clean[exp] = clean.get(exp, 0) + _coeff(coeff)
+        self.n = n
+        self._terms = _canon(clean)
+        self._hash = None
 
     @classmethod
-    def _make(cls, n: int, terms: dict[Exponent, Fraction]) -> "Polynomial":
+    def _make(cls, n: int, terms: dict[Exponent, Coefficient]) -> "Polynomial":
         # internal fast path: terms must already be canonical
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self.n = n
+        self._terms = terms
+        self._hash = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -105,7 +165,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         return cls._make(n, {(0,) * n: c} if c else {})
 
     @classmethod
@@ -115,16 +175,16 @@ class Polynomial:
             raise ValueError(f"variable index {i} outside 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1
-        return cls._make(n, {tuple(exp): _ONE})
+        return cls._make(n, {tuple(exp): 1})
 
     @classmethod
     def linear_form(cls, n: int, coeffs: Mapping[int, object]) -> "Polynomial":
         """Degree-one form from a map of 1-based variable index to coefficient."""
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coefficient] = {}
         for i, c in coeffs.items():
             if not 1 <= i <= n:
                 raise ValueError(f"variable index {i} outside 1..{n}")
-            c = Fraction(c)
+            c = _coeff(c)
             if c:
                 exp = [0] * n
                 exp[i - 1] = 1
@@ -134,13 +194,13 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[Exponent, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(c) for e, c in self._terms.items()}
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exp), _ZERO)
+        return Fraction(self._terms.get(tuple(exp), 0))
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.n, _ZERO)
+        return Fraction(self._terms.get((0,) * self.n, 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -159,20 +219,27 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"ring dimension mismatch: {self.n} vs {other.n}")
 
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
+        # self + other or self - other, in one dict
+        self._check_dim(other)
+        out = dict(self._terms)
+        get = out.get
+        for exp, c in other._terms.items():
+            c0 = op(get(exp, 0), c)
+            if not c0:
+                del out[exp]
+            elif c0.__class__ is Fraction and c0.denominator == 1:
+                out[exp] = c0.numerator
+            else:
+                out[exp] = c0
+        return Polynomial._make(self.n, out)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_dim(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            c0 = out.get(exp, _ZERO) + c
-            if c0:
-                out[exp] = c0
-            else:
-                out.pop(exp, None)
-        return Polynomial._make(self.n, out)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -184,30 +251,23 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return Polynomial.zero(self.n)
-            return Polynomial._make(self.n, {e: k * c for e, k in self._terms.items()})
+            return Polynomial._make(
+                self.n, _canon({e: k * c for e, k in self._terms.items()})
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                c0 = out.get(exp, _ZERO) + ca * cb
-                if c0:
-                    out[exp] = c0
-                else:
-                    out.pop(exp, None)
-        return Polynomial._make(self.n, out)
+        return Polynomial._make(self.n, _mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -228,10 +288,11 @@ class Polynomial:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # hash(k) == hash(Fraction(k)), so this matches the Fraction-only form
         h = self._hash
         if h is None:
             h = hash((self.n, tuple(sorted(self._terms.items()))))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __str__(self) -> str:
@@ -246,29 +307,84 @@ class Polynomial:
         """Simultaneously replace variables by polynomials.
 
         Keys are 1-based variable indices; variables absent from the
-        assignment stay fixed.
+        assignment stay fixed.  When every image is a single variable with
+        coefficient 1 (a Weyl group element of type A, or a swap), the
+        exponent vectors are relabelled and no product is formed; terms
+        that land on the same exponent are summed.  Otherwise each term is
+        expanded into one result dict, with the powers of each image
+        computed once per call.
         """
+        n = self.n
+        target = list(range(n))  # where each variable's exponent moves
+        images: dict[int, dict] = {}
+        relabel = True
         for i, q in assignment.items():
-            if not 1 <= i <= self.n:
-                raise ValueError(f"variable index {i} outside 1..{self.n}")
-            if q.n != self.n:
-                raise ValueError(f"ring dimension mismatch: {self.n} vs {q.n}")
-        images = {i - 1: q for i, q in assignment.items()}
-        out = Polynomial.zero(self.n)
-        for exp, c in self._terms.items():
-            term = Polynomial.constant(self.n, c)
-            plain = [0] * self.n  # untouched part of the monomial
-            for pos, e in enumerate(exp):
-                if not e:
-                    continue
-                if pos in images:
-                    term = term * images[pos] ** e
-                else:
-                    plain[pos] = e
-            if any(plain):
-                term = term * Polynomial._make(self.n, {tuple(plain): _ONE})
-            out = out + term
-        return out
+            if not 1 <= i <= n:
+                raise ValueError(f"variable index {i} outside 1..{n}")
+            if q.n != n:
+                raise ValueError(f"ring dimension mismatch: {n} vs {q.n}")
+            images[i - 1] = q._terms
+            j = _single_variable(q._terms)
+            if j is None:
+                relabel = False
+            else:
+                target[i - 1] = j
+        if relabel:
+            return Polynomial._make(n, _relabel(self._terms, target))
+        return Polynomial._make(n, _expand(self._terms, images))
+
+
+def _relabel(terms: dict, target: list[int]) -> dict:
+    """Move the exponent at each position p to position target[p]."""
+    n = len(target)
+    if sorted(target) == list(range(n)):
+        # a permutation of the variables: exponents never collide
+        if target == list(range(n)):
+            return terms
+        source = [0] * n
+        for pos, t in enumerate(target):
+            source[t] = pos
+        pick = itemgetter(*source)
+        return {pick(e): c for e, c in terms.items()}
+    out: dict = {}
+    for exp, c in terms.items():
+        moved = [0] * n
+        for pos, e in enumerate(exp):
+            if e:
+                moved[target[pos]] += e
+        moved = tuple(moved)
+        out[moved] = out.get(moved, 0) + c
+    return _canon(out)
+
+
+def _expand(terms: dict, images: dict[int, dict]) -> dict:
+    """Substitute images[pos] for the variable at each position pos."""
+    powers: dict[tuple[int, int], dict] = {}
+
+    def power(pos: int, e: int) -> dict:
+        key = (pos, e)
+        if key not in powers:
+            powers[key] = (
+                images[pos] if e == 1 else _mul_terms(power(pos, e - 1), images[pos])
+            )
+        return powers[key]
+
+    out: dict = {}
+    get = out.get
+    for exp, c in terms.items():
+        plain = list(exp)  # untouched part of the monomial
+        factors = []
+        for pos in images:
+            e = exp[pos]
+            if e:
+                plain[pos] = 0
+                factors.append(power(pos, e))
+        term = {tuple(plain): c}
+        for f in factors:
+            term = _mul_terms(term, f)
+        for e, k in term.items():
+            out[e] = get(e, 0) + k
+    return _canon(out)
 
 
 # -- module-level operations (the public contract) --------------------------
@@ -283,7 +399,7 @@ def is_linear_form(p: Polynomial) -> bool:
     return bool(p) and p.is_homogeneous(1)
 
 
-def _pivot(f: Polynomial) -> tuple[int, Fraction]:
+def _pivot(f: Polynomial) -> tuple[int, Coefficient]:
     """Smallest-index variable of a linear form together with its coefficient."""
     if not is_linear_form(f):
         raise ValueError(f"not a nonzero linear form: {f}")
@@ -303,7 +419,7 @@ def reduce_modulo(p: Polynomial, f: Polynomial) -> Polynomial:
     """
     k, c = _pivot(f)
     # on f = 0 the pivot variable equals t_k - f/c
-    h = Polynomial.variable(p.n, k) - f * (_ONE / c)
+    h = Polynomial.variable(p.n, k) - f * Fraction(1, c)
     return p.substitute({k: h})
 
 
@@ -315,30 +431,47 @@ def divides(f: Polynomial, p: Polynomial) -> bool:
 
 
 def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient q with q * f == p; raises ExactDivisionError otherwise."""
+    """Quotient q with q * f == p; raises ExactDivisionError otherwise.
+
+    Division by the pivot (smallest-index) variable of f: each step cancels
+    the grlex-leading term of the remainder, and the terms it adds are
+    grlex-smaller (they move one degree from the pivot to a later
+    variable), so the leading terms come off a heap in strictly
+    decreasing order and each is handled once.
+    """
     k, c = _pivot(f)
     if p.n != f.n:
         raise ValueError(f"ring dimension mismatch: {p.n} vs {f.n}")
     pos = k - 1
     rem = dict(p._terms)
-    quo: dict[Exponent, Fraction] = {}
+    # max-heap on grlex: degree, then the exponent vector, both negated
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapq.heapify(heap)
+    f_items = list(f._terms.items())
+    quo: dict[Exponent, Coefficient] = {}
     while rem:
-        exp = max(rem, key=_grlex)
+        exp = heapq.heappop(heap)[2]
+        if exp not in rem:
+            continue  # cancelled after it was pushed
         if exp[pos] == 0:
             raise ExactDivisionError(f"{to_string(f)} does not divide {to_string(p)}")
-        qc = rem[exp] / c
+        qc = _div(rem[exp], c)
         qe = list(exp)
         qe[pos] -= 1
         qe = tuple(qe)
-        quo[qe] = quo.get(qe, _ZERO) + qc
-        for fe, fc in f._terms.items():
-            e = tuple(x + y for x, y in zip(qe, fe))
-            c0 = rem.get(e, _ZERO) - qc * fc
-            if c0:
-                rem[e] = c0
-            else:
-                rem.pop(e, None)
-    return Polynomial._make(p.n, {e: c0 for e, c0 in quo.items() if c0})
+        quo[qe] = qc
+        for fe, fc in f_items:
+            e = tuple(map(add, qe, fe))
+            c0 = rem.get(e, 0) - qc * fc
+            if not c0:
+                del rem[e]
+                continue
+            if c0.__class__ is Fraction and c0.denominator == 1:
+                c0 = c0.numerator
+            if e not in rem:
+                heapq.heappush(heap, (-sum(e), tuple(-x for x in e), e))
+            rem[e] = c0
+    return Polynomial._make(p.n, quo)
 
 
 def swap_substitution(n: int, i: int, j: int) -> dict[int, Polynomial]:

@@ -53,6 +53,19 @@ class TestCompose:
         for i in (1, 2, 3):
             assert (u * v)(i) == u(v(i))
 
+    def test_constructor_still_validates(self):
+        for bad in ((1, 1, 2), (0, 1, 2), (1, 2, 4)):
+            with pytest.raises(ValueError):
+                Permutation(bad)
+
+    def test_products_and_inverses_are_ordinary_permutations(self):
+        for u in all_permutations(4):
+            inv = u.inverse()
+            assert u * inv == Permutation.identity(4) == inv * u
+            assert hash(u * inv) == hash(Permutation.identity(4))
+            assert type((u * u).one_line) is tuple
+            assert Permutation((u * u).one_line) == u * u
+
 
 class TestLength:
     def test_identity(self):

@@ -1,0 +1,273 @@
+"""The polynomial kernel against a naive Fraction-only reference.
+
+The reference below is the straightforward kernel: every coefficient a
+``Fraction``, substitution by multiplying each term by powers of the
+images and adding term by term, and exact division by rescanning the
+remainder for its grlex-leading term.  The kernel in ``gkmcalc.polyring``
+relabels exponents for variable permutations, accumulates into one dict,
+stores integral coefficients as ``int`` and divides off a heap; on every
+input here it must give the same polynomial, the same hash and the same
+text and JSON bytes.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gkmcalc import polyring
+from gkmcalc.polyring import (
+    ExactDivisionError,
+    Polynomial,
+    exact_divide,
+    polynomial_to_json,
+    reduce_modulo,
+    swap_substitution,
+    to_string,
+)
+from gkmcalc.root_system import root_system
+
+
+# -- the reference: term maps {exponent: Fraction} ---------------------------
+
+
+def _grlex(exp):
+    return (sum(exp), exp)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        c0 = out.get(e, Fraction(0)) + c
+        if c0:
+            out[e] = c0
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out = ref_add(out, {tuple(x + y for x, y in zip(ea, eb)): ca * cb})
+    return out
+
+
+def ref_substitute(terms, n, assignment):
+    images = {i - 1: q for i, q in assignment.items()}
+    out = {}
+    for exp, c in terms.items():
+        term = {(0,) * n: c}
+        plain = [0] * n
+        for pos, e in enumerate(exp):
+            if pos in images:
+                for _ in range(e):
+                    term = ref_mul(term, images[pos])
+            else:
+                plain[pos] = e
+        term = ref_mul(term, {tuple(plain): Fraction(1)})
+        out = ref_add(out, term)
+    return out
+
+
+def ref_pivot(f):
+    return min((exp.index(1), c) for exp, c in f.items())
+
+
+def ref_exact_divide(p, f):
+    pos, c = ref_pivot(f)
+    rem, quo = dict(p), {}
+    while rem:
+        exp = max(rem, key=_grlex)
+        if exp[pos] == 0:
+            raise ExactDivisionError("not a multiple")
+        qc = rem[exp] / c
+        qe = list(exp)
+        qe[pos] -= 1
+        qe = tuple(qe)
+        quo = ref_add(quo, {qe: qc})
+        rem = ref_add(rem, ref_mul({qe: -qc}, f))
+    return quo
+
+
+def ref_reduce_modulo(p, f, n):
+    pos, c = ref_pivot(f)
+    var = [0] * n
+    var[pos] = 1
+    h = ref_add({tuple(var): Fraction(1)}, {e: -k / c for e, k in f.items()})
+    return ref_substitute(p, n, {pos + 1: h})
+
+
+# -- comparison ----------------------------------------------------------------
+
+
+def assert_matches(got, ref, n):
+    """got (kernel) and ref (reference term map) are the same polynomial."""
+    assert all(type(c) is Fraction for c in got.terms().values())
+    assert got.terms() == ref
+    for c in got._terms.values():
+        # stored form: nonzero, int exactly when integral
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+    # the reference as the Fraction-only kernel stored it
+    old = Polynomial._make(n, dict(ref))
+    assert got == old and hash(got) == hash(old)
+    assert to_string(got) == to_string(old)
+    assert to_string(got, prefix="a") == to_string(old, prefix="a")
+    assert json.dumps(polynomial_to_json(got)) == json.dumps(polynomial_to_json(old))
+
+
+def random_poly(rng, n, terms=6, max_deg=3, fractional=True):
+    out = {}
+    for _ in range(terms):
+        exp = tuple(rng.randint(0, max_deg) for _ in range(n))
+        c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)) if fractional else 1)
+        out[exp] = out.get(exp, Fraction(0)) + c
+    return Polynomial(n, out)
+
+
+# -- substitution over whole Weyl groups ----------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
+def test_coadjoint_substitution_whole_group(label):
+    rs = root_system(label)
+    n = rs.simple_root_form(1).n
+    rng = random.Random(label)
+    samples = [
+        random_poly(rng, n, fractional=False),
+        random_poly(rng, n, fractional=True),
+        rs.simple_root_form(1) * Fraction(1, 2),
+    ]
+    for w in rs.elements():
+        sub = rs.coadjoint_substitution(w)
+        ref_sub = {i: q.terms() for i, q in sub.items()}
+        for p in samples:
+            assert_matches(p.substitute(sub), ref_substitute(p.terms(), n, ref_sub), n)
+
+
+def test_permutations_relabel_without_products(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("a variable permutation must not expand products")
+
+    monkeypatch.setattr(polyring, "_expand", no_expansion)
+    rs = root_system("A:4")
+    p = random_poly(random.Random(4), 4)
+    for w in rs.elements():
+        p.substitute(rs.coadjoint_substitution(w))
+    p.substitute(swap_substitution(4, 1, 3))
+
+
+# -- hypothesis: collisions and the general path --------------------------------
+
+N = 3
+coeffs = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+@st.composite
+def polys(draw, max_deg=3, max_terms=6):
+    pairs = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, max_deg)] * N), coeffs),
+            max_size=max_terms,
+        )
+    )
+    return Polynomial(N, dict(pairs))
+
+
+@st.composite
+def linear_forms(draw):
+    cs = draw(st.lists(coeffs, min_size=N, max_size=N).filter(any))
+    return Polynomial.linear_form(N, {i + 1: c for i, c in enumerate(cs)})
+
+
+def v(i):
+    return Polynomial.variable(N, i)
+
+
+SPECIAL_ASSIGNMENTS = {
+    "t1->t2 (collides with the fixed t2)": {1: v(2)},
+    "t1->t2, t2->t2": {1: v(2), 2: v(2)},
+    "t1->-t2": {1: -v(2)},
+    "t1->2*t2": {1: 2 * v(2)},
+    "t1->t2/2, t3->t1": {1: v(2) * Fraction(1, 2), 3: v(1)},
+    "cycle": {1: v(2), 2: v(3), 3: v(1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_ASSIGNMENTS))
+@settings(max_examples=60, deadline=None)
+@given(p=polys())
+def test_substitute_matches_reference(name, p):
+    sub = SPECIAL_ASSIGNMENTS[name]
+    ref_sub = {i: q.terms() for i, q in sub.items()}
+    assert_matches(p.substitute(sub), ref_substitute(p.terms(), N, ref_sub), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=polys(), f=linear_forms(), g=linear_forms())
+def test_substitute_linear_images_matches_reference(p, f, g):
+    sub = {1: f, 3: g}
+    ref_sub = {i: q.terms() for i, q in sub.items()}
+    assert_matches(p.substitute(sub), ref_substitute(p.terms(), N, ref_sub), N)
+
+
+def test_collisions_cancel():
+    t1, t2 = v(1), v(2)
+    assert (t1 - t2).substitute({1: t2}).is_zero()
+    assert (t1 * t1 - t1 * t2).substitute({1: t2, 2: t2}).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=polys(), q=polys())
+def test_mul_matches_reference(p, q):
+    assert_matches(p * q, ref_mul(p.terms(), q.terms()), N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=polys(), q=polys(), c=coeffs)
+def test_add_and_scale_match_reference(p, q, c):
+    assert_matches(p + q, ref_add(p.terms(), q.terms()), N)
+    assert_matches(p - q, ref_add(p.terms(), (-q).terms()), N)
+    assert_matches(p * c, ref_mul(p.terms(), {(0,) * N: Fraction(c)} if c else {}), N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=polys(), f=linear_forms(), r=polys(max_deg=1, max_terms=2), g=linear_forms())
+def test_exact_divide_matches_reference(p, f, r, g):
+    for num, den in ((p * f, f), (p * f, g), (p * f + r, f)):
+        try:
+            want = ref_exact_divide(num.terms(), den.terms())
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                exact_divide(num, den)
+        else:
+            assert_matches(exact_divide(num, den), want, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=polys(), f=linear_forms())
+def test_reduce_modulo_matches_reference(p, f):
+    assert_matches(reduce_modulo(p, f), ref_reduce_modulo(p.terms(), f.terms(), N), N)
+
+
+def test_exact_divide_failures():
+    t1, t2, t3 = v(1), v(2), v(3)
+    for num, den in ((t1 - t3, t1 - t2), (t1 * t1 + 1, t1), (t2 * t3, 2 * t1 + t3)):
+        with pytest.raises(ExactDivisionError):
+            ref_exact_divide(num.terms(), den.terms())
+        with pytest.raises(ExactDivisionError):
+            exact_divide(num, den)
+
+
+def test_fractions_that_become_integral_are_stored_as_int():
+    t1, t2 = v(1), v(2)
+    half = (t1 + t2) * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half._terms.values())
+    for p in (half * 2, half + half, exact_divide(2 * t1 * t1 - 2 * t1 * t2, 2 * t1)):
+        assert all(type(c) is int for c in p._terms.values())
+    assert exact_divide(t1 * t2, 3 * t1)._terms == {(0, 1, 0): Fraction(1, 3)}

@@ -1,12 +1,15 @@
 """Moment graph builders, axiom validation, Palais-Smale, and serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from gkmcalc.cli import main
 from gkmcalc.coxeter import Permutation, all_permutations
 from gkmcalc.moment_graph import (
     GraphParseError,
+    _form_vector,
     build_flag_moment_graph,
     build_schubert_moment_graph,
     graph_to_dot,
@@ -164,6 +167,22 @@ class TestPalaisSmale:
         assert res.holds
         assert res.covector is not None
         assert res.orientation is not None
+
+    @pytest.mark.parametrize("label", ["A:3", "G2"])
+    def test_search_covector_prints_exact_rationals(self, label, capsys):
+        argv = ["graph", "--type", label, "--check", "palais-smale", "--orientation", "search"]
+        assert main(argv) == 0
+        covector = json.loads(capsys.readouterr().out)["covector"]
+        assert covector
+        for entry in covector:
+            assert "." not in entry
+            assert str(Fraction(entry)) == entry
+
+    def test_form_vector_entries_are_fractions(self):
+        label = Polynomial.linear_form(3, {1: 2, 3: Fraction(-1, 2)})
+        vec = _form_vector(label, 3)
+        assert vec == (2, 0, Fraction(-1, 2))
+        assert all(type(x) is Fraction for x in vec)
 
     def test_single_vertex(self):
         rs = type_a(2)

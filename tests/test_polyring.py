@@ -78,6 +78,27 @@ class TestMul:
         )
 
 
+class TestCoefficientContract:
+    def test_accessors_return_fractions(self):
+        p = 2 * t1 * t2 - 3 + t3 * Fraction(1, 2)
+        assert all(type(c) is Fraction for c in p.terms().values())
+        assert type(p.coefficient((1, 1, 0))) is Fraction
+        assert type(p.coefficient((0, 0, 1))) is Fraction
+        assert type(p.coefficient((5, 0, 0))) is Fraction
+        assert type(p.constant_term()) is Fraction
+        assert type(Polynomial.zero(3).constant_term()) is Fraction
+        assert p.constant_term() == -3 and p.coefficient((0, 0, 1)) == Fraction(1, 2)
+
+    def test_integral_fraction_is_the_integer(self):
+        a = Polynomial(3, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): Fraction(-6, 3)})
+        b = Polynomial(3, {(1, 0, 0): 2, (0, 0, 0): -2})
+        assert a == b and hash(a) == hash(b)
+        assert to_string(a) == to_string(b) == "2*t1 - 2"
+        assert polynomial_to_json(a) == polynomial_to_json(b)
+        assert Polynomial.constant(3, Fraction(4, 2)) == Polynomial.constant(3, 2)
+        assert hash(t1 * Fraction(4, 2)) == hash(2 * t1)
+
+
 class TestSubstitute:
     def test_swap(self):
         assert (t1 - t2).substitute(swap_substitution(3, 1, 2)) == t2 - t1
