@@ -7,6 +7,10 @@ are emitted in canonical order, so identical runs produce identical bytes.
 
 Exit codes: 0 success, 1 failed verification or failed ``--check``, 2 usage
 or input errors.
+
+Each query is one process, so imports stay light: ``verify`` is loaded only
+by ``gkmcalc verify``, and the package imports neither ``dataclasses`` nor
+``inspect``.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ from .moment_graph import (
 from .polyring import to_string
 from .repaction import act, decompose, left_divided_difference, right_divided_difference
 from .root_system import root_system
-from .verify import SUITES, run_suites
 
 __all__ = ["main"]
 
 USAGE_ERROR, CHECK_FAILED = 2, 1
+
+# the keys of verify.SUITES, in order, kept here so that only the verify
+# subcommand imports that module
+SUITE_NAMES = ("polyring", "root-system", "moment-graph", "gkm", "repaction")
 
 
 class CliError(Exception):
@@ -54,8 +61,11 @@ def _emit(text: str, output: str | None) -> None:
     outdir = os.environ.get("GKMCALC_OUTPUT_DIR")
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -206,7 +216,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, max_n=args.max_n, seed=args.seed)
     lines = [r.line() for r in results]
     ok = all(r.ok for r in results)
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run invariant suites and print a ledger")
     p.add_argument(
-        "--suite", choices=("all", *SUITES), default="all", help="which suite to run"
+        "--suite", choices=("all", *SUITE_NAMES), default="all", help="which suite to run"
     )
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

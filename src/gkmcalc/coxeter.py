@@ -21,7 +21,6 @@ True
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import permutations as _all_tuples
 
 __all__ = [
@@ -32,17 +31,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of 1..n in one-line notation."""
+    """A permutation of 1..n in one-line notation; immutable and hashable."""
 
-    one_line: tuple[int, ...]
+    __slots__ = ("one_line",)
 
-    def __post_init__(self):
-        n = len(self.one_line)
-        if sorted(self.one_line) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.one_line}")
-        object.__setattr__(self, "one_line", tuple(self.one_line))
+    def __init__(self, one_line: tuple[int, ...]):
+        n = len(one_line)
+        if sorted(one_line) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {one_line}")
+        object.__setattr__(self, "one_line", tuple(one_line))
 
     @classmethod
     def _trusted(cls, one_line: tuple[int, ...]) -> "Permutation":
@@ -50,6 +48,27 @@ class Permutation:
         self = object.__new__(cls)
         object.__setattr__(self, "one_line", one_line)
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return (Permutation, (self.one_line,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.one_line == other.one_line
+
+    def __hash__(self) -> int:
+        return hash((self.one_line,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(one_line={self.one_line!r})"
 
     @property
     def n(self) -> int:

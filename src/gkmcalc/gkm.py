@@ -28,7 +28,6 @@ graphs, where it reports failure rather than assuming a class exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -180,10 +179,10 @@ class EquivariantClass:
         return f"EquivariantClass({body})"
 
 
-@dataclass
 class GkmReport:
-    ok: bool
-    violations: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, ok: bool, violations: list[tuple[str, str, str]] | None = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
@@ -205,10 +204,10 @@ def check_gkm(c: EquivariantClass) -> GkmReport:
     return GkmReport(ok=not bad, violations=bad)
 
 
-@dataclass
 class KtReport:
-    ok: bool
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list[str] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures)}

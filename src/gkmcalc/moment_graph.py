@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -262,16 +261,28 @@ def _proportional(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
     )
 
 
-@dataclass
 class AxiomReport:
     """Structured result of the moment-graph axiom checks."""
 
-    acyclic: bool
-    cycle: list[str] | None
-    independence_violations: list[tuple[str, str, str]] = field(default_factory=list)
-    degree_violations: list[tuple[str, int, int]] = field(default_factory=list)
-    label_set_violations: list[str] = field(default_factory=list)
-    checked_schubert: bool = False
+    def __init__(
+        self,
+        acyclic: bool,
+        cycle: list[str] | None,
+        independence_violations: list[tuple[str, str, str]] | None = None,
+        degree_violations: list[tuple[str, int, int]] | None = None,
+        label_set_violations: list[str] | None = None,
+        checked_schubert: bool = False,
+    ):
+        self.acyclic = acyclic
+        self.cycle = cycle
+        self.independence_violations = (
+            [] if independence_violations is None else independence_violations
+        )
+        self.degree_violations = [] if degree_violations is None else degree_violations
+        self.label_set_violations = (
+            [] if label_set_violations is None else label_set_violations
+        )
+        self.checked_schubert = checked_schubert
 
     @property
     def ok(self) -> bool:
@@ -364,17 +375,26 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
 # -- Palais-Smale --------------------------------------------------------------
 
 
-@dataclass
 class PalaisSmaleResult:
     """Outcome of the out-degree descent check."""
 
-    holds: bool
-    mode: str
-    violations: list[tuple[str, str, int, int]] = field(default_factory=list)
-    covector: list[Fraction] | None = None
-    orientation: list[tuple[str, str]] | None = None
-    chambers_tried: int = 0
-    detail: str = ""
+    def __init__(
+        self,
+        holds: bool,
+        mode: str,
+        violations: list[tuple[str, str, int, int]] | None = None,
+        covector: list[Fraction] | None = None,
+        orientation: list[tuple[str, str]] | None = None,
+        chambers_tried: int = 0,
+        detail: str = "",
+    ):
+        self.holds = holds
+        self.mode = mode
+        self.violations = [] if violations is None else violations
+        self.covector = covector
+        self.orientation = orientation
+        self.chambers_tried = chambers_tried
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {

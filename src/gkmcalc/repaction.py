@@ -27,7 +27,6 @@ one step per letter of every one of the |W| elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -241,12 +240,12 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     return out
 
 
-@dataclass
 class AveragedClass:
     """Group average of a Knutson-Tao class, as a basis expansion."""
 
-    base: object
-    expansion: dict
+    def __init__(self, base, expansion: dict):
+        self.base = base
+        self.expansion = expansion
 
 
 def average_class(v, g: MomentGraph) -> AveragedClass:
@@ -264,7 +263,6 @@ def average_class(v, g: MomentGraph) -> AveragedClass:
     return AveragedClass(v, {x: p * scale for x, p in total.items()})
 
 
-@dataclass
 class DecompositionReport:
     """Per-variety ledger for the trivial-summand decomposition.
 
@@ -275,14 +273,27 @@ class DecompositionReport:
     variable ideal must fix every basis class.
     """
 
-    type_label: str
-    w_label: str
-    rows: list[dict] = field(default_factory=list)
-    multiplicities: dict[int, int] = field(default_factory=dict)
-    poincare: list[int] = field(default_factory=list)
-    generator_invariance: dict[int, bool] = field(default_factory=dict)
-    mod_t_identity: bool = True
-    unitriangular: bool = True
+    def __init__(
+        self,
+        type_label: str,
+        w_label: str,
+        rows: list[dict] | None = None,
+        multiplicities: dict[int, int] | None = None,
+        poincare: list[int] | None = None,
+        generator_invariance: dict[int, bool] | None = None,
+        mod_t_identity: bool = True,
+        unitriangular: bool = True,
+    ):
+        self.type_label = type_label
+        self.w_label = w_label
+        self.rows = [] if rows is None else rows
+        self.multiplicities = {} if multiplicities is None else multiplicities
+        self.poincare = [] if poincare is None else poincare
+        self.generator_invariance = (
+            {} if generator_invariance is None else generator_invariance
+        )
+        self.mod_t_identity = mod_t_identity
+        self.unitriangular = unitriangular
 
     @property
     def ok(self) -> bool:

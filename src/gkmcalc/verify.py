@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -60,12 +59,12 @@ from .root_system import root_system, type_a
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, suite: str, name: str, ok: bool, detail: str = ""):
+        self.suite = suite
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

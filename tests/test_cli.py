@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gkmcalc import verify
+from gkmcalc import cli, verify
 from gkmcalc.cli import main
 from gkmcalc.gkm import class_to_json, knutson_tao_class_descent, knutson_tao_class_solve
 from gkmcalc.moment_graph import schubert_graph, toric_hexagon_json
@@ -258,6 +258,9 @@ class TestVerifyCommand:
             run(capsys, "verify", "--suite", "nope")
         assert exc.value.code == 2
 
+    def test_suite_choices_match_verify(self):
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
     def test_root_system_rows_stop_at_a4(self):
         # the whole-group rows stay at desk scale for any --max-n
         results = run_suite("root-system", max_n=7)
@@ -369,6 +372,11 @@ MALFORMED += [
     (("class", "--type", "A:3", "--v", "213", "--format", "xml"), {}),
     (("class", "--type", "A:3", "--v", "213", "--route", "x"), {}),
 ]
+# an --output that cannot be written: a missing directory, a directory, empty
+MALFORMED += [
+    (("class", "--type", "A:3", "--v", "213", "--output", out), {})
+    for out in ("/nonexistent/dir/x.json", ".", "")
+]
 
 
 @pytest.mark.parametrize(
@@ -397,3 +405,33 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert "simple index" in proc.stderr
     if argv == BAD_TYPE_SELECTOR:
         assert "type selector" in proc.stderr
+
+
+def _modules_after(statement):
+    """The module names loaded by a fresh interpreter that runs statement.
+
+    ``-S`` skips ``site``, whose start-up hooks may import modules of their own.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; {statement}; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_stays_light():
+    """Every CLI query is a process; these modules would load in each one."""
+    loaded = _modules_after("import gkmcalc.cli")
+    assert "gkmcalc.cli" in loaded
+    assert not loaded & {"gkmcalc.verify", "dataclasses", "inspect"}
+
+
+def test_package_import_loads_the_traced_modules():
+    """perfbench's tracer wraps only modules already loaded by ``import gkmcalc``."""
+    loaded = _modules_after("import gkmcalc")
+    for name in ("polyring", "coxeter", "root_system", "moment_graph", "gkm", "repaction"):
+        assert f"gkmcalc.{name}" in loaded

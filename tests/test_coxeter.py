@@ -1,5 +1,8 @@
 """Permutations and parsing, and the type-A worked examples through type_a(n)."""
 
+import copy
+import pickle
+
 import pytest
 
 from gkmcalc.coxeter import (
@@ -65,6 +68,45 @@ class TestCompose:
             assert hash(u * inv) == hash(Permutation.identity(4))
             assert type((u * u).one_line) is tuple
             assert Permutation((u * u).one_line) == u * u
+
+
+class TestValueContract:
+    """Equality, hashing, repr and immutability that sets and dicts rely on."""
+
+    def test_equality(self):
+        p = Permutation((2, 3, 1))
+        assert p == Permutation((2, 3, 1)) and not p != Permutation((2, 3, 1))
+        assert p != Permutation((3, 1, 2))
+        assert p != (2, 3, 1) and p != "231" and p != None  # noqa: E711
+        assert p.__eq__((2, 3, 1)) is NotImplemented
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for p in all_permutations(3):
+            assert hash(p) == hash((p.one_line,))
+
+    def test_repr(self):
+        assert repr(Permutation((2, 3, 1))) == "Permutation(one_line=(2, 3, 1))"
+
+    def test_immutable(self):
+        p = Permutation((2, 1))
+        with pytest.raises(AttributeError):
+            p.one_line = (1, 2)
+        with pytest.raises(AttributeError):
+            del p.one_line
+        with pytest.raises(AttributeError):
+            p.other = 1
+        assert p.one_line == (2, 1)
+
+    def test_constructor(self):
+        with pytest.raises(ValueError):
+            Permutation((1, 1, 2))
+        p = Permutation([2, 1, 3])
+        assert type(p.one_line) is tuple and p == Permutation(one_line=(2, 1, 3))
+
+    def test_copy_and_pickle(self):
+        p = Permutation((3, 1, 2))
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and hash(q) == hash(p)
 
 
 class TestLength:

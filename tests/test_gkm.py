@@ -6,7 +6,9 @@ import pytest
 from gkmcalc.coxeter import all_permutations
 from gkmcalc.gkm import (
     EquivariantClass,
+    GkmReport,
     KnutsonTaoBasis,
+    KtReport,
     SolveError,
     SpanError,
     check_gkm,
@@ -22,13 +24,17 @@ from gkmcalc.gkm import (
     restrict,
 )
 from gkmcalc.moment_graph import (
+    AxiomReport,
+    PalaisSmaleResult,
     build_flag_moment_graph,
     build_schubert_moment_graph,
     load_external_graph,
     toric_hexagon_graph,
 )
 from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
+from gkmcalc.repaction import AveragedClass, DecompositionReport
 from gkmcalc.root_system import root_system, type_a
+from gkmcalc.verify import CheckResult
 
 
 def fixed_class(g, table, base=None):
@@ -366,3 +372,71 @@ class TestClassJson:
         obj = expansion_to_json(exp, flag3)
         assert expansions_equal(expansion_from_json(obj, flag3), exp)
         assert expansions_equal(expansion_from_json(obj), exp)
+
+
+# The result records of gkm, moment_graph, repaction and verify: constructor
+# fields in positional order, how many are required, and the to_json keys
+# (None where the record has no to_json).
+REPORTS = [
+    (GkmReport, ("ok", "violations"), 1, {"ok", "violations"}),
+    (KtReport, ("ok", "failures"), 1, {"ok", "failures"}),
+    (
+        AxiomReport,
+        (
+            "acyclic", "cycle", "independence_violations", "degree_violations",
+            "label_set_violations", "checked_schubert",
+        ),
+        2,
+        {
+            "ok", "acyclic", "cycle", "independence_violations", "degree_violations",
+            "label_set_violations", "checked_schubert",
+        },
+    ),
+    (
+        PalaisSmaleResult,
+        (
+            "holds", "mode", "violations", "covector", "orientation",
+            "chambers_tried", "detail",
+        ),
+        2,
+        {
+            "holds", "mode", "violations", "covector", "orientation",
+            "chambers_tried", "detail",
+        },
+    ),
+    (AveragedClass, ("base", "expansion"), 2, None),
+    (
+        DecompositionReport,
+        (
+            "type_label", "w_label", "rows", "multiplicities", "poincare",
+            "generator_invariance", "mod_t_identity", "unitriangular",
+        ),
+        2,
+        {
+            "type", "w", "ok", "rows", "multiplicities", "poincare",
+            "generator_invariance", "mod_t_identity", "unitriangular",
+        },
+    ),
+    (CheckResult, ("suite", "name", "ok", "detail"), 3, None),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,fields,required,keys", REPORTS, ids=[r[0].__name__ for r in REPORTS]
+)
+def test_report_records(cls, fields, required, keys):
+    values = [object() for _ in fields]
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    for name, value in zip(fields, values):
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
+
+    args = (True,) * required
+    a, b = cls(*args), cls(*args)
+    for name in fields[required:]:
+        default = getattr(a, name)
+        if isinstance(default, (list, dict)):
+            assert not default and default is not getattr(b, name)
+    if keys is not None:
+        assert set(a.to_json()) == keys
