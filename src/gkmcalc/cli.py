@@ -36,7 +36,7 @@ from .moment_graph import (
     schubert_graph,
     validate_axioms,
 )
-from .polyring import to_string
+from .polyring import ExactDivisionError, to_string
 from .repaction import act, decompose, left_divided_difference, right_divided_difference
 from .root_system import root_system
 
@@ -80,6 +80,8 @@ def _load_json_file(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"bad JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise CliError(f"bad JSON in {path}: nested too deeply") from None
 
 
 def _load_class(path: str):
@@ -187,10 +189,13 @@ def cmd_ddiff(args) -> int:
         cls = KnutsonTaoBasis(g).cls(_vertex_arg(g, args.v))
     if cls.graph.rs is None:
         raise CliError("ddiff needs a class on a flag or Schubert graph")
-    if args.side == "left":
-        out = left_divided_difference(args.i, cls)
-    else:
-        out = right_divided_difference(args.i, cls)
+    try:
+        if args.side == "left":
+            out = left_divided_difference(args.i, cls)
+        else:
+            out = right_divided_difference(args.i, cls)
+    except ExactDivisionError as exc:  # only a non-GKM class leaves a remainder
+        raise CliError(f"not a GKM class: {exc}") from exc
     payload = class_to_json(out)
     payload["side"] = args.side
     payload["i"] = args.i

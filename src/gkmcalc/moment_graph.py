@@ -628,6 +628,8 @@ def load_external_graph(description) -> MomentGraph:
             obj = json.loads(description)
         except json.JSONDecodeError as exc:
             raise GraphParseError(f"bad JSON: {exc}") from exc
+        except RecursionError:
+            raise GraphParseError("bad JSON: nested too deeply") from None
     else:
         obj = description
     if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):

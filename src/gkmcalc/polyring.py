@@ -137,7 +137,7 @@ class Polynomial:
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
-                if len(exp) != n or any(e < 0 or not isinstance(e, int) for e in exp):
+                if len(exp) != n or any(not isinstance(e, int) or e < 0 for e in exp):
                     raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
                 clean[exp] = clean.get(exp, 0) + _coeff(coeff)
         self.n = n
@@ -566,6 +566,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     exp = [0] * n
     seen_factor = False
     pending = False  # an operator awaits its term
+    star = False  # a '*' awaits its factor
 
     def flush():
         nonlocal coeff, exp, seen_factor, sign
@@ -582,6 +583,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     i = 0
     while i < len(tokens):
         kind, val = tokens[i]
+        if star and kind not in ("num", "var"):
+            raise ValueError(f"'*' must be followed by a factor in {text!r}")
         if kind == "op" and val in "+-":
             if seen_factor:
                 flush()
@@ -590,13 +593,14 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         elif kind == "op" and val == "*":
             if not seen_factor:
                 raise ValueError(f"misplaced '*' in {text!r}")
+            star = True
         elif kind == "num":
             try:
                 c = Fraction(val)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {val!r}") from None
             coeff = c if coeff is None else coeff * c
-            seen_factor, pending = True, False
+            seen_factor, pending, star = True, False, False
         elif kind == "var":
             idx = int(re.search(r"\d+$", val).group())
             if not 1 <= idx <= n:
@@ -608,10 +612,12 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 power = int(tokens[i + 2][1])
                 i += 2
             exp[idx - 1] += power
-            seen_factor, pending = True, False
+            seen_factor, pending, star = True, False, False
         else:
             raise ValueError(f"unexpected token {val!r}")
         i += 1
+    if star:
+        raise ValueError(f"'*' must be followed by a factor in {text!r}")
     if pending or not seen_factor:
         raise ValueError(f"incomplete polynomial text {text!r}")
     flush()
@@ -636,9 +642,26 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
         return parse_polynomial(obj, n)
     if not isinstance(obj, dict):
         raise ValueError(f"a polynomial is a string or an object, not {obj!r}")
-    dim = obj["n"] if n is None else n
+    dim = obj.get("n") if n is None else n
+    if type(dim) is not int:
+        raise ValueError(f"polynomial dimension must be an integer, not {dim!r}")
     if "n" in obj and n is not None and obj["n"] != n:
         raise ValueError(f"polynomial dimension {obj['n']} != expected {n}")
-    return Polynomial(
-        dim, {tuple(t["exp"]): Fraction(t["coeff"]) for t in obj["terms"]}
-    )
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
+        raise ValueError(f"polynomial terms must be a list, not {terms!r}")
+    out = {}
+    for t in terms:
+        if not isinstance(t, dict) or not isinstance(t.get("exp"), list):
+            raise ValueError(f"a polynomial term needs an exp list, not {t!r}")
+        out[tuple(t["exp"])] = _coefficient_from_json(t.get("coeff"))
+    return Polynomial(dim, out)
+
+
+def _coefficient_from_json(c) -> Fraction:
+    if type(c) is not int and not isinstance(c, str):
+        raise ValueError(f"a coefficient is a rational string or an integer, not {c!r}")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad coefficient {c!r}") from None

@@ -23,6 +23,12 @@ where S is the sum over W_{1..k-1}.  The representatives form a tree of
 single left multiplications, so the whole sum costs n(n-1)/2
 simple-reflection steps in A:n (m in a dihedral group of order 2m), not
 one step per letter of every one of the |W| elements.
+
+Every simple-reflection step reads a table built once per call (of
+:func:`act_word`, :func:`symmetrize` or :func:`decompose`): for each i, the
+coadjoint substitution of s_i, -alpha_i, and s_i v for each vertex v where
+that is shorter.  :func:`decompose` runs its checks on the integral orbit
+sum (|W| times the averaged class), so they need no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -101,39 +107,53 @@ def _as_polynomials(expansion: Mapping, n: int) -> dict:
     }
 
 
-def _simple_substitutions(rs) -> list:
-    """Coadjoint substitution of each simple reflection, indexed by i - 1."""
-    return [
-        rs.coadjoint_substitution(rs.simple_reflection(i))
-        for i in range(1, rs.rank + 1)
-    ]
+def _simple_step(g: MomentGraph, i: int) -> tuple:
+    """One row of the simple-reflection table of g: (sub, minus_alpha, down).
+
+    sub is the coadjoint substitution of s_i and minus_alpha is -alpha_i;
+    down maps every vertex v of g to s_i v when that is shorter, else None.
+    """
+    rs = g.rs
+    s = rs.simple_reflection(i)
+    length, mul = rs.length, rs.mul
+    down = {}
+    for v in g.vertices:
+        sv = mul(s, v)
+        down[v] = sv if length(sv) < length(v) else None
+    return rs.coadjoint_substitution(s), -rs.simple_root_form(i), down
+
+
+def _simple_table(g: MomentGraph) -> dict:
+    """The simple-reflection table of g: i -> _simple_step(g, i).
+
+    Callers that apply simple reflections many times build it once per call
+    and pass it to _act_simple_on_expansion.
+    """
+    return {i: _simple_step(g, i) for i in range(1, g.rs.rank + 1)}
 
 
 def _act_simple_on_expansion(
-    i: int, expansion: Mapping, g: MomentGraph, sub: Mapping | None = None
+    i: int, expansion: Mapping, g: MomentGraph, table: dict | None = None
 ) -> dict:
     """s_i applied to a basis expansion: each coefficient is twisted by s_i,
     and the class of v also sends -alpha_i times it to s_i v when s_i v is
     shorter.
 
-    sub is the coadjoint substitution of s_i; callers that apply s_i many
-    times pass it in (see _simple_substitutions) instead of rebuilding it.
+    table is the graph's simple-reflection table (_simple_table); without
+    it only the row of s_i is built.
     """
-    rs = g.rs
-    s = rs.simple_reflection(i)
-    if sub is None:
-        sub = rs.coadjoint_substitution(s)
-    minus_alpha = -rs.simple_root_form(i)
+    sub, minus_alpha, down = _simple_step(g, i) if table is None else table[i]
     out: dict = {}
     for v, cv in expansion.items():
-        if v not in g._vstr:
-            raise ValueError(f"vertex {v!r} not in graph")
+        try:
+            sv = down[v]
+        except KeyError:
+            raise ValueError(f"vertex {v!r} not in graph") from None
         if isinstance(cv, (int, Fraction)):
             cv = Polynomial.constant(g.n, cv)
         tw = cv.substitute(sub)
         _accumulate(out, v, tw)
-        sv = rs.mul(s, v)
-        if rs.length(sv) < rs.length(v):
+        if sv is not None:
             _accumulate(out, sv, tw * minus_alpha)
     return out
 
@@ -145,9 +165,10 @@ def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     right-to-left, twisting coefficients as it goes; the result does not
     depend on the chosen word.
     """
+    table = _simple_table(g)
     out = _as_polynomials(expansion, g.n)
     for i in reversed(g.rs.reduced_word(u)):
-        out = _act_simple_on_expansion(i, out, g)
+        out = _act_simple_on_expansion(i, out, g, table)
     return out
 
 
@@ -160,14 +181,17 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
     parent in the chain's tree times one simple reflection, so it costs a
     single simple-reflection step.
     """
-    rs = g.rs
-    subs = _simple_substitutions(rs)
+    return _orbit_sum(expansion, g, _simple_table(g))
+
+
+def _orbit_sum(expansion: Mapping, g: MomentGraph, table: dict) -> dict:
+    """symmetrize with the graph's simple-reflection table already built."""
     total = _as_polynomials(expansion, g.n)
-    for level in rs.coset_chain():
+    for level in g.rs.coset_chain():
         images = [total]
         total = dict(total)
         for parent, i in level:
-            img = _act_simple_on_expansion(i, images[parent], g, subs[i - 1])
+            img = _act_simple_on_expansion(i, images[parent], g, table)
             images.append(img)
             for x, p in img.items():
                 _accumulate(total, x, p)
@@ -339,7 +363,14 @@ class DecompositionReport:
 
 
 def decompose(g: MomentGraph) -> DecompositionReport:
-    """Compute every averaged class and report the decomposition facts."""
+    """Compute every averaged class and report the decomposition facts.
+
+    The checks run on the integral orbit sum of each class (|W| times its
+    average), so they stay in int arithmetic: invariance under every s_i is
+    linear, and unitriangularity reads coefficient |W| at v and support
+    inside the Bruhat interval [e, v].  The graph's simple-reflection table
+    is built once per call and shared by every step.
+    """
     rs = g.rs
     if rs is None:
         raise ValueError("need a root-system graph")
@@ -349,28 +380,25 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     )
     gen_ok = {i: True for i in range(1, rs.rank + 1)}
     mod_t_ok = True
-    subs = _simple_substitutions(rs)
+    table = _simple_table(g)
     one = Polynomial.one(g.n)
+    order = Polynomial.constant(g.n, len(rs.elements()))
 
     for v in g.vertices:
         deg = rs.length(v)
-        avg = average_class(v, g)
+        total = _orbit_sum({v: one}, g, table)
         invariant = True
-        for i in range(1, rs.rank + 1):
-            if not expansions_equal(
-                _act_simple_on_expansion(i, avg.expansion, g, subs[i - 1]),
-                avg.expansion,
-            ):
+        for i in table:
+            image = _act_simple_on_expansion(i, total, g, table)
+            if not expansions_equal(image, total):
                 invariant = False
                 gen_ok[i] = False
-        unitri = avg.expansion.get(v) == one and all(
-            rs.bruhat_leq(u, v) for u in avg.expansion
-        )
+        unitri = total.get(v) == order and total.keys() <= rs.lower_interval(v)
         if not unitri:
             report.unitriangular = False
         # the induced action modulo the variable ideal fixes every class
-        for i in range(1, rs.rank + 1):
-            image = _act_simple_on_expansion(i, {v: one}, g, subs[i - 1])
+        for i in table:
+            image = _act_simple_on_expansion(i, {v: one}, g, table)
             consts = {
                 u: p.constant_term() for u, p in image.items() if p.constant_term()
             }
@@ -382,7 +410,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
                 "degree": deg,
                 "invariant": invariant,
                 "unitriangular": unitri,
-                "support": sorted(g.vertex_str(u) for u in avg.expansion),
+                "support": sorted(g.vertex_str(u) for u in total),
             }
         )
         report.multiplicities[deg] = report.multiplicities.get(deg, 0) + 1

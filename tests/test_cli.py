@@ -378,6 +378,41 @@ MALFORMED += [
     for out in ("/nonexistent/dir/x.json", ".", "")
 ]
 
+# a class that breaks the GKM condition: the A:3 class of 213 with t1 at 123,
+# where a divided difference leaves a remainder
+_NON_GKM_CLASS = {
+    "graph_ref": {"type": "A:3", "w": "321"},
+    "base": "213",
+    "localizations": {
+        "123": "t1", "132": "0", "213": "t1 - t2", "231": "t1 - t2",
+        "312": "t1 - t3", "321": "t1 - t3",
+    },
+}
+MALFORMED += [
+    (("ddiff", "--side", side, "--i", "1", "--class", "{cls}"), {"cls": _NON_GKM_CLASS})
+    for side in ("left", "right")
+]
+
+
+class _Raw(str):
+    """File text written as it is, not as JSON."""
+
+
+# localizations in a broken object form, and JSON nested past the parser's
+# recursion limit
+MALFORMED += [
+    (("expand", "--class", "{c}"), {"c": _A3_CLASS | {"localizations": {"123": loc}}})
+    for loc in (
+        {"terms": 5},
+        {"terms": [5]},
+        {"terms": [{"exp": 5, "coeff": "1"}]},
+        {"terms": [{"exp": [1, 0, 0], "coeff": "1/0"}]},
+    )
+] + [
+    (("graph", "--load", "{deep}"), {"deep": _Raw("[" * 100000)}),
+    (("expand", "--class", "{deep}"), {"deep": _Raw("[" * 100000)}),
+]
+
 
 @pytest.mark.parametrize(
     "argv,files",
@@ -389,7 +424,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
     paths = {}
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(obj))
+        paths[name].write_text(obj if isinstance(obj, _Raw) else json.dumps(obj))
     proc = subprocess.run(
         [sys.executable, "-m", "gkmcalc.cli", *(a.format(**paths) for a in argv)],
         capture_output=True,

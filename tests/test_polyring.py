@@ -274,6 +274,20 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_polynomial("", 3)
 
+    @pytest.mark.parametrize("text", ["t1**2", "t1*", "2*", "t1*+t2", "t1*^2"])
+    def test_star_needs_a_factor(self, text):
+        # "t1**2" once read as 2*t1, and a dangling '*' was dropped
+        with pytest.raises(ValueError, match="followed by a factor"):
+            parse_polynomial(text, 3)
+
+    def test_every_printed_term_parses(self):
+        for d in range(4):
+            for e in homogeneous_exponents(3, d):
+                for c in (1, -1, 2, Fraction(-1, 2)):
+                    p = Polynomial(3, {e: c, (0, 1, 0): 3})
+                    for prefix in ("t", "a"):
+                        assert parse_polynomial(to_string(p, prefix), 3) == p
+
     @settings(max_examples=60)
     @given(polys())
     def test_string_roundtrip(self, p):
@@ -283,6 +297,22 @@ class TestTextForms:
     @given(polys())
     def test_json_roundtrip(self, p):
         assert polynomial_from_json(polynomial_to_json(p)) == p
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"terms": 5},
+            {"terms": [5]},
+            {"terms": [{"exp": 5, "coeff": "1"}]},
+            {"terms": [{"exp": ["x", 0, 0], "coeff": "1"}]},
+            {"terms": [{"exp": [1, 0, 0], "coeff": "1/0"}]},
+            {"terms": [{"exp": [1, 0, 0], "coeff": None}]},
+            {"n": "3", "terms": []},
+        ],
+    )
+    def test_json_bad_object_is_a_value_error(self, obj):
+        with pytest.raises(ValueError):
+            polynomial_from_json(obj, None if "n" in obj else 3)
 
     def test_json_shape(self):
         obj = polynomial_to_json(t1 - t2)
