@@ -34,19 +34,21 @@ __all__ = [
 class Permutation:
     """A permutation of 1..n in one-line notation; immutable and hashable."""
 
-    __slots__ = ("one_line",)
+    __slots__ = ("one_line", "_hash")
 
     def __init__(self, one_line: tuple[int, ...]):
         n = len(one_line)
         if sorted(one_line) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {one_line}")
         object.__setattr__(self, "one_line", tuple(one_line))
+        object.__setattr__(self, "_hash", hash((self.one_line,)))
 
     @classmethod
     def _trusted(cls, one_line: tuple[int, ...]) -> "Permutation":
         # internal: skips the check, for products and inverses of valid ones
         self = object.__new__(cls)
         object.__setattr__(self, "one_line", one_line)
+        object.__setattr__(self, "_hash", hash((one_line,)))
         return self
 
     def __setattr__(self, name, value):
@@ -65,7 +67,7 @@ class Permutation:
         return self.one_line == other.one_line
 
     def __hash__(self) -> int:
-        return hash((self.one_line,))
+        return self._hash  # hash((one_line,)), computed at construction
 
     def __repr__(self) -> str:
         return f"Permutation(one_line={self.one_line!r})"
@@ -95,9 +97,9 @@ class Permutation:
         return self.one_line[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
         mine = self.one_line
+        if len(mine) != len(other.one_line):
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
         return Permutation._trusted(tuple([mine[v - 1] for v in other.one_line]))
 
     def inverse(self) -> "Permutation":

@@ -37,7 +37,6 @@ from .moment_graph import (
     graph_to_json,
     load_external_graph,
     schubert_graph,
-    validate_axioms,
 )
 from .polyring import (
     ExactDivisionError,
@@ -312,48 +311,47 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
         raise ValueError("Billey's formula needs a flag or Schubert graph")
     if v not in g._vstr:
         raise ValueError(f"unknown vertex {v!r}")
-    length, mul = rs.length, rs.mul
-    simple = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
-    children: dict = {w: [] for w in g.vertices}
-    for w in g.vertices:
-        for i, s in enumerate(simple):
-            ws = mul(w, s)
-            if length(ws) < length(w):
+    # element ids throughout; ids follow (length, name), as g.vertices do
+    length, rmul, elements = rs.lengths, rs.rmul, rs.elements()
+    ids = [rs.index[w] for w in g.vertices]
+    children: dict = {w: [] for w in ids}
+    for w in ids:
+        for i, row in enumerate(rmul):
+            if length[ws := row[w]] < length[w]:
                 children[ws].append((w, i))
                 break
-    rows = {v}
-    todo = [v]
+    top = rs.index[v]
+    rows, todo = {top}, [top]
     while todo:
         u = todo.pop()
-        for s in simple:
-            us = mul(u, s)
-            if length(us) < length(u) and us not in rows:
+        for row in rmul:
+            if length[us := row[u]] < length[u] and us not in rows:
                 rows.add(us)
                 todo.append(us)
-    slack = length(g.vertices[-1]) - length(v)
-    e = rs.identity()
+    slack = length[ids[-1]] - length[top]
     loc: dict = {}
     # (w, i, w', column of w'), with w = w' s_i: w's column is built when
     # it is popped, so only the columns on the current path stay alive
-    stack: list = [(e, None, None, None)]
+    stack: list = [(0, None, None, None)]
     while stack:
         w, i, up, parent = stack.pop()
         if parent is None:
-            col = {e: Polynomial.one(g.n)}
+            col = {0: Polynomial.one(g.n)}
         else:
-            beta = rs.root_form(rs.act_on_root(up, rs.simple_roots[i]))
-            lw = length(w)
-            col = {u: p for u, p in parent.items() if lw - length(u) <= slack}
+            beta = rs.root_form(rs.act_on_root(elements[up], rs.simple_roots[i]))
+            lw = length[w]
+            col = {u: p for u, p in parent.items() if lw - length[u] <= slack}
+            row = rmul[i]
             for u, p in parent.items():
-                us = mul(u, simple[i])
-                if length(us) > length(u) and us in rows and lw - length(us) <= slack:
+                us = row[u]
+                if length[us] > length[u] and us in rows and lw - length[us] <= slack:
                     # a sum of products of positive roots: never zero
                     q = beta * p
                     col[us] = col[us] + q if us in col else q
             if not col:
                 continue  # and so is every column below w
-        if v in col:
-            loc[w] = col[v]
+        if top in col:
+            loc[elements[w]] = col[top]
         stack.extend((x, j, w, col) for x, j in children[w])
     return EquivariantClass(g, loc, base=v)
 
@@ -437,7 +435,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     """
     if v not in g._vstr:
         raise ValueError(f"unknown vertex {v!r}")
-    axioms = validate_axioms(g)
+    axioms = g.axioms()
     if not axioms.acyclic or axioms.independence_violations:
         raise SolveError(f"moment-graph axioms violated: {axioms.to_json()}")
 

@@ -111,6 +111,7 @@ class MomentGraph:
             self._out[e.tail].append(e)
             self._in[e.head].append(e)
         self._topo: list | None = None
+        self._axioms = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -164,6 +165,12 @@ class MomentGraph:
             self._topo = order
         return list(self._topo)
 
+    def axioms(self) -> "AxiomReport":
+        """validate_axioms(self), computed on first use and kept."""
+        if self._axioms is None:
+            self._axioms = validate_axioms(self)
+        return self._axioms
+
     def above(self, v) -> set:
         """Vertices with a directed path down to v, v included.
 
@@ -197,20 +204,7 @@ def build_flag_moment_graph(rs: RootSystem) -> MomentGraph:
     Each vertex w carries one out-edge per inversion root alpha, directed
     to s_alpha * w (the shorter element) and labeled alpha.
     """
-    edges = []
-    for w in rs.elements():
-        for alpha in rs.inversions(w):
-            edges.append(
-                Edge(w, rs.mul(rs.reflection(alpha), w), rs.root_form(alpha))
-            )
-    meta = {
-        "variety": "flag",
-        "type": rs.label,
-        "w": rs.element_str(rs.longest_element()),
-        "n": rs.dim,
-        "var_prefix": rs.var_prefix,
-    }
-    return MomentGraph(rs.elements(), edges, meta, rs=rs)
+    return _bruhat_graph(rs, rs.elements(), "flag", rs.longest_element())
 
 
 def build_schubert_moment_graph(rs: RootSystem, w) -> MomentGraph:
@@ -219,21 +213,24 @@ def build_schubert_moment_graph(rs: RootSystem, w) -> MomentGraph:
     Every out-edge of a vertex v <= w stays inside the interval, so the
     Schubert graph keeps all ``length(v)`` out-edges of each vertex.
     """
-    interval = rs.lower_interval(w)
-    edges = []
-    for v in interval:
-        for alpha in rs.inversions(v):
-            head = rs.mul(rs.reflection(alpha), v)
-            if head in interval:  # always true; keep the subgraph honest
-                edges.append(Edge(v, head, rs.root_form(alpha)))
+    return _bruhat_graph(rs, rs.lower_interval(w), "schubert", w)
+
+
+def _bruhat_graph(rs: RootSystem, vertices, variety: str, w) -> MomentGraph:
+    # an edge leaving the vertex set would make MomentGraph raise
+    edges = [
+        Edge(v, rs.mul(rs.reflection(alpha), v), rs.root_form(alpha))
+        for v in vertices
+        for alpha in rs.inversions(v)
+    ]
     meta = {
-        "variety": "schubert",
+        "variety": variety,
         "type": rs.label,
         "w": rs.element_str(w),
         "n": rs.dim,
         "var_prefix": rs.var_prefix,
     }
-    return MomentGraph(interval, edges, meta, rs=rs)
+    return MomentGraph(vertices, edges, meta, rs=rs)
 
 
 def schubert_graph(label: str, w_text: str) -> MomentGraph:

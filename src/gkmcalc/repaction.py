@@ -115,11 +115,11 @@ def _simple_step(g: MomentGraph, i: int) -> tuple:
     """
     rs = g.rs
     s = rs.simple_reflection(i)
-    length, mul = rs.length, rs.mul
+    length, row, elements = rs.lengths, rs.lmul[i - 1], rs.elements()
     down = {}
     for v in g.vertices:
-        sv = mul(s, v)
-        down[v] = sv if length(sv) < length(v) else None
+        k = rs.index[v]
+        down[v] = elements[row[k]] if length[row[k]] < length[k] else None
     return rs.coadjoint_substitution(s), -rs.simple_root_form(i), down
 
 
@@ -250,17 +250,12 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     each base vertex with s_i v shorter, moves the twisted coefficient down
     to s_i v.  Matches left_divided_difference after expansion.
     """
-    rs = g.rs
-    s = rs.simple_reflection(i)
-    sub = rs.coadjoint_substitution(s)
+    sub, _, down = _simple_step(g, i)
     out: dict = {}
-    for v, cv in expansion.items():
-        if isinstance(cv, (int, Fraction)):
-            cv = Polynomial.constant(g.n, cv)
-        _accumulate(out, v, rs.divided_difference(cv, i))
-        siv = rs.mul(s, v)
-        if rs.length(siv) < rs.length(v):
-            _accumulate(out, siv, cv.substitute(sub))
+    for v, cv in _as_polynomials(expansion, g.n).items():
+        _accumulate(out, v, g.rs.divided_difference(cv, i))
+        if down[v] is not None:
+            _accumulate(out, down[v], cv.substitute(sub))
     return out
 
 
@@ -369,7 +364,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     average), so they stay in int arithmetic: invariance under every s_i is
     linear, and unitriangularity reads coefficient |W| at v and support
     inside the Bruhat interval [e, v].  The graph's simple-reflection table
-    is built once per call and shared by every step.
+    and the intervals of all its vertices are built once per call.
     """
     rs = g.rs
     if rs is None:
@@ -383,6 +378,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     table = _simple_table(g)
     one = Polynomial.one(g.n)
     order = Polynomial.constant(g.n, len(rs.elements()))
+    below = rs.lower_intervals([rs.index[v] for v in g.vertices])
 
     for v in g.vertices:
         deg = rs.length(v)
@@ -393,7 +389,8 @@ def decompose(g: MomentGraph) -> DecompositionReport:
             if not expansions_equal(image, total):
                 invariant = False
                 gen_ok[i] = False
-        unitri = total.get(v) == order and total.keys() <= rs.lower_interval(v)
+        support = {rs.index[u] for u in total}
+        unitri = total.get(v) == order and support <= below[rs.index[v]]
         if not unitri:
             report.unitriangular = False
         # the induced action modulo the variable ideal fixes every class

@@ -9,12 +9,17 @@ pairing, and Weyl elements are stored as permutations of the full root
 list.  Both backends expose one interface, so the moment-graph and
 cohomology layers never branch on type.
 
-Each instance enumerates its Weyl group once, at construction, into one
-table of elements, lengths and simple reflections; Bruhat order is decided
-from that table by the lifting property, with no per-element cache.  The
+Each instance enumerates its Weyl group once, at construction, and numbers
+the elements 0..|W|-1 in (length, name) order: the identity is 0 and the
+longest element |W|-1.  ``index`` maps an element to its id, and flat int
+tables indexed by id hold the length (``lengths``), s_i * w and w * s_i
+(``lmul[i-1]``, ``rmul[i-1]``) and w^{-1} (``inverse``), rank x |W| ints
+per product table.  Descents, reduced words, Bruhat order (by the lifting
+property) and lower intervals are table lookups, with no group product;
+element objects stay at the boundary (parsing, names, graph vertices).  The
 minimal coset representatives of the parabolic chain W_1 < W_12 < ... < W,
-which the group average walks, are derived from the same table on first
-use (:meth:`RootSystem.coset_chain`).
+which the group average walks, come from the same tables on first use
+(:meth:`RootSystem.coset_chain`).
 
 Inversion sets follow the usual convention: Inv(w) is the set of positive
 roots that w^{-1} makes negative, and len(Inv(w)) is the Coxeter length.
@@ -98,34 +103,44 @@ class RootSystem:
     # -- the group table -------------------------------------------------------
 
     def _build_group(self) -> None:
-        """Enumerate W once, breadth-first from the identity.
+        """Enumerate W breadth-first from the identity into the id tables.
 
-        Each step multiplies on the left by a simple reflection, so an
-        element's BFS depth is its length.  Elements are stored sorted by
-        (length, name).
+        Each step multiplies on the left by a simple reflection, so BFS
+        depth is length, and the BFS forms every s_i * w exactly once.
         """
         self._simple = tuple(self.reflection(a) for a in self.simple_roots)
-        e = self.identity()
-        self._length = {e: 0}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in self._simple:
-                    sw = self.mul(s, w)
-                    if sw not in self._length:
-                        self._length[sw] = self._length[w] + 1
-                        nxt.append(sw)
-            frontier = nxt
-        self._elements = tuple(
-            sorted(self._length, key=lambda w: (self._length[w], self.element_str(w)))
+        order = [self.identity()]
+        self.index, self.lengths = {order[0]: 0}, [0]
+        self.lmul = tuple([] for _ in self._simple)
+        for k, w in enumerate(order):  # breadth-first: order grows
+            for s, row in zip(self._simple, self.lmul):
+                sw = self.mul(s, w)
+                j = self.index.get(sw)
+                if j is None:
+                    j = self.index[sw] = len(order)
+                    order.append(sw)
+                    self.lengths.append(self.lengths[k] + 1)
+                row.append(j)
+        # the tables are complete in BFS numbering, so names (reduced words
+        # in the rank-two types) can be read from them before renumbering
+        ids = sorted(
+            range(len(order)),
+            key=lambda k: (self.lengths[k], self.element_str(order[k])),
         )
+        pos = sorted(range(len(ids)), key=ids.__getitem__)  # BFS number -> id
+        self._elements = tuple([order[k] for k in ids])
+        self.index = {w: pos[k] for k, w in enumerate(order)}
+        self.lengths = tuple([self.lengths[k] for k in ids])
+        self.lmul = tuple(tuple([pos[row[k]] for k in ids]) for row in self.lmul)
+        inv = self.inverse = tuple([self.index[self.inv(w)] for w in self._elements])
+        # w * s_i = (s_i * w^{-1})^{-1}
+        self.rmul = tuple(tuple([inv[row[k]] for k in inv]) for row in self.lmul)
 
     def elements(self) -> tuple:
         return self._elements
 
     def length(self, w) -> int:
-        return self._length[w]
+        return self.lengths[self.index[w]]
 
     def simple_reflection(self, i: int):
         if not 1 <= i <= self.rank:
@@ -156,21 +171,15 @@ class RootSystem:
         return self._chain
 
     def _coset_level(self, k: int) -> tuple[tuple[int, int], ...]:
-        length, simple = self._length, self._simple
-        nodes = [self.identity()]
-        seen = set(nodes)
-        steps = []
+        length = self.lengths
+        nodes, steps = [0], []
         for parent, c in enumerate(nodes):  # breadth-first: nodes grows
             for i in range(1, k + 1):
-                sc = self.mul(simple[i - 1], c)
-                if sc in seen or length[sc] < length[c]:
+                sc = self.lmul[i - 1][c]
+                if sc in nodes or length[sc] < length[c]:
                     continue
-                if any(
-                    length[self.mul(sc, simple[j - 1])] < length[sc]
-                    for j in range(1, k)
-                ):
+                if any(length[self.rmul[j][sc]] < length[sc] for j in range(k - 1)):
                     continue
-                seen.add(sc)
                 nodes.append(sc)
                 steps.append((parent, i))
         return tuple(steps)
@@ -179,18 +188,15 @@ class RootSystem:
 
     def _pair(self, alpha: RootVector, beta: RootVector) -> Fraction:
         """Cartan pairing <beta, alpha^vee> = 2 B(alpha, beta) / B(alpha, alpha)."""
-        b = self._bilinear
-        dot_ab = sum(
-            alpha[i] * b[i][j] * beta[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-        dot_aa = sum(
-            alpha[i] * b[i][j] * alpha[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
-        return Fraction(2 * dot_ab, dot_aa)
+
+        def form(x: RootVector, y: RootVector) -> int:
+            return sum(
+                xi * bij * yj
+                for xi, row in zip(x, self._bilinear)
+                for bij, yj in zip(row, y)
+            )
+
+        return Fraction(2 * form(alpha, beta), form(alpha, alpha))
 
     def is_root(self, vec: RootVector) -> bool:
         vec = tuple(vec)
@@ -212,14 +218,8 @@ class RootSystem:
 
     def cartan_matrix(self) -> list[list[int]]:
         """Entries a_ij = <alpha_j, alpha_i^vee>."""
-        out = []
-        for ai in self.simple_roots:
-            row = []
-            for aj in self.simple_roots:
-                c = self._pair(ai, aj)
-                row.append(int(c))
-            out.append(row)
-        return out
+        simple = self.simple_roots
+        return [[int(self._pair(ai, aj)) for aj in simple] for ai in simple]
 
     def root_form(self, vec: RootVector) -> Polynomial:
         """The root as a linear form in the coordinate ring."""
@@ -232,31 +232,49 @@ class RootSystem:
             raise ValueError(f"simple index {i} outside 1..{self.rank}")
         return self.root_form(self.simple_roots[i - 1])
 
-    def left_descent(self, w) -> int | None:
-        lw = self.length(w)
-        for i in range(1, self.rank + 1):
-            if self.length(self.mul(self.simple_reflection(i), w)) < lw:
+    def _descent(self, k: int) -> int | None:
+        """The first left descent of element k, or None for the identity."""
+        lk = self.lengths[k]
+        for i, row in enumerate(self.lmul, start=1):
+            if self.lengths[row[k]] < lk:
                 return i
         return None
+
+    def left_descent(self, w) -> int | None:
+        return self._descent(self.index[w])
 
     def reduced_word(self, w) -> list[int]:
         """Reduced word by the leftmost-descent rule: w = s_{i_1} ... s_{i_k}."""
         word: list[int] = []
-        cur = w
-        while True:
-            i = self.left_descent(cur)
-            if i is None:
-                return word
+        k = self.index[w]
+        while (i := self._descent(k)) is not None:
             word.append(i)
-            cur = self.mul(self.simple_reflection(i), cur)
+            k = self.lmul[i - 1][k]
+        return word
 
     def lower_interval(self, w) -> frozenset:
         """All v <= w in Bruhat order, via products of subwords."""
-        out = {self.identity()}
-        for i in self.reduced_word(w):
-            s = self.simple_reflection(i)
-            out |= {self.mul(u, s) for u in out}
-        return frozenset(out)
+        k = self.index[w]
+        return frozenset(self._elements[u] for u in self.lower_intervals([k])[k])
+
+    def lower_intervals(self, ids) -> dict[int, set[int]]:
+        """[e, w] as a set of ids for every id w in ids, in one pass.
+
+        With s_i the first left descent of w, the subwords of a reduced word
+        give [e, w] = [e, s_i w] | s_i [e, s_i w]: each interval is built
+        from the one below it, at one union each, and shared.
+        """
+        got: dict[int, set[int]] = {0: {0}}
+        for top in ids:
+            chain = []  # top, s_i top, ... down to an interval already known
+            while top not in got:
+                row = self.lmul[self._descent(top) - 1]
+                chain.append((top, row))
+                top = row[top]
+            for k, row in reversed(chain):
+                below = got[row[k]]
+                got[k] = below | {row[u] for u in below}
+        return got
 
     def bruhat_leq(self, v, w) -> bool:
         """v <= w in Bruhat order, by the lifting property.
@@ -265,15 +283,13 @@ class RootSystem:
         left descent of v, and iff v <= sw otherwise.  Each step shortens
         w by one, so the loop ends at w = e after l(w) steps.
         """
-        while True:
-            i = self.left_descent(w)
-            if i is None:
-                return v == w
-            s = self.simple_reflection(i)
-            sv = self.mul(s, v)
-            if self.length(sv) < self.length(v):
-                v = sv
-            w = self.mul(s, w)
+        a, b = self.index[v], self.index[w]
+        while (i := self._descent(b)) is not None:
+            row = self.lmul[i - 1]
+            if self.lengths[row[a]] < self.lengths[a]:
+                a = row[a]
+            b = row[b]
+        return a == b
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
         """Coadjoint divided difference (p - s_i . p) / alpha_i."""
@@ -418,8 +434,7 @@ class RankTwoRootSystem(RootSystem):
             new = set()
             for beta in frontier:
                 for alpha in self.simple_roots:
-                    c = self._pair(alpha, beta)
-                    img = tuple(b - int(c) * a for a, b in zip(alpha, beta))
+                    img = self._image(alpha, beta)
                     if img not in roots:
                         new.add(img)
             roots |= new
@@ -427,14 +442,9 @@ class RankTwoRootSystem(RootSystem):
         pos = [r for r in roots if all(x >= 0 for x in r)]
         return tuple(sorted(pos, key=lambda r: (sum(r), r)))
 
-    def _reflection_table(self, alpha: RootVector) -> tuple[int, ...]:
-        imgs = []
-        for beta in self._roots:
-            c = self._pair(alpha, beta)
-            imgs.append(
-                self._root_index[tuple(b - int(c) * a for a, b in zip(alpha, beta))]
-            )
-        return tuple(imgs)
+    def _image(self, alpha: RootVector, beta: RootVector) -> RootVector:
+        c = int(self._pair(alpha, beta))
+        return tuple(b - c * a for a, b in zip(alpha, beta))
 
     def identity(self):
         return tuple(range(len(self._roots)))
@@ -449,18 +459,15 @@ class RankTwoRootSystem(RootSystem):
         return tuple(out)
 
     def inversions(self, w) -> tuple[RootVector, ...]:
-        inv = []
-        for k in range(self._npos, len(self._roots)):
-            img = w[k]
-            if img < self._npos:
-                inv.append(self._roots[img])
+        # the positive roots that w^{-1} makes negative
+        inv = [self._roots[img] for img in w[self._npos :] if img < self._npos]
         return tuple(sorted(inv, key=lambda r: (sum(r), r)))
 
     def reflection(self, alpha: RootVector):
         alpha = tuple(alpha)
         if alpha not in self._root_index:
             raise ValueError(f"not a root of {self.label}: {alpha}")
-        return self._reflection_table(alpha)
+        return tuple(self._root_index[self._image(alpha, b)] for b in self._roots)
 
     def act_on_root(self, w, alpha: RootVector) -> RootVector:
         k = self._root_index.get(tuple(alpha))
@@ -486,13 +493,12 @@ class RankTwoRootSystem(RootSystem):
             return self.identity()
         if not s.isdigit():
             raise ValueError(f"cannot parse {self.label} element {text!r}")
-        w = self.identity()
+        k = 0
         for ch in s:
-            i = int(ch)
-            if not 1 <= i <= self.rank:
+            if not 1 <= int(ch) <= self.rank:
                 raise ValueError(f"simple index {ch} outside 1..{self.rank}")
-            w = self.mul(w, self.simple_reflection(i))
-        return w
+            k = self.rmul[int(ch) - 1][k]
+        return self._elements[k]
 
 
 def root_system(label: str) -> RootSystem:

@@ -81,8 +81,11 @@ class TestValueContract:
         assert p.__eq__((2, 3, 1)) is NotImplemented
 
     def test_hash_is_the_field_tuple_hash(self):
+        # kept in a slot at construction, through the constructor or a product
+        s1 = Permutation.simple(3, 1)
         for p in all_permutations(3):
-            assert hash(p) == hash((p.one_line,))
+            for q in (p, p * s1, s1 * p, p.inverse()):
+                assert hash(q) == hash((q.one_line,))
 
     def test_repr(self):
         assert repr(Permutation((2, 3, 1))) == "Permutation(one_line=(2, 3, 1))"
@@ -95,7 +98,9 @@ class TestValueContract:
             del p.one_line
         with pytest.raises(AttributeError):
             p.other = 1
-        assert p.one_line == (2, 1)
+        with pytest.raises(AttributeError):
+            p._hash = 0
+        assert p.one_line == (2, 1) and hash(p) == hash(((2, 1),))
 
     def test_constructor(self):
         with pytest.raises(ValueError):
