@@ -184,10 +184,6 @@ class MomentGraph:
                 got.add(u)
         return got
 
-    def reaches(self, a, b) -> bool:
-        """True when there is a directed path from a down to b (or a == b)."""
-        return a in self.above(b)
-
     def __repr__(self) -> str:
         return (
             f"<MomentGraph {self.variety} |V|={len(self.vertices)} "

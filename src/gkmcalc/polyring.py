@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping
 
@@ -45,7 +44,6 @@ __all__ = [
     "is_homogeneous",
     "is_linear_form",
     "swap_substitution",
-    "homogeneous_exponents",
     "to_string",
     "parse_polynomial",
     "polynomial_to_json",
@@ -491,19 +489,6 @@ def poly_divided_difference(p: Polynomial, i: int) -> Polynomial:
         return Polynomial.zero(p.n)
     den = Polynomial.variable(p.n, i) - Polynomial.variable(p.n, i + 1)
     return exact_divide(num, den)
-
-
-def homogeneous_exponents(n: int, d: int) -> list[Exponent]:
-    """All exponent vectors of total degree d in n variables, grlex-descending."""
-    if n == 0:
-        return [()] if d == 0 else []
-    exps = set()
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for pos in combo:
-            e[pos] += 1
-        exps.add(tuple(e))
-    return sorted(exps, key=_grlex, reverse=True)
 
 
 # -- text and JSON forms -----------------------------------------------------

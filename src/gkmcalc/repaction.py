@@ -24,11 +24,12 @@ single left multiplications, so the whole sum costs n(n-1)/2
 simple-reflection steps in A:n (m in a dihedral group of order 2m), not
 one step per letter of every one of the |W| elements.
 
-Every simple-reflection step reads a table built once per call (of
-:func:`act_word`, :func:`symmetrize` or :func:`decompose`): for each i, the
-coadjoint substitution of s_i, -alpha_i, and s_i v for each vertex v where
-that is shorter.  :func:`decompose` runs its checks on the integral orbit
-sum (|W| times the averaged class), so they need no rational arithmetic.
+Every simple-reflection step reads the root system's per-type tables:
+s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
+substitution of s_i with -alpha_i from ``simple_twists``.  An expansion is
+checked once, where it enters (its vertices must lie in the graph), not at
+every step.  :func:`decompose` runs its checks on the integral orbit sum
+(|W| times the averaged class), so they need no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def act_on_schubert_basis(i: int, v, g: MomentGraph) -> dict:
     """
     if g.rs is None:
         raise ValueError("need a root-system graph")
-    return _act_simple_on_expansion(i, {v: Polynomial.one(g.n)}, g)
+    g.rs._simple_index(i)  # ValueError outside 1..rank
+    return _act_simple_on_expansion(i, _as_polynomials({v: 1}, g), g)
 
 
 def _accumulate(out: dict, v, p: Polynomial) -> None:
@@ -99,62 +101,40 @@ def _accumulate(out: dict, v, p: Polynomial) -> None:
         out.pop(v, None)
 
 
-def _as_polynomials(expansion: Mapping, n: int) -> dict:
-    return {
-        v: (Polynomial.constant(n, p) if isinstance(p, (int, Fraction)) else p)
-        for v, p in expansion.items()
-        if p
-    }
+def _as_polynomials(expansion: Mapping, g: MomentGraph) -> dict:
+    """The nonzero terms of an expansion over g, scalars made polynomials.
 
-
-def _simple_step(g: MomentGraph, i: int) -> tuple:
-    """One row of the simple-reflection table of g: (sub, minus_alpha, down).
-
-    sub is the coadjoint substitution of s_i and minus_alpha is -alpha_i;
-    down maps every vertex v of g to s_i v when that is shorter, else None.
+    Every entry point of the action passes its expansion through here, so
+    the simple-reflection steps after it need no checks of their own.
     """
-    rs = g.rs
-    s = rs.simple_reflection(i)
-    length, row, elements = rs.lengths, rs.lmul[i - 1], rs.elements()
-    down = {}
-    for v in g.vertices:
-        k = rs.index[v]
-        down[v] = elements[row[k]] if length[row[k]] < length[k] else None
-    return rs.coadjoint_substitution(s), -rs.simple_root_form(i), down
+    out = {}
+    for v, p in expansion.items():
+        if v not in g._vstr:
+            raise ValueError(f"vertex {v!r} not in graph")
+        if p:
+            out[v] = Polynomial.constant(g.n, p) if isinstance(p, (int, Fraction)) else p
+    return out
 
 
-def _simple_table(g: MomentGraph) -> dict:
-    """The simple-reflection table of g: i -> _simple_step(g, i).
-
-    Callers that apply simple reflections many times build it once per call
-    and pass it to _act_simple_on_expansion.
-    """
-    return {i: _simple_step(g, i) for i in range(1, g.rs.rank + 1)}
-
-
-def _act_simple_on_expansion(
-    i: int, expansion: Mapping, g: MomentGraph, table: dict | None = None
-) -> dict:
+def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
     """s_i applied to a basis expansion: each coefficient is twisted by s_i,
     and the class of v also sends -alpha_i times it to s_i v when s_i v is
     shorter.
 
-    table is the graph's simple-reflection table (_simple_table); without
-    it only the row of s_i is built.
+    The expansion comes from _as_polynomials and i lies in 1..rank.  The
+    twist and -alpha_i are the root system's simple_twists entry, and s_i v
+    and its length are lookups in its lmul and lengths tables.
     """
-    sub, minus_alpha, down = _simple_step(g, i) if table is None else table[i]
+    rs = g.rs
+    sub, minus_alpha = rs.simple_twists[i - 1]
+    row, length, index, elements = rs.lmul[i - 1], rs.lengths, rs.index, rs.elements()
     out: dict = {}
     for v, cv in expansion.items():
-        try:
-            sv = down[v]
-        except KeyError:
-            raise ValueError(f"vertex {v!r} not in graph") from None
-        if isinstance(cv, (int, Fraction)):
-            cv = Polynomial.constant(g.n, cv)
         tw = cv.substitute(sub)
         _accumulate(out, v, tw)
-        if sv is not None:
-            _accumulate(out, sv, tw * minus_alpha)
+        k = index[v]
+        if length[row[k]] < length[k]:
+            _accumulate(out, elements[row[k]], tw * minus_alpha)
     return out
 
 
@@ -165,10 +145,9 @@ def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     right-to-left, twisting coefficients as it goes; the result does not
     depend on the chosen word.
     """
-    table = _simple_table(g)
-    out = _as_polynomials(expansion, g.n)
+    out = _as_polynomials(expansion, g)
     for i in reversed(g.rs.reduced_word(u)):
-        out = _act_simple_on_expansion(i, out, g, table)
+        out = _act_simple_on_expansion(i, out, g)
     return out
 
 
@@ -181,17 +160,12 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
     parent in the chain's tree times one simple reflection, so it costs a
     single simple-reflection step.
     """
-    return _orbit_sum(expansion, g, _simple_table(g))
-
-
-def _orbit_sum(expansion: Mapping, g: MomentGraph, table: dict) -> dict:
-    """symmetrize with the graph's simple-reflection table already built."""
-    total = _as_polynomials(expansion, g.n)
+    total = _as_polynomials(expansion, g)
     for level in g.rs.coset_chain():
         images = [total]
         total = dict(total)
         for parent, i in level:
-            img = _act_simple_on_expansion(i, images[parent], g, table)
+            img = _act_simple_on_expansion(i, images[parent], g)
             images.append(img)
             for x, p in img.items():
                 _accumulate(total, x, p)
@@ -250,12 +224,15 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     each base vertex with s_i v shorter, moves the twisted coefficient down
     to s_i v.  Matches left_divided_difference after expansion.
     """
-    sub, _, down = _simple_step(g, i)
+    rs = g.rs
+    sub, _ = rs.simple_twists[rs._simple_index(i)]
+    row, length, index, elements = rs.lmul[i - 1], rs.lengths, rs.index, rs.elements()
     out: dict = {}
-    for v, cv in _as_polynomials(expansion, g.n).items():
-        _accumulate(out, v, g.rs.divided_difference(cv, i))
-        if down[v] is not None:
-            _accumulate(out, down[v], cv.substitute(sub))
+    for v, cv in _as_polynomials(expansion, g).items():
+        _accumulate(out, v, rs.divided_difference(cv, i))
+        k = index[v]
+        if length[row[k]] < length[k]:
+            _accumulate(out, elements[row[k]], cv.substitute(sub))
     return out
 
 
@@ -363,8 +340,9 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     The checks run on the integral orbit sum of each class (|W| times its
     average), so they stay in int arithmetic: invariance under every s_i is
     linear, and unitriangularity reads coefficient |W| at v and support
-    inside the Bruhat interval [e, v].  The graph's simple-reflection table
-    and the intervals of all its vertices are built once per call.
+    inside the Bruhat interval [e, v].  The intervals of all its vertices
+    are built once per call; the simple-reflection steps read the root
+    system's tables.
     """
     rs = g.rs
     if rs is None:
@@ -375,17 +353,16 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     )
     gen_ok = {i: True for i in range(1, rs.rank + 1)}
     mod_t_ok = True
-    table = _simple_table(g)
     one = Polynomial.one(g.n)
     order = Polynomial.constant(g.n, len(rs.elements()))
     below = rs.lower_intervals([rs.index[v] for v in g.vertices])
 
     for v in g.vertices:
         deg = rs.length(v)
-        total = _orbit_sum({v: one}, g, table)
+        total = symmetrize({v: one}, g)
         invariant = True
-        for i in table:
-            image = _act_simple_on_expansion(i, total, g, table)
+        for i in gen_ok:
+            image = _act_simple_on_expansion(i, total, g)
             if not expansions_equal(image, total):
                 invariant = False
                 gen_ok[i] = False
@@ -394,8 +371,8 @@ def decompose(g: MomentGraph) -> DecompositionReport:
         if not unitri:
             report.unitriangular = False
         # the induced action modulo the variable ideal fixes every class
-        for i in table:
-            image = _act_simple_on_expansion(i, {v: one}, g, table)
+        for i in gen_ok:
+            image = _act_simple_on_expansion(i, {v: one}, g)
             consts = {
                 u: p.constant_term() for u, p in image.items() if p.constant_term()
             }

@@ -14,7 +14,10 @@ the elements 0..|W|-1 in (length, name) order: the identity is 0 and the
 longest element |W|-1.  ``index`` maps an element to its id, and flat int
 tables indexed by id hold the length (``lengths``), s_i * w and w * s_i
 (``lmul[i-1]``, ``rmul[i-1]``) and w^{-1} (``inverse``), rank x |W| ints
-per product table.  Descents, reduced words, Bruhat order (by the lifting
+per product table.  ``simple_twists[i-1]`` holds the coadjoint
+substitution of s_i and -alpha_i, the two polynomial pieces of every
+simple-reflection step (the action on a basis expansion and the divided
+differences).  Descents, reduced words, Bruhat order (by the lifting
 property) and lower intervals are table lookups, with no group product;
 element objects stay at the boundary (parsing, names, graph vertices).  The
 minimal coset representatives of the parabolic chain W_1 < W_12 < ... < W,
@@ -135,6 +138,10 @@ class RootSystem:
         inv = self.inverse = tuple([self.index[self.inv(w)] for w in self._elements])
         # w * s_i = (s_i * w^{-1})^{-1}
         self.rmul = tuple(tuple([inv[row[k]] for k in inv]) for row in self.lmul)
+        self.simple_twists = tuple(
+            (self.coadjoint_substitution(s), -self.root_form(a))
+            for s, a in zip(self._simple, self.simple_roots)
+        )
 
     def elements(self) -> tuple:
         return self._elements
@@ -142,10 +149,14 @@ class RootSystem:
     def length(self, w) -> int:
         return self.lengths[self.index[w]]
 
-    def simple_reflection(self, i: int):
+    def _simple_index(self, i: int) -> int:
+        """i - 1 for a simple index i in 1..rank, else ValueError."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple index {i} outside 1..{self.rank}")
-        return self._simple[i - 1]
+        return i - 1
+
+    def simple_reflection(self, i: int):
+        return self._simple[self._simple_index(i)]
 
     def longest_element(self):
         return self._elements[-1]
@@ -228,9 +239,7 @@ class RootSystem:
         )
 
     def simple_root_form(self, i: int) -> Polynomial:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple index {i} outside 1..{self.rank}")
-        return self.root_form(self.simple_roots[i - 1])
+        return self.root_form(self.simple_roots[self._simple_index(i)])
 
     def _descent(self, k: int) -> int | None:
         """The first left descent of element k, or None for the identity."""
@@ -239,9 +248,6 @@ class RootSystem:
             if self.lengths[row[k]] < lk:
                 return i
         return None
-
-    def left_descent(self, w) -> int | None:
-        return self._descent(self.index[w])
 
     def reduced_word(self, w) -> list[int]:
         """Reduced word by the leftmost-descent rule: w = s_{i_1} ... s_{i_k}."""
@@ -293,11 +299,11 @@ class RootSystem:
 
     def divided_difference(self, p: Polynomial, i: int) -> Polynomial:
         """Coadjoint divided difference (p - s_i . p) / alpha_i."""
-        s = self.simple_reflection(i)
-        num = p - p.substitute(self.coadjoint_substitution(s))
+        sub, minus_alpha = self.simple_twists[self._simple_index(i)]
+        num = p.substitute(sub) - p  # over -alpha_i: the same quotient
         if num.is_zero():
             return Polynomial.zero(self.dim)
-        return exact_divide(num, self.simple_root_form(i))
+        return exact_divide(num, minus_alpha)
 
     def descriptor(self) -> dict:
         return {

@@ -4,8 +4,8 @@ The reference below is the decomposition loop as it ran on the averaged
 classes: every check in exact rationals on ``average_class``, each
 simple reflection applied term by term (``rs.mul`` and two lengths per
 term), unitriangularity by one ``bruhat_leq`` per support element.
-``decompose`` runs the same checks on the integral orbit sum with one
-simple-reflection table per graph; reports must match in JSON and table
+``decompose`` runs the same checks on the integral orbit sum, its steps
+reading the root system's tables; reports must match in JSON and table
 text.  The mutation tests corrupt the orbit sum ``decompose`` checks and
 show that the checks catch it.
 """
@@ -117,15 +117,15 @@ def test_a5_decompose_pool(w):
 
 
 def _mutate_orbit_sum(monkeypatch, corrupt):
-    real = repaction._orbit_sum
+    real = repaction.symmetrize
 
-    def mutant(expansion, g, table):
-        total = real(expansion, g, table)
+    def mutant(expansion, g):
+        total = real(expansion, g)
         (v,) = expansion
         corrupt(total, v, g)
         return total
 
-    monkeypatch.setattr(repaction, "_orbit_sum", mutant)
+    monkeypatch.setattr(repaction, "symmetrize", mutant)
 
 
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
@@ -191,6 +191,5 @@ def test_vertex_outside_the_graph_is_refused():
     rs = root_system("A:3")
     g = build_schubert_moment_graph(rs, rs.parse_element("231"))
     outside = {rs.longest_element(): Polynomial.one(g.n)}
-    for table in (None, repaction._simple_table(g)):
-        with pytest.raises(ValueError, match="not in graph"):
-            repaction._act_simple_on_expansion(1, outside, g, table)
+    with pytest.raises(ValueError, match="not in graph"):
+        repaction.act_word(rs.simple_reflection(1), outside, g)

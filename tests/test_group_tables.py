@@ -6,6 +6,8 @@ inverses.  These tests compare the tables with ``mul``, ``inv`` and
 ``length`` on the element objects, check the one-pass lower intervals
 against products of subwords, and guard that the production Billey route
 and the solver do their group and axiom bookkeeping once, not per call.
+The per-type simple twists (coadjoint substitution of s_i and -alpha_i)
+must match the reflections, and the action's steps must only read them.
 """
 
 import json
@@ -21,8 +23,13 @@ from gkmcalc.moment_graph import (
     graph_to_json,
     load_external_graph,
 )
-from gkmcalc.repaction import decompose
-from gkmcalc.root_system import RootSystem, root_system
+from gkmcalc.repaction import act_word, decompose
+from gkmcalc.root_system import (
+    RankTwoRootSystem,
+    RootSystem,
+    TypeARootSystem,
+    root_system,
+)
 
 LABELS = ["A:1", "A:2", "A:3", "A:4", "A:5", "A:6", "B2", "G2"]
 
@@ -42,6 +49,15 @@ def test_tables_match_the_group(label):
         s = rs.simple_reflection(i)
         assert [rs.index[rs.mul(s, w)] for w in els] == list(rs.lmul[i - 1])
         assert [rs.index[rs.mul(w, s)] for w in els] == list(rs.rmul[i - 1])
+
+
+@pytest.mark.parametrize("label", [f"A:{n}" for n in range(1, 9)] + ["B2", "G2"])
+def test_simple_twists_match_the_reflections(label):
+    rs = root_system(label)
+    assert len(rs.simple_twists) == rs.rank
+    for i, (sub, minus_alpha) in enumerate(rs.simple_twists, start=1):
+        assert sub == rs.coadjoint_substitution(rs.simple_reflection(i))
+        assert minus_alpha == -rs.simple_root_form(i)
 
 
 def _subword_interval(rs, w) -> set:
@@ -125,6 +141,24 @@ def test_decompose_intervals_need_no_reduced_words(monkeypatch):
     monkeypatch.setattr(RootSystem, "reduced_word", counting)
     report = decompose(g)
     assert report.ok and len(report.rows) == 24
+    assert calls == []
+
+
+def test_simple_steps_need_no_coadjoint_substitutions(monkeypatch):
+    rs = root_system("A:4")
+    g = build_flag_moment_graph(rs)
+    calls = []
+    for cls in (TypeARootSystem, RankTwoRootSystem):
+        original = cls.__dict__["coadjoint_substitution"]
+
+        def counting(self, w, original=original):
+            calls.append(w)
+            return original(self, w)
+
+        monkeypatch.setattr(cls, "coadjoint_substitution", counting)
+    report = decompose(g)
+    acted = act_word(rs.longest_element(), {v: 1 for v in g.vertices}, g)
+    assert report.ok and len(report.rows) == 24 and acted
     assert calls == []
 
 

@@ -11,7 +11,6 @@ from gkmcalc.polyring import (
     Polynomial,
     divides,
     exact_divide,
-    homogeneous_exponents,
     is_homogeneous,
     is_linear_form,
     parse_polynomial,
@@ -22,6 +21,7 @@ from gkmcalc.polyring import (
     swap_substitution,
     to_string,
 )
+from monomials import homogeneous_exponents
 
 
 def var(i, n=3):

@@ -33,6 +33,7 @@ from gkmcalc.repaction import (
     divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
+    symmetrize,
 )
 from gkmcalc.root_system import root_system, type_a
 
@@ -390,3 +391,47 @@ class TestClosure:
         }
         for v in flag3.vertices:
             assert frozenset({(flag3.vertex_str(v), one)}) in keys
+
+
+class TestEntryChecks:
+    """Each entry point of the action refuses a foreign vertex or a simple
+    index outside 1..rank before any simple-reflection step runs."""
+
+    def test_foreign_vertex_is_refused(self):
+        rs = type_a(3)
+        xg = build_schubert_moment_graph(rs, rs.parse_element("231"))
+        w0 = rs.longest_element()
+        outside = {w0: 1}
+        for call in (
+            lambda: act_word(rs.identity(), outside, xg),
+            lambda: act_word(rs.simple_reflection(1), outside, xg),
+            lambda: symmetrize(outside, xg),
+            lambda: average_class(w0, xg),
+            lambda: act_on_schubert_basis(1, w0, xg),
+            lambda: divided_difference_expansion(1, outside, xg),
+        ):
+            with pytest.raises(ValueError, match="not in graph"):
+                call()
+
+    def test_foreign_vertex_is_refused_without_steps(self):
+        # A:1 has no simple reflection, so no step would notice the vertex
+        g = build_flag_moment_graph(type_a(1))
+        w0 = type_a(3).longest_element()
+        with pytest.raises(ValueError, match="not in graph"):
+            symmetrize({w0: 1}, g)
+        with pytest.raises(ValueError, match="not in graph"):
+            average_class(w0, g)
+
+    @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+    def test_simple_index_outside_the_rank_is_refused(self, label):
+        rs = root_system(label)
+        g = build_flag_moment_graph(rs)
+        v = rs.longest_element()
+        t1 = Polynomial.variable(g.n, 1)
+        for i in (0, -1, rs.rank + 1):
+            with pytest.raises(ValueError, match="simple index"):
+                act_on_schubert_basis(i, v, g)
+            with pytest.raises(ValueError, match="simple index"):
+                divided_difference_expansion(i, {v: t1}, g)
+            with pytest.raises(ValueError, match="simple index"):
+                rs.divided_difference(t1, i)

@@ -25,12 +25,12 @@ from gkmcalc.moment_graph import (
 from gkmcalc.polyring import (
     Polynomial,
     divides,
-    homogeneous_exponents,
     parse_polynomial,
     reduce_modulo,
     to_string,
 )
 from gkmcalc.root_system import root_system
+from monomials import homogeneous_exponents
 
 
 class LinearSystemError(ValueError):
@@ -113,12 +113,13 @@ def dense_solve(g, v):
                     f"{g.vertex_str(e.head)} violates divisibility"
                 )
 
+    above = g.above(v)
     for u in g.topo_min_first():
         if u == v:
             loc[u] = prod
             check_pinned(u)
             continue
-        if not g.reaches(u, v):
+        if u not in above:
             loc[u] = Polynomial.zero(n)
             check_pinned(u)
             continue
