@@ -37,7 +37,12 @@ from .moment_graph import (
     validate_axioms,
 )
 from .polyring import ExactDivisionError, to_string
-from .repaction import act, decompose, left_divided_difference, right_divided_difference
+from .repaction import (
+    act_word,
+    decompose,
+    left_divided_difference,
+    right_divided_difference,
+)
 from .root_system import root_system
 
 __all__ = ["main"]
@@ -103,11 +108,8 @@ def _graph_for(args) -> "MomentGraph":
 
 def _vertex_arg(g, text: str):
     """The vertex of g named by text; CliError when it is not in the variety."""
-    try:
-        v = g.rs.parse_element(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if v not in g._vstr:
+    v = g.rs.parse_element(text)  # main reports its ValueError like a CliError
+    if v not in g:
         raise CliError(f"vertex {text!r} is not in the chosen variety")
     return v
 
@@ -161,18 +163,13 @@ def cmd_class(args) -> int:
 def cmd_act(args) -> int:
     g = _graph_for(args)
     rs = g.rs
-    try:
-        u = rs.parse_element(args.perm)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    u = rs.parse_element(args.perm)
     v = _vertex_arg(g, args.v)
-    basis = KnutsonTaoBasis(g)
-    acted = act(u, basis.cls(v), basis)
-    expansion = expand_in_basis(acted, basis)
+    expansion = act_word(u, {v: 1}, g)
     payload = {
         "perm": rs.element_str(u),
         "v": rs.element_str(v),
-        "class": class_to_json(acted),
+        "class": class_to_json(KnutsonTaoBasis(g).reconstruct(expansion)),
         "expansion": expansion_to_json(expansion, g)["coefficients"],
     }
     _emit(_json_text(payload), args.output)

@@ -73,6 +73,18 @@ __all__ = [
 ]
 
 
+def _accumulate(out: dict, v, p: Polynomial) -> None:
+    """Add p to out[v], dropping the entry when the sum vanishes."""
+    if not p:
+        return
+    cur = out.get(v)
+    cur = p if cur is None else cur + p
+    if cur:
+        out[v] = cur
+    else:
+        out.pop(v, None)
+
+
 class SolveError(RuntimeError):
     """The divisibility constraints admit no class or no unique class."""
 
@@ -97,10 +109,9 @@ class EquivariantClass:
         localizations: Mapping[object, Polynomial],
         base=None,
     ):
-        vset = set(graph.vertices)
         loc: dict = {}
         for v, p in localizations.items():
-            if v not in vset:
+            if v not in graph:
                 raise ValueError(f"localization at unknown vertex {v!r}")
             if p.n != graph.n:
                 raise ValueError(
@@ -108,14 +119,14 @@ class EquivariantClass:
                 )
             if p:
                 loc[v] = p
-        if base is not None and base not in vset:
+        if base is not None and base not in graph:
             raise ValueError(f"base vertex {base!r} not in graph")
         self.graph = graph
         self.base = base
         self._loc = loc
 
     def __getitem__(self, v) -> Polynomial:
-        if v not in self.graph._vstr:
+        if v not in self.graph:
             raise KeyError(f"vertex {v!r} not in graph")
         return self._loc.get(v, Polynomial.zero(self.graph.n))
 
@@ -136,12 +147,7 @@ class EquivariantClass:
         self._check_compat(other)
         out = dict(self._loc)
         for v, p in other._loc.items():
-            q = out.get(v)
-            s = p if q is None else q + p
-            if s:
-                out[v] = s
-            else:
-                out.pop(v, None)
+            _accumulate(out, v, p)
         return EquivariantClass(self.graph, out)
 
     def __sub__(self, other: "EquivariantClass") -> "EquivariantClass":
@@ -152,8 +158,6 @@ class EquivariantClass:
 
     def scale(self, c) -> "EquivariantClass":
         """Multiply every localization by a polynomial or rational scalar."""
-        if isinstance(c, (int, Fraction)):
-            c = Polynomial.constant(self.graph.n, c)
         return EquivariantClass(self.graph, {v: p * c for v, p in self._loc.items()})
 
     def __eq__(self, other) -> bool:
@@ -218,10 +222,7 @@ def kt_report(c: EquivariantClass) -> KtReport:
         return KtReport(False, ["class has no base vertex"])
     g = c.graph
     failures: list[str] = []
-    prod = Polynomial.one(g.n)
-    for e in g.out_edges(c.base):
-        prod = prod * e.label
-    if c[c.base] != prod:
+    if c[c.base] != g.out_label_product(c.base):
         failures.append("localization at the base is not the out-label product")
     d = g.out_degree(c.base)
     above = g.above(c.base)
@@ -254,12 +255,13 @@ def apply_group_element(u, c: EquivariantClass) -> EquivariantClass:
     rs = g.rs
     if rs is None:
         raise ValueError("group action needs a root-system graph")
+    rs.element_id(u)  # ValueError for an element of another group
     uinv = rs.inv(u)
     sub = rs.coadjoint_substitution(u)
     out = {}
     for x in g.vertices:
         y = rs.mul(uinv, x)
-        if y not in g._vstr:
+        if y not in g:
             raise ValueError(
                 f"vertex set not closed under {rs.element_str(u)!r}; "
                 "act through the basis expansion instead"
@@ -280,10 +282,7 @@ def point_class_top(g: MomentGraph) -> EquivariantClass:
     everywhere else; on a Schubert graph this is the inversion product.
     """
     top = g.top_vertex()
-    prod = Polynomial.one(g.n)
-    for e in g.out_edges(top):
-        prod = prod * e.label
-    return EquivariantClass(g, {top: prod}, base=top)
+    return EquivariantClass(g, {top: g.out_label_product(top)}, base=top)
 
 
 def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
@@ -309,7 +308,7 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     rs = g.rs
     if rs is None:
         raise ValueError("Billey's formula needs a flag or Schubert graph")
-    if v not in g._vstr:
+    if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
     # element ids throughout; ids follow (length, name), as g.vertices do
     length, rmul, elements = rs.lengths, rs.rmul, rs.elements()
@@ -356,32 +355,24 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     return EquivariantClass(g, loc, base=v)
 
 
-def _left_divided_difference_pointwise(i: int, c: EquivariantClass) -> EquivariantClass:
-    rs = c.graph.rs
-    s = rs.simple_reflection(i)
-    num = c - apply_group_element(s, c)
-    alpha = rs.simple_root_form(i)
-    out = {}
-    for v, p in num._loc.items():
-        out[v] = exact_divide(p, alpha)
-    return EquivariantClass(c.graph, out)
-
-
 def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
     """Knutson-Tao class on the full flag graph via divided differences.
 
     Writes the longest element as w0 = z * v with a reduced word for z and
-    peels one letter at a time from the point class at the top.
+    peels one letter at a time from the point class at the top, by the
+    action layer's left divided difference: pointwise here, never Billey's.
     """
+    from .repaction import left_divided_difference  # repaction imports gkm
+
     if g.variety != "flag" or g.rs is None:
         raise ValueError("the descent construction needs the full flag graph")
     rs = g.rs
-    if v not in g._vstr:
+    if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
     z = rs.mul(rs.longest_element(), rs.inv(v))
     cls = point_class_top(g)
     for i in rs.reduced_word(z):
-        cls = _left_divided_difference_pointwise(i, cls)
+        cls = left_divided_difference(i, cls)
     return EquivariantClass(g, cls._loc, base=v)
 
 
@@ -433,7 +424,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     is inconsistent (no class exists) or underdetermined (uniqueness
     fails, e.g. the graph is not Palais-Smale).
     """
-    if v not in g._vstr:
+    if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
     axioms = g.axioms()
     if not axioms.acyclic or axioms.independence_violations:
@@ -441,9 +432,6 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
     n = g.n
     d = g.out_degree(v)
-    prod = Polynomial.one(n)
-    for e in g.out_edges(v):
-        prod = prod * e.label
     above = g.above(v)
     loc: dict = {}
 
@@ -458,7 +446,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
     for u in g.topo_min_first():
         if u == v:
-            loc[u] = prod
+            loc[u] = g.out_label_product(v)
             check_pinned(u)
             continue
         if u not in above:
@@ -483,13 +471,13 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
 def restrict(c: EquivariantClass, g_sub: MomentGraph) -> EquivariantClass:
     """Restriction of the localization map to a subgraph's vertices."""
-    missing = [v for v in g_sub.vertices if v not in c.graph._vstr]
+    missing = [v for v in g_sub.vertices if v not in c.graph]
     if missing:
         raise ValueError(
             f"subgraph vertices missing from the class: "
             f"{[g_sub.vertex_str(v) for v in missing]}"
         )
-    base = c.base if c.base in g_sub._vstr else None
+    base = c.base if c.base in g_sub else None
     return EquivariantClass(g_sub, {v: c[v] for v in g_sub.vertices}, base=base)
 
 
@@ -521,13 +509,12 @@ class KnutsonTaoBasis:
 
     def reconstruct(self, expansion: Mapping) -> EquivariantClass:
         """The class sum of c_v times the class of v."""
-        out = EquivariantClass(self.graph, {})
+        out: dict = {}
         for v, cv in expansion.items():
-            if isinstance(cv, (int, Fraction)):
-                cv = Polynomial.constant(self.graph.n, cv)
             if cv:
-                out = out + self.cls(v).scale(cv)
-        return out
+                for x, px in self.cls(v)._loc.items():
+                    _accumulate(out, x, px * cv)
+        return EquivariantClass(self.graph, out)
 
 
 def flag_basis(rs) -> KnutsonTaoBasis:
@@ -564,14 +551,9 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
                     f"{g.vertex_str(u)} is not divisible by its out-labels"
                 ) from exc
         coeffs[u] = q
-        ktc = basis.cls(u)
-        for x, px in ktc._loc.items():
-            cur = work.get(x)
-            s = (cur if cur is not None else Polynomial.zero(g.n)) - q * px
-            if s:
-                work[x] = s
-            else:
-                work.pop(x, None)
+        minus_q = -q
+        for x, px in basis.cls(u)._loc.items():
+            _accumulate(work, x, minus_q * px)
     if work:
         raise SpanError("expansion left a nonzero residue")  # unreachable on DAGs
     return coeffs

@@ -87,9 +87,8 @@ class MomentGraph:
         self._vkey = {v: key(v) for v in self.vertices}
         self._by_str = {s: v for v, s in self._vstr.items()}
 
-        vset = set(self.vertices)
         for e in edges:
-            if e.tail not in vset or e.head not in vset:
+            if e.tail not in self._vstr or e.head not in self._vstr:
                 raise GraphParseError(
                     f"edge endpoint missing from vertex set: "
                     f"{self._vstr.get(e.tail, e.tail)} -> "
@@ -119,6 +118,9 @@ class MomentGraph:
     def variety(self) -> str:
         return self.metadata.get("variety", "external")
 
+    def __contains__(self, v) -> bool:
+        return v in self._vstr
+
     def vertex_str(self, v) -> str:
         return self._vstr[v]
 
@@ -133,6 +135,13 @@ class MomentGraph:
 
     def out_degree(self, v) -> int:
         return len(self._out[v])
+
+    def out_label_product(self, v) -> Polynomial:
+        """The product of the labels on the out-edges of v (1 at a sink)."""
+        prod = Polynomial.one(self.n)
+        for e in self._out[v]:
+            prod = prod * e.label
+        return prod
 
     def sources(self) -> list:
         return [v for v in self.vertices if not self._in[v]]

@@ -8,8 +8,9 @@ reflection s_i fixes the class of v when s_i v is longer and otherwise adds
 -alpha_i times the class of s_i v; coefficients are twisted by the
 coadjoint substitution.
 
-Left divided differences (p - s_i . p) / alpha_i act class-by-class, with a
-matching coefficient-level expansion formula.  The right divided difference
+A left divided difference is (1 - s_i) / alpha_i over the one s_i action of
+its level: the action on a class, or on a basis expansion the
+simple-reflection step below.  The right divided difference
 uses right multiplication of the vertex labels and a vertex-dependent
 denominator.  Group averaging produces the invariant classes whose graded
 span exhibits the equivariant cohomology of any Schubert variety as a sum
@@ -27,9 +28,10 @@ one step per letter of every one of the |W| elements.
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  An expansion is
-checked once, where it enters (its vertices must lie in the graph), not at
-every step.  :func:`decompose` runs its checks on the integral orbit sum
-(|W| times the averaged class), so they need no rational arithmetic.
+checked once, where it enters (the graph must come from a root system and
+hold its vertices), not at every step.  :func:`decompose` runs its checks
+on the integral orbit sum (|W| times the averaged class), so they need no
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Mapping
 from .gkm import (
     EquivariantClass,
     KnutsonTaoBasis,
+    _accumulate,
     apply_group_element,
     expansions_equal,
     expand_in_basis,
@@ -83,22 +86,9 @@ def act_on_schubert_basis(i: int, v, g: MomentGraph) -> dict:
     The class is fixed when s_i v is longer; when s_i v is shorter the
     class of s_i v enters with coefficient -alpha_i.
     """
-    if g.rs is None:
-        raise ValueError("need a root-system graph")
+    expansion = _as_polynomials({v: 1}, g)
     g.rs._simple_index(i)  # ValueError outside 1..rank
-    return _act_simple_on_expansion(i, _as_polynomials({v: 1}, g), g)
-
-
-def _accumulate(out: dict, v, p: Polynomial) -> None:
-    """Add p to out[v], dropping the entry when the sum vanishes."""
-    if not p:
-        return
-    cur = out.get(v)
-    cur = p if cur is None else cur + p
-    if cur:
-        out[v] = cur
-    else:
-        out.pop(v, None)
+    return _act_simple_on_expansion(i, expansion, g)
 
 
 def _as_polynomials(expansion: Mapping, g: MomentGraph) -> dict:
@@ -107,9 +97,11 @@ def _as_polynomials(expansion: Mapping, g: MomentGraph) -> dict:
     Every entry point of the action passes its expansion through here, so
     the simple-reflection steps after it need no checks of their own.
     """
+    if g.rs is None:
+        raise ValueError("need a root-system graph")
     out = {}
     for v, p in expansion.items():
-        if v not in g._vstr:
+        if v not in g:
             raise ValueError(f"vertex {v!r} not in graph")
         if p:
             out[v] = Polynomial.constant(g.n, p) if isinstance(p, (int, Fraction)) else p
@@ -177,63 +169,60 @@ def left_divided_difference(
 ) -> EquivariantClass:
     """(c - s_i . c) / alpha_i, divided exactly vertex by vertex."""
     g = c.graph
+    if g.rs is None:
+        raise ValueError("need a root-system graph")
     num = c - act(g.rs.simple_reflection(i), c, basis)
     alpha = g.rs.simple_root_form(i)
-    out = {}
-    for v, p in num._loc.items():
-        try:
-            out[v] = exact_divide(p, alpha)
-        except ExactDivisionError as exc:  # the theory says this cannot happen
-            raise ExactDivisionError(
-                f"left divided difference failed at {g.vertex_str(v)}: {exc}"
-            ) from exc
+    out = {v: _quotient("left", g, v, p, alpha) for v, p in num._loc.items()}
     return EquivariantClass(g, out)
 
 
 def right_divided_difference(i: int, c: EquivariantClass) -> EquivariantClass:
-    """Vertexwise operator (p(v) - p(v s_i)) / (-(v . alpha_i)).
+    """Vertexwise operator (p(v s_i) - p(v)) / (v . alpha_i).
 
     Needs the full flag graph, whose vertex set is closed under right
-    multiplication by s_i.
+    multiplication by s_i; v s_i is read from the root system's ``rmul``
+    table.
     """
     g = c.graph
     rs = g.rs
     if rs is None or g.variety != "flag":
         raise ValueError("the right divided difference needs the full flag graph")
-    s = rs.simple_reflection(i)
-    alpha = rs.simple_root_form(i)
+    row = rs.rmul[rs._simple_index(i)]
+    alpha = rs.simple_roots[i - 1]
+    elements = rs.elements()
     out = {}
     for v in g.vertices:
-        num = c[v] - c[rs.mul(v, s)]
-        if not num:
-            continue
-        den = -(alpha.substitute(rs.coadjoint_substitution(v)))
-        try:
-            out[v] = exact_divide(num, den)
-        except ExactDivisionError as exc:
-            raise ExactDivisionError(
-                f"right divided difference failed at {g.vertex_str(v)}: {exc}"
-            ) from exc
+        num = c[elements[row[rs.index[v]]]] - c[v]
+        if num:
+            beta = rs.root_form(rs.act_on_root(v, alpha))
+            out[v] = _quotient("right", g, v, num, beta)
     return EquivariantClass(g, out)
 
 
-def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
-    """Coefficient-level left divided difference.
+def _quotient(side: str, g: MomentGraph, v, num: Polynomial, den) -> Polynomial:
+    """num / den at vertex v, which only a non-GKM class leaves inexact."""
+    try:
+        return exact_divide(num, den)
+    except ExactDivisionError as exc:
+        raise ExactDivisionError(
+            f"{side} divided difference failed at {g.vertex_str(v)}: {exc}"
+        ) from exc
 
-    Applies the coadjoint divided difference to every coefficient and, for
-    each base vertex with s_i v shorter, moves the twisted coefficient down
-    to s_i v.  Matches left_divided_difference after expansion.
+
+def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
+    """Coefficient-level left divided difference (E - s_i . E) / alpha_i.
+
+    s_i . E is the simple-reflection step of the action, so the quotient
+    at v is the coadjoint divided difference of c_v plus, when s_i v is
+    longer, the twisted coefficient of s_i v moved down to v.  Matches
+    left_divided_difference after expansion.
     """
-    rs = g.rs
-    sub, _ = rs.simple_twists[rs._simple_index(i)]
-    row, length, index, elements = rs.lmul[i - 1], rs.lengths, rs.index, rs.elements()
-    out: dict = {}
-    for v, cv in _as_polynomials(expansion, g).items():
-        _accumulate(out, v, rs.divided_difference(cv, i))
-        k = index[v]
-        if length[row[k]] < length[k]:
-            _accumulate(out, elements[row[k]], cv.substitute(sub))
-    return out
+    out = _as_polynomials(expansion, g)
+    alpha = g.rs.simple_root_form(i)  # ValueError outside 1..rank
+    for v, p in _act_simple_on_expansion(i, out, g).items():
+        _accumulate(out, v, -p)
+    return {v: exact_divide(p, alpha) for v, p in out.items()}
 
 
 class AveragedClass:
@@ -251,11 +240,8 @@ def average_class(v, g: MomentGraph) -> AveragedClass:
     per coset representative of the parabolic chain (n(n-1)/2 steps in
     A:n), and is divided by |W|.
     """
-    rs = g.rs
-    if rs is None:
-        raise ValueError("need a root-system graph")
     total = symmetrize({v: Polynomial.one(g.n)}, g)
-    scale = Fraction(1, len(rs.elements()))
+    scale = Fraction(1, len(g.rs.elements()))
     return AveragedClass(v, {x: p * scale for x, p in total.items()})
 
 
@@ -407,14 +393,13 @@ def divided_difference_closure(g: MomentGraph) -> list[dict]:
     at the unique top vertex; returns every distinct expansion reached,
     including the zero expansion when it occurs.
     """
-    rs = g.rs
-    start = {g.top_vertex(): Polynomial.one(g.n)}
+    start = _as_polynomials({g.top_vertex(): 1}, g)
     seen = {_expansion_key(start, g): start}
     frontier = [start]
     while frontier:
         new = []
         for exp in frontier:
-            for i in range(1, rs.rank + 1):
+            for i in range(1, g.rs.rank + 1):
                 img = divided_difference_expansion(i, exp, g)
                 key = _expansion_key(img, g)
                 if key not in seen:

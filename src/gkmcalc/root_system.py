@@ -149,6 +149,13 @@ class RootSystem:
     def length(self, w) -> int:
         return self.lengths[self.index[w]]
 
+    def element_id(self, w) -> int:
+        """The id of w; ValueError when w is not an element of this group."""
+        k = self.index.get(w)
+        if k is None:
+            raise ValueError(f"{w} is not an element of the Weyl group of {self.label}")
+        return k
+
     def _simple_index(self, i: int) -> int:
         """i - 1 for a simple index i in 1..rank, else ValueError."""
         if not 1 <= i <= self.rank:
@@ -252,7 +259,7 @@ class RootSystem:
     def reduced_word(self, w) -> list[int]:
         """Reduced word by the leftmost-descent rule: w = s_{i_1} ... s_{i_k}."""
         word: list[int] = []
-        k = self.index[w]
+        k = self.element_id(w)
         while (i := self._descent(k)) is not None:
             word.append(i)
             k = self.lmul[i - 1][k]

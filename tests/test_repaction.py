@@ -1,10 +1,12 @@
 """Weyl group action, divided differences, averaging, and decomposition."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gkmcalc import gkm
 from gkmcalc.coxeter import all_permutations
 from gkmcalc.gkm import (
     EquivariantClass,
@@ -14,6 +16,7 @@ from gkmcalc.gkm import (
     expand_in_basis,
     expansions_equal,
     flag_basis,
+    knutson_tao_class_descent,
     point_class_top,
     restrict,
 )
@@ -434,4 +437,54 @@ class TestEntryChecks:
             with pytest.raises(ValueError, match="simple index"):
                 divided_difference_expansion(i, {v: t1}, g)
             with pytest.raises(ValueError, match="simple index"):
+                right_divided_difference(i, EquivariantClass(g, {v: t1}))
+            with pytest.raises(ValueError, match="simple index"):
                 rs.divided_difference(t1, i)
+
+    def test_external_graph_is_refused(self):
+        g = toric_hexagon_graph()
+        e = g.vertex_by_str("e")
+        for call in (
+            lambda: act_word(e, {e: 1}, g),
+            lambda: symmetrize({e: 1}, g),
+            lambda: divided_difference_expansion(1, {e: 1}, g),
+            lambda: divided_difference_closure(g),
+            lambda: left_divided_difference(1, EquivariantClass(g, {})),
+        ):
+            with pytest.raises(ValueError, match="root-system graph"):
+                call()
+
+    def test_element_of_another_group_is_refused(self):
+        a3 = build_flag_moment_graph(type_a(3))
+        g2 = build_flag_moment_graph(root_system("G2"))
+        for u, g in (
+            (type_a(4).longest_element(), a3),
+            (root_system("B2").longest_element(), g2),
+        ):
+            e = g.rs.identity()
+            for call in (
+                lambda: act_word(u, {e: 1}, g),
+                lambda: apply_group_element(u, point_class_top(g)),
+            ):
+                with pytest.raises(ValueError, match=re.escape(f"{u} is not an element")):
+                    call()
+
+
+@pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+def test_descent_route_never_calls_billey(label, monkeypatch):
+    # the descent route is an independent check on Billey's classes
+    calls = []
+    billey, cls = gkm.knutson_tao_class_billey, KnutsonTaoBasis.cls
+    monkeypatch.setattr(
+        gkm, "knutson_tao_class_billey", lambda *a: calls.append("billey") or billey(*a)
+    )
+    monkeypatch.setattr(
+        KnutsonTaoBasis, "cls", lambda self, v: calls.append("cls") or cls(self, v)
+    )
+    rs = root_system(label)
+    g = build_flag_moment_graph(rs)
+    for v in rs.elements():
+        knutson_tao_class_descent(g, v)
+    assert calls == []
+    KnutsonTaoBasis(g).cls(rs.identity())  # the counters do see those calls
+    assert calls == ["cls", "billey"]
