@@ -19,7 +19,8 @@ with Billey's classes:
   word, and
 * the solve route, which walks the vertices upward and determines each
   localization from the divisibility constraints by a remainder-theorem
-  recursion over the out-edge labels.
+  recursion over the out-edge labels; it reduces modulo a label by
+  substituting the label's hyperplane, compiled once per distinct label.
 
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
@@ -41,10 +42,10 @@ from .moment_graph import (
 from .polyring import (
     ExactDivisionError,
     Polynomial,
-    divides,
+    Substitution,
     exact_divide,
+    hyperplane,
     polynomial_from_json,
-    reduce_modulo,
     to_string,
 )
 
@@ -191,12 +192,31 @@ class GkmReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
+def _label_hyperplanes(g: MomentGraph) -> dict[Polynomial, Substitution]:
+    """The compiled hyperplane of each distinct edge label of g.
+
+    Substituting it reduces modulo the label, so a polynomial is divisible
+    by the label exactly when the substitution sends it to zero.
+    """
+    planes: dict = {}
+    for e in g.edges:
+        if e.label not in planes:
+            planes[e.label] = hyperplane(e.label)
+    return planes
+
+
+def _divisible(p: Polynomial, plane: Substitution) -> bool:
+    """p lies in the ideal of the label whose hyperplane is plane."""
+    return not p or not p.substitute(plane)
+
+
 def check_gkm(c: EquivariantClass) -> GkmReport:
     """Divisibility of localization differences across every edge."""
     bad = []
     g = c.graph
+    planes = _label_hyperplanes(g)
     for e in g.edges:
-        if not divides(e.label, c[e.tail] - c[e.head]):
+        if not _divisible(c[e.tail] - c[e.head], planes[e.label]):
             bad.append(
                 (
                     g.vertex_str(e.tail),
@@ -257,7 +277,7 @@ def apply_group_element(u, c: EquivariantClass) -> EquivariantClass:
         raise ValueError("group action needs a root-system graph")
     rs.element_id(u)  # ValueError for an element of another group
     uinv = rs.inv(u)
-    sub = rs.coadjoint_substitution(u)
+    sub = Substitution(g.n, rs.coadjoint_substitution(u))
     out = {}
     for x in g.vertices:
         y = rs.mul(uinv, x)
@@ -377,7 +397,7 @@ def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
 
 
 def _solve_vertex(
-    name: str, n: int, d: int, labels: list, residues: list
+    name: str, n: int, d: int, labels: list, residues: list, planes: dict
 ) -> Polynomial:
     """The degree-d p with p = residues[j] modulo labels[j] for every j.
 
@@ -385,8 +405,9 @@ def _solve_vertex(
     p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
     q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
     already reduced modulo labels[j], and so is every quotient, so only
-    t_1 and a_1 need reducing.  A q exists exactly when the quotient is
-    exact; q is unique once the degree drops below zero.
+    t_1 and a_1 need reducing, by the compiled hyperplane planes[a_j].  A q
+    exists exactly when the quotient is exact; q is unique once the degree
+    drops below zero.
     """
     levels: list = []
     while d >= 0:
@@ -395,9 +416,10 @@ def _solve_vertex(
         a1, t1 = labels[0], residues[0]
         nxt = []
         for aj, tj in zip(labels[1:], residues[1:]):
+            plane = planes[aj]
             try:
                 nxt.append(
-                    exact_divide(tj - reduce_modulo(t1, aj), reduce_modulo(a1, aj))
+                    exact_divide(tj - t1.substitute(plane), a1.substitute(plane))
                 )
             except ExactDivisionError as exc:
                 raise SolveError(
@@ -420,9 +442,11 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     unique homogeneous solution of the divisibility constraints along its
     out-edges, found by the remainder-theorem recursion of _solve_vertex;
     the base is pinned to its out-label product and vertices with no path
-    down to v are pinned to zero.  Raises SolveError when a vertex system
-    is inconsistent (no class exists) or underdetermined (uniqueness
-    fails, e.g. the graph is not Palais-Smale).
+    down to v are pinned to zero.  Every reduction modulo an edge label
+    substitutes that label's hyperplane, compiled once per call for each
+    distinct label.  Raises SolveError when a vertex system is
+    inconsistent (no class exists) or underdetermined (uniqueness fails,
+    e.g. the graph is not Palais-Smale).
     """
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
@@ -433,12 +457,12 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     n = g.n
     d = g.out_degree(v)
     above = g.above(v)
+    planes = _label_hyperplanes(g)
     loc: dict = {}
 
     def check_pinned(u) -> None:
         for e in g.out_edges(u):
-            diff = loc[u] - loc[e.head]
-            if not divides(e.label, diff):
+            if not _divisible(loc[u] - loc[e.head], planes[e.label]):
                 raise SolveError(
                     f"no class: edge {g.vertex_str(u)} -> "
                     f"{g.vertex_str(e.head)} violates divisibility"
@@ -464,7 +488,8 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
             n,
             d,
             [e.label for e in out],
-            [reduce_modulo(loc[e.head], e.label) for e in out],
+            [loc[e.head].substitute(planes[e.label]) for e in out],
+            planes,
         )
     return EquivariantClass(g, loc, base=v)
 

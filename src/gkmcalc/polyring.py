@@ -23,6 +23,18 @@ Everything here is pure and immutable, so values can be shared freely.
 True
 >>> poly_divided_difference(t1 * t2, 1).is_zero()
 True
+
+``Polynomial.substitute`` takes a plain assignment and analyses it on
+every call.  A caller that applies one assignment many times compiles it
+once as a :class:`Substitution`; ``hyperplane(f)`` is the compiled
+elimination of f's pivot variable on f = 0, which reduces modulo f:
+
+>>> swap = Substitution(2, swap_substitution(2, 1, 2))
+>>> [str(p.substitute(swap)) for p in (t1, t1 * t1 - 3 * t2)]
+['t2', 't2^2 - 3*t1']
+>>> on_line = hyperplane(t1 - 2 * t2)  # t1 = 2*t2 on the line
+>>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
+['2*t2', '0']
 """
 
 from __future__ import annotations
@@ -31,14 +43,17 @@ import heapq
 import re
 from fractions import Fraction
 from operator import add, itemgetter, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
     "Exponent",
     "ExactDivisionError",
     "Polynomial",
+    "Substitution",
     "divides",
     "exact_divide",
+    "hyperplane",
     "reduce_modulo",
     "poly_divided_difference",
     "is_homogeneous",
@@ -301,18 +316,40 @@ class Polynomial:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, assignment: Mapping[int, "Polynomial"]) -> "Polynomial":
+    def substitute(
+        self, assignment: "Mapping[int, Polynomial] | Substitution"
+    ) -> "Polynomial":
         """Simultaneously replace variables by polynomials.
 
         Keys are 1-based variable indices; variables absent from the
-        assignment stay fixed.  When every image is a single variable with
-        coefficient 1 (a Weyl group element of type A, or a swap), the
-        exponent vectors are relabelled and no product is formed; terms
-        that land on the same exponent are summed.  Otherwise each term is
-        expanded into one result dict, with the powers of each image
-        computed once per call.
+        assignment stay fixed.  A plain mapping is compiled on the spot;
+        pass a :class:`Substitution` to analyse an assignment applied
+        many times only once.
         """
-        n = self.n
+        if assignment.__class__ is not Substitution:
+            assignment = Substitution(self.n, assignment)
+        return Polynomial._make(self.n, assignment._apply(self))
+
+
+class Substitution:
+    """A variable assignment analysed once and applied to many polynomials.
+
+    The analysis picks one of four ways to apply it.  When every image is a
+    single variable with coefficient 1 (a Weyl group element of type A, a
+    swap, the hyperplane of a type-A root), the exponent vectors are
+    relabelled and no product is formed: by one ``itemgetter`` for a
+    permutation of the variables, by moving the exponents that change
+    when images collide (terms that land on the same exponent are summed),
+    or not at all for the identity.  Otherwise each term is expanded into
+    one result dict.  The powers of the images that expansion needs are
+    kept for later calls, at most one per image and exponent.
+
+    ``assignment`` is the read-only map the object was compiled from.
+    """
+
+    __slots__ = ("n", "assignment", "_pick", "_moves", "_images", "_powers")
+
+    def __init__(self, n: int, assignment: Mapping[int, Polynomial]):
         target = list(range(n))  # where each variable's exponent moves
         images: dict[int, dict] = {}
         relabel = True
@@ -327,37 +364,56 @@ class Polynomial:
                 relabel = False
             else:
                 target[i - 1] = j
-        if relabel:
-            return Polynomial._make(n, _relabel(self._terms, target))
-        return Polynomial._make(n, _expand(self._terms, images))
+        self.n = n
+        self.assignment = MappingProxyType(dict(assignment))
+        self._pick = self._moves = self._images = None
+        self._powers: dict[tuple[int, int], dict] = {}
+        if not relabel:
+            self._images = images
+        elif sorted(target) != list(range(n)):
+            self._moves = [(p, t) for p, t in enumerate(target) if p != t]
+        elif target != list(range(n)):
+            # a permutation of the variables: exponents never collide
+            source = [0] * n
+            for pos, t in enumerate(target):
+                source[t] = pos
+            self._pick = itemgetter(*source)
+
+    def _apply(self, p: Polynomial) -> dict:
+        """The term map of p with the assignment substituted, canonical."""
+        if p.n != self.n:
+            raise ValueError(f"ring dimension mismatch: {p.n} vs {self.n}")
+        if self._pick is not None:
+            pick = self._pick
+            return {pick(e): c for e, c in p._terms.items()}
+        if self._moves is not None:
+            return _relabel(p._terms, self._moves)
+        if self._images is not None:
+            return _expand(p._terms, self._images, self._powers)
+        return p._terms
 
 
-def _relabel(terms: dict, target: list[int]) -> dict:
-    """Move the exponent at each position p to position target[p]."""
-    n = len(target)
-    if sorted(target) == list(range(n)):
-        # a permutation of the variables: exponents never collide
-        if target == list(range(n)):
-            return terms
-        source = [0] * n
-        for pos, t in enumerate(target):
-            source[t] = pos
-        pick = itemgetter(*source)
-        return {pick(e): c for e, c in terms.items()}
+def _relabel(terms: dict, moves: list[tuple[int, int]]) -> dict:
+    """Move the exponent at each position p to t, for every (p, t) in moves."""
     out: dict = {}
     for exp, c in terms.items():
-        moved = [0] * n
-        for pos, e in enumerate(exp):
+        moved = list(exp)
+        for pos, t in moves:
+            e = exp[pos]
             if e:
-                moved[target[pos]] += e
+                moved[pos] -= e
+                moved[t] += e
         moved = tuple(moved)
         out[moved] = out.get(moved, 0) + c
     return _canon(out)
 
 
-def _expand(terms: dict, images: dict[int, dict]) -> dict:
-    """Substitute images[pos] for the variable at each position pos."""
-    powers: dict[tuple[int, int], dict] = {}
+def _expand(terms: dict, images: dict[int, dict], powers: dict) -> dict:
+    """Substitute images[pos] for the variable at each position pos.
+
+    powers maps (pos, e) to the e-th power of images[pos]; missing powers
+    are computed and added to it.
+    """
 
     def power(pos: int, e: int) -> dict:
         key = (pos, e)
@@ -409,16 +465,24 @@ def _pivot(f: Polynomial) -> tuple[int, Coefficient]:
     return best
 
 
+def hyperplane(f: Polynomial) -> Substitution:
+    """The elimination of f's pivot variable on the hyperplane f = 0.
+
+    Substituting it reduces modulo the ideal generated by the linear form
+    f; compile it once for a label that reduces many polynomials.
+    """
+    k, c = _pivot(f)
+    # on f = 0 the pivot variable equals t_k - f/c
+    return Substitution(f.n, {k: Polynomial.variable(f.n, k) - f * Fraction(1, c)})
+
+
 def reduce_modulo(p: Polynomial, f: Polynomial) -> Polynomial:
     """Residue of p modulo the principal ideal generated by a linear form.
 
     The pivot variable of f is eliminated by substituting the solved
     hyperplane f = 0; the result is zero exactly when f divides p.
     """
-    k, c = _pivot(f)
-    # on f = 0 the pivot variable equals t_k - f/c
-    h = Polynomial.variable(p.n, k) - f * Fraction(1, c)
-    return p.substitute({k: h})
+    return p.substitute(hyperplane(f))
 
 
 def divides(f: Polynomial, p: Polynomial) -> bool:

@@ -215,14 +215,22 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
 
     s_i . E is the simple-reflection step of the action, so the quotient
     at v is the coadjoint divided difference of c_v plus, when s_i v is
-    longer, the twisted coefficient of s_i v moved down to v.  Matches
-    left_divided_difference after expansion.
+    longer, the twisted coefficient of s_i v moved down to v.  Both are
+    computed as such, with no product by alpha_i and no division of one.
+    Matches left_divided_difference after expansion.
     """
-    out = _as_polynomials(expansion, g)
-    alpha = g.rs.simple_root_form(i)  # ValueError outside 1..rank
-    for v, p in _act_simple_on_expansion(i, out, g).items():
-        _accumulate(out, v, -p)
-    return {v: exact_divide(p, alpha) for v, p in out.items()}
+    expansion = _as_polynomials(expansion, g)
+    rs = g.rs
+    k = rs._simple_index(i)
+    sub = rs.simple_twists[k][0]
+    row, length, index, elements = rs.lmul[k], rs.lengths, rs.index, rs.elements()
+    out = {v: rs.divided_difference(p, i) for v, p in expansion.items()}
+    for v, p in expansion.items():
+        j = index[v]
+        if length[row[j]] < length[j]:
+            u, tw = elements[row[j]], p.substitute(sub)
+            out[u] = out[u] + tw if u in out else tw
+    return {v: p for v, p in out.items() if p}
 
 
 class AveragedClass:

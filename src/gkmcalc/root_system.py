@@ -15,12 +15,13 @@ longest element |W|-1.  ``index`` maps an element to its id, and flat int
 tables indexed by id hold the length (``lengths``), s_i * w and w * s_i
 (``lmul[i-1]``, ``rmul[i-1]``) and w^{-1} (``inverse``), rank x |W| ints
 per product table.  ``simple_twists[i-1]`` holds the coadjoint
-substitution of s_i and -alpha_i, the two polynomial pieces of every
-simple-reflection step (the action on a basis expansion and the divided
-differences).  Descents, reduced words, Bruhat order (by the lifting
-property) and lower intervals are table lookups, with no group product;
-element objects stay at the boundary (parsing, names, graph vertices).  The
-minimal coset representatives of the parabolic chain W_1 < W_12 < ... < W,
+substitution of s_i, compiled once as a polyring ``Substitution``, and
+-alpha_i: the two polynomial pieces of every simple-reflection step (the
+action on a basis expansion and the divided differences).  Descents,
+reduced words, Bruhat order (by the lifting property) and lower intervals
+are table lookups, with no group product; element objects stay at the
+boundary (parsing, names, graph vertices).  The minimal coset
+representatives of the parabolic chain W_1 < W_12 < ... < W,
 which the group average walks, come from the same tables on first use
 (:meth:`RootSystem.coset_chain`).
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import Permutation, inversion_pairs, parse_permutation
-from .polyring import Polynomial, exact_divide
+from .polyring import Polynomial, Substitution, exact_divide
 
 __all__ = [
     "RootSystem",
@@ -139,7 +140,10 @@ class RootSystem:
         # w * s_i = (s_i * w^{-1})^{-1}
         self.rmul = tuple(tuple([inv[row[k]] for k in inv]) for row in self.lmul)
         self.simple_twists = tuple(
-            (self.coadjoint_substitution(s), -self.root_form(a))
+            (
+                Substitution(self.dim, self.coadjoint_substitution(s)),
+                -self.root_form(a),
+            )
             for s, a in zip(self._simple, self.simple_roots)
         )
 
@@ -153,7 +157,9 @@ class RootSystem:
         """The id of w; ValueError when w is not an element of this group."""
         k = self.index.get(w)
         if k is None:
-            raise ValueError(f"{w} is not an element of the Weyl group of {self.label}")
+            raise ValueError(
+                f"{_foreign_name(w)} is not an element of the Weyl group of {self.label}"
+            )
         return k
 
     def _simple_index(self, i: int) -> int:
@@ -411,6 +417,16 @@ _RANK2_DATA = {
     "B2": ((2, -2), (-2, 4)),
     "G2": ((2, -3), (-3, 6)),
 }
+# a rank-two element permutes all the roots of its type
+_RANK2_BY_ROOT_COUNT = {8: "B2", 12: "G2"}
+
+
+def _foreign_name(w) -> str:
+    """w for an error line, with its type when it is a rank-two element."""
+    label = _RANK2_BY_ROOT_COUNT.get(len(w)) if type(w) is tuple else None
+    if label is not None and w in _canonical_root_system(label).index:
+        return f"the {label} element {w}"
+    return str(w)
 
 
 class RankTwoRootSystem(RootSystem):

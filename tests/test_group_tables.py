@@ -6,11 +6,14 @@ inverses.  These tests compare the tables with ``mul``, ``inv`` and
 ``length`` on the element objects, check the one-pass lower intervals
 against products of subwords, and guard that the production Billey route
 and the solver do their group and axiom bookkeeping once, not per call.
-The per-type simple twists (coadjoint substitution of s_i and -alpha_i)
-must match the reflections, and the action's steps must only read them.
+The per-type simple twists (coadjoint substitution of s_i, compiled once,
+and -alpha_i) must match the reflections, and the action's steps must
+only read them.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,7 @@ from gkmcalc.moment_graph import (
     graph_to_json,
     load_external_graph,
 )
+from gkmcalc.polyring import Polynomial, Substitution
 from gkmcalc.repaction import act_word, decompose
 from gkmcalc.root_system import (
     RankTwoRootSystem,
@@ -55,8 +59,22 @@ def test_tables_match_the_group(label):
 def test_simple_twists_match_the_reflections(label):
     rs = root_system(label)
     assert len(rs.simple_twists) == rs.rank
+    rng = random.Random(label)
+    samples = [
+        Polynomial(
+            rs.dim,
+            {tuple(rng.randint(0, 3) for _ in range(rs.dim)): c for c in (1, -2, c0)},
+        )
+        for c0 in (5, Fraction(1, 3))
+    ]
     for i, (sub, minus_alpha) in enumerate(rs.simple_twists, start=1):
-        assert sub == rs.coadjoint_substitution(rs.simple_reflection(i))
+        want = rs.coadjoint_substitution(rs.simple_reflection(i))
+        assert isinstance(sub, Substitution) and sub.n == rs.dim
+        assert sub.assignment == want
+        with pytest.raises(TypeError):
+            sub.assignment[1] = rs.simple_root_form(1)
+        for p in samples:
+            assert p.substitute(sub) == p.substitute(want)
         assert minus_alpha == -rs.simple_root_form(i)
 
 

@@ -7,7 +7,8 @@ remainder for its grlex-leading term.  The kernel in ``gkmcalc.polyring``
 relabels exponents for variable permutations, accumulates into one dict,
 stores integral coefficients as ``int`` and divides off a heap; on every
 input here it must give the same polynomial, the same hash and the same
-text and JSON bytes.
+text and JSON bytes.  A compiled ``Substitution`` keeps the powers of its
+images between calls, so one object is applied to many polynomials.
 """
 
 import json
@@ -21,7 +22,9 @@ from gkmcalc import polyring
 from gkmcalc.polyring import (
     ExactDivisionError,
     Polynomial,
+    Substitution,
     exact_divide,
+    hyperplane,
     polynomial_to_json,
     reduce_modulo,
     swap_substitution,
@@ -157,7 +160,91 @@ def test_permutations_relabel_without_products(monkeypatch):
     p = random_poly(random.Random(4), 4)
     for w in rs.elements():
         p.substitute(rs.coadjoint_substitution(w))
+        p.substitute(Substitution(4, rs.coadjoint_substitution(w)))
     p.substitute(swap_substitution(4, 1, 3))
+
+
+# -- compiled substitutions: one object, many polynomials ---------------------
+
+
+def _t(n, i):
+    return Polynomial.variable(n, i)
+
+
+_G2 = root_system("G2")
+
+
+COMPILED_PATHS = {
+    # name: (dimension, assignment), one per way of applying it
+    "permutation": (4, {1: _t(4, 3), 2: _t(4, 1), 3: _t(4, 2)}),
+    "collision": (4, {1: _t(4, 2), 3: _t(4, 2)}),
+    "collision chain": (4, {1: _t(4, 2), 2: _t(4, 3)}),
+    "identity": (4, {2: _t(4, 2)}),
+    "empty": (4, {}),
+    "type-A hyperplane": (4, {2: _t(4, 4)}),
+    "general": (3, {1: _t(3, 2) * Fraction(1, 2) - _t(3, 3), 3: 2 * _t(3, 1)}),
+    "G2 twist": (2, _G2.coadjoint_substitution(_G2.simple_reflection(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_PATHS))
+def test_one_compiled_substitution_for_rising_degrees(name):
+    n, assignment = COMPILED_PATHS[name]
+    sub = Substitution(n, assignment)
+    assert sub.n == n and sub.assignment == assignment
+    ref_sub = {i: q.terms() for i, q in assignment.items()}
+    rng = random.Random(name)
+    samples = [random_poly(rng, n, max_deg=d) for d in range(7)]
+    # rising degrees grow the kept powers; applying again must not change
+    # an answer, nor must falling degrees
+    for p in samples + samples[::-1]:
+        want = ref_substitute(p.terms(), n, ref_sub)
+        assert_matches(p.substitute(sub), want, n)
+        assert_matches(p.substitute(assignment), want, n)
+    # at most one kept power per image and exponent up to the highest seen
+    assert len(sub._powers) <= len(assignment) * 6
+
+
+def test_compiled_relabel_paths_form_no_products(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a relabelling must not form products")
+
+    monkeypatch.setattr(polyring, "_expand", no_products)
+    monkeypatch.setattr(polyring, "_mul_terms", no_products)
+    p = random_poly(random.Random(5), 4)
+    for name in ("permutation", "collision", "collision chain", "identity", "empty"):
+        p.substitute(Substitution(*COMPILED_PATHS[name]))
+    p.substitute(hyperplane(_t(4, 2) - _t(4, 4)))
+    assert p.substitute(Substitution(4, {}))._terms is p._terms
+
+
+def test_compiled_assignment_is_read_only():
+    assignment = {1: _t(3, 2)}
+    sub = Substitution(3, assignment)
+    with pytest.raises(TypeError):
+        sub.assignment[2] = _t(3, 1)
+    assignment[2] = _t(3, 1)  # the compiled form keeps its own copy
+    assert dict(sub.assignment) == {1: _t(3, 2)}
+    assert (_t(3, 2) * _t(3, 1)).substitute(sub) == _t(3, 2) ** 2
+
+
+@pytest.mark.parametrize(
+    "n,assignment,poly_n,message",
+    [
+        (3, {4: _t(3, 1)}, 3, "variable index 4 outside 1..3"),
+        (3, {0: _t(3, 1)}, 3, "variable index 0 outside 1..3"),
+        (3, {1: _t(2, 1)}, 3, "ring dimension mismatch: 3 vs 2"),
+        (2, {1: _t(2, 2)}, 3, "ring dimension mismatch: 3 vs 2"),
+    ],
+)
+def test_compiled_errors_keep_their_text(n, assignment, poly_n, message):
+    p = _t(poly_n, 1) + 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        p.substitute(Substitution(n, assignment))
+    if n == poly_n:
+        # a plain mapping is compiled for the polynomial's own dimension
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            p.substitute(assignment)
 
 
 # -- hypothesis: collisions and the general path --------------------------------
@@ -199,13 +286,19 @@ SPECIAL_ASSIGNMENTS = {
 }
 
 
+# compiled once for the whole module: every example reuses the kept powers
+COMPILED = {name: Substitution(N, sub) for name, sub in SPECIAL_ASSIGNMENTS.items()}
+
+
 @pytest.mark.parametrize("name", sorted(SPECIAL_ASSIGNMENTS))
 @settings(max_examples=60, deadline=None)
 @given(p=polys())
 def test_substitute_matches_reference(name, p):
     sub = SPECIAL_ASSIGNMENTS[name]
     ref_sub = {i: q.terms() for i, q in sub.items()}
-    assert_matches(p.substitute(sub), ref_substitute(p.terms(), N, ref_sub), N)
+    want = ref_substitute(p.terms(), N, ref_sub)
+    assert_matches(p.substitute(sub), want, N)
+    assert_matches(p.substitute(COMPILED[name]), want, N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,6 +346,14 @@ def test_exact_divide_matches_reference(p, f, r, g):
 @given(p=polys(), f=linear_forms())
 def test_reduce_modulo_matches_reference(p, f):
     assert_matches(reduce_modulo(p, f), ref_reduce_modulo(p.terms(), f.terms(), N), N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=st.lists(polys(max_deg=4), min_size=1, max_size=6), f=linear_forms())
+def test_one_hyperplane_reduces_many(ps, f):
+    plane = hyperplane(f)
+    for p in sorted(ps, key=Polynomial.total_degree) + ps:
+        assert_matches(p.substitute(plane), ref_reduce_modulo(p.terms(), f.terms(), N), N)
 
 
 def test_exact_divide_failures():

@@ -25,8 +25,11 @@ from gkmcalc.moment_graph import (
     build_schubert_moment_graph,
     toric_hexagon_graph,
 )
-from gkmcalc.polyring import Polynomial, parse_polynomial
+from gkmcalc.gkm import _accumulate
+from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
 from gkmcalc.repaction import (
+    _act_simple_on_expansion,
+    _as_polynomials,
     act,
     act_on_schubert_basis,
     act_word,
@@ -364,6 +367,15 @@ class TestDecompose:
             )
 
 
+def _ddiff_through_the_action(i, expansion, g):
+    """(E - s_i . E) / alpha_i, with s_i . E formed by the action step."""
+    out = _as_polynomials(expansion, g)
+    for v, p in _act_simple_on_expansion(i, out, g).items():
+        _accumulate(out, v, -p)
+    alpha = g.rs.simple_root_form(i)
+    return {v: exact_divide(p, alpha) for v, p in out.items()}
+
+
 class TestClosure:
     def test_interval_closure_misses_one_simple_class(self):
         rs = type_a(3)
@@ -384,6 +396,30 @@ class TestClosure:
         assert frozenset() in keys  # zero
         # exactly one of the two length-one classes is reachable
         assert (delta("213") in keys) + (delta("132") in keys) == 1
+
+    def test_closure_forms_no_products(self, flag3, monkeypatch):
+        products = []
+        mul = Polynomial.__mul__
+
+        def counting(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting)
+        monkeypatch.setattr(Polynomial, "__rmul__", counting)
+        assert len(divided_difference_closure(flag3)) == 7
+        assert products == []
+
+    @pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
+    def test_matches_the_action_formula_on_every_schubert_graph(self, label):
+        rs = root_system(label)
+        for w in rs.elements():
+            g = build_schubert_moment_graph(rs, w)
+            for exp in divided_difference_closure(g):
+                for i in range(1, rs.rank + 1):
+                    got = divided_difference_expansion(i, exp, g)
+                    want = _ddiff_through_the_action(i, exp, g)
+                    assert list(got.items()) == list(want.items())
 
     def test_full_flag_reaches_every_class(self, flag3):
         reached = divided_difference_closure(flag3)
@@ -457,16 +493,25 @@ class TestEntryChecks:
     def test_element_of_another_group_is_refused(self):
         a3 = build_flag_moment_graph(type_a(3))
         g2 = build_flag_moment_graph(root_system("G2"))
-        for u, g in (
-            (type_a(4).longest_element(), a3),
-            (root_system("B2").longest_element(), g2),
+        b2_w0 = root_system("B2").longest_element()
+        for u, g, line in (
+            (
+                type_a(4).longest_element(),
+                a3,
+                "4321 is not an element of the Weyl group of A:3",
+            ),
+            (
+                b2_w0,
+                g2,
+                f"the B2 element {b2_w0} is not an element of the Weyl group of G2",
+            ),
         ):
             e = g.rs.identity()
             for call in (
                 lambda: act_word(u, {e: 1}, g),
                 lambda: apply_group_element(u, point_class_top(g)),
             ):
-                with pytest.raises(ValueError, match=re.escape(f"{u} is not an element")):
+                with pytest.raises(ValueError, match=re.escape(line)):
                     call()
 
 
