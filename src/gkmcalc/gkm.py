@@ -8,11 +8,11 @@ labels, is homogeneous of that degree everywhere, and vanishes wherever no
 directed path leads down to v.
 
 Flag and Schubert classes are built by Billey's formula, as a column
-recursion down a spanning tree of the Weyl group: each localization costs
-one product by a root per step, with no division and no solving, and a
-Schubert graph never builds the flag graph.  Two independent routes stay
-as checks, which the verify suites and tests call by name and compare
-with Billey's classes:
+recursion down a spanning tree of graph edges: each localization costs one
+product by an edge label per step, with no root arithmetic, no division
+and no solving, and a Schubert graph never builds the flag graph.  Two
+independent routes stay as checks, which the verify suites and tests call
+by name and compare with Billey's classes:
 
 * the descent route, which starts from the point class at the top of the
   full flag graph and applies left divided differences along a reduced
@@ -309,37 +309,30 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     """Knutson-Tao class on a flag or Schubert graph by Billey's formula.
 
     Write xi^u(w) for the localization of the class of u at w, with
-    xi^e = 1.  For w = w' s_i with l(w) = l(w') + 1 and beta = w'(alpha_i),
-    xi^u(w) = xi^u(w') + beta * xi^{u s_i}(w') when u s_i < u, and
-    xi^u(w) = xi^u(w') otherwise: Billey's sum over reduced subwords with
-    the last letter split off.
+    xi^e = 1.  For w = w' s_i with l(w) = l(w') + 1, let beta = w'(alpha_i),
+    the label of the edge w -> w'.  Then xi^u(w) = xi^u(w') + beta *
+    xi^{u s_i}(w') when u s_i < u, and xi^u(w) = xi^u(w') otherwise:
+    Billey's sum over reduced subwords with the last letter split off.
 
     Each vertex w != e has the parent w s_i, for its first right descent
     i; a Schubert graph is closed under this, so its columns xi^.(w) are
-    built depth first down that tree, with only the current path's columns
-    alive.  Row u draws only on the rows u and u s_i < u, so row v needs
-    only the rows u = v s_j ... s_k reached by length-lowering right
-    multiplications: the lower ideal of v in the right weak order, which
-    lies inside [e, v].  Each step down the tree lowers the row length by
-    at most one, so a row u can still reach row v from column x only when
-    l(x) - l(u) <= top - l(v), where top is the largest length in the
-    graph; the other rows are dropped.
+    built depth first down that tree, over the in-edges of each column,
+    with only the current path's columns alive.  Row u draws only on the
+    rows u and u s_i < u, so row v needs only the rows u = v s_j ... s_k
+    reached by length-lowering right multiplications: the lower ideal of
+    v in the right weak order, which lies inside [e, v].  Each step down
+    the tree lowers the row length by at most one, so a row u can still
+    reach row v from column x only when l(x) - l(u) <= top - l(v), where
+    top is the largest length in the graph; the other rows are dropped.
     """
     rs = g.rs
     if rs is None:
         raise ValueError("Billey's formula needs a flag or Schubert graph")
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
-    # element ids throughout; ids follow (length, name), as g.vertices do
-    length, rmul, elements = rs.lengths, rs.rmul, rs.elements()
-    ids = [rs.index[w] for w in g.vertices]
-    children: dict = {w: [] for w in ids}
-    for w in ids:
-        for i, row in enumerate(rmul):
-            if length[ws := row[w]] < length[w]:
-                children[ws].append((w, i))
-                break
-    top = rs.index[v]
+    # rows by element id; g.vertices comes in (length, name) order
+    length, rmul, index = rs.lengths, rs.rmul, rs.index
+    top = index[v]
     rows, todo = {top}, [top]
     while todo:
         u = todo.pop()
@@ -347,18 +340,18 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
             if length[us := row[u]] < length[u] and us not in rows:
                 rows.add(us)
                 todo.append(us)
-    slack = length[ids[-1]] - length[top]
+    slack = length[index[g.vertices[-1]]] - length[top]
     loc: dict = {}
-    # (w, i, w', column of w'), with w = w' s_i: w's column is built when
-    # it is popped, so only the columns on the current path stay alive
-    stack: list = [(0, None, None, None)]
+    # (w, i, beta, column of w s_i): w's column is built when it is popped,
+    # so only the columns on the current path stay alive
+    stack: list = [(g.vertices[0], None, None, None)]
     while stack:
-        w, i, up, parent = stack.pop()
+        w, i, beta, parent = stack.pop()
+        k = index[w]
         if parent is None:
             col = {0: Polynomial.one(g.n)}
         else:
-            beta = rs.root_form(rs.act_on_root(elements[up], rs.simple_roots[i]))
-            lw = length[w]
+            lw = length[k]
             col = {u: p for u, p in parent.items() if lw - length[u] <= slack}
             row = rmul[i]
             for u, p in parent.items():
@@ -370,8 +363,15 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
             if not col:
                 continue  # and so is every column below w
         if top in col:
-            loc[elements[w]] = col[top]
-        stack.extend((x, j, w, col) for x, j in children[w])
+            loc[w] = col[top]
+        # the children of w: the tails y = w s_j whose first right descent is j
+        for e in g.in_edges(w):
+            y = index[e.tail]
+            for j, row in enumerate(rmul):
+                if length[row[y]] < length[y]:
+                    break
+            if row[y] == k:
+                stack.append((e.tail, j, e.label, col))
     return EquivariantClass(g, loc, base=v)
 
 
@@ -595,7 +595,7 @@ def expansions_equal(a: Mapping, b: Mapping) -> bool:
 
 
 def graph_ref(g: MomentGraph) -> dict:
-    if g.variety in ("flag", "schubert") and g.rs is not None:
+    if g.rs is not None:
         return {"type": g.metadata["type"], "w": g.metadata["w"]}
     return {"graph": graph_to_json(g)}
 

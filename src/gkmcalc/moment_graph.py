@@ -4,8 +4,10 @@ A moment graph is a finite directed acyclic graph whose edges carry linear
 forms (torus weights).  For the full flag variety the vertices are all Weyl
 group elements and each vertex w has one out-edge per inversion root alpha,
 pointing at s_alpha * w and labeled alpha; every Schubert variety gives the
-subgraph induced on the lower Bruhat interval of its top element.  External
-graphs (arbitrary vertex names, user-supplied labels) load from JSON.
+subgraph induced on the lower Bruhat interval of its top element.  Only
+the builder turns roots into labels, one label object per positive root
+shared by its edges; the consumers read them off ``out_edges`` and
+``in_edges``.  External graphs (any vertex names and labels) load from JSON.
 
 Validation never throws: :func:`validate_axioms` returns a report listing
 acyclicity, pairwise label independence at each vertex, and the Schubert
@@ -133,6 +135,9 @@ class MomentGraph:
     def out_edges(self, v) -> list[Edge]:
         return list(self._out[v])
 
+    def in_edges(self, v) -> list[Edge]:
+        return list(self._in[v])
+
     def out_degree(self, v) -> int:
         return len(self._out[v])
 
@@ -216,17 +221,22 @@ def build_schubert_moment_graph(rs: RootSystem, w) -> MomentGraph:
     """Induced subgraph on the lower Bruhat interval of w.
 
     Every out-edge of a vertex v <= w stays inside the interval, so the
-    Schubert graph keeps all ``length(v)`` out-edges of each vertex.
+    Schubert graph keeps all ``length(v)`` out-edges of each vertex.  At
+    the longest element the interval is W, and the result is the flag graph.
     """
+    if rs.element_id(w) == len(rs.elements()) - 1:
+        return _bruhat_graph(rs, rs.elements(), "flag", w)
     return _bruhat_graph(rs, rs.lower_interval(w), "schubert", w)
 
 
 def _bruhat_graph(rs: RootSystem, vertices, variety: str, w) -> MomentGraph:
+    # one (reflection, label) pair per positive root, shared by its edges;
     # an edge leaving the vertex set would make MomentGraph raise
+    by_root = {a: (rs.reflection(a), rs.root_form(a)) for a in rs.positive_roots}
     edges = [
-        Edge(v, rs.mul(rs.reflection(alpha), v), rs.root_form(alpha))
+        Edge(v, rs.mul(s, v), label)
         for v in vertices
-        for alpha in rs.inversions(v)
+        for s, label in map(by_root.__getitem__, rs.inversions(v))
     ]
     meta = {
         "variety": variety,
@@ -239,12 +249,9 @@ def _bruhat_graph(rs: RootSystem, vertices, variety: str, w) -> MomentGraph:
 
 
 def schubert_graph(label: str, w_text: str) -> MomentGraph:
-    """Convenience: build X_w (or the full flag graph when w is the top)."""
+    """Convenience: build X_w (the full flag graph when w is the top)."""
     rs = root_system(label)
-    w = rs.parse_element(w_text)
-    if w == rs.longest_element():
-        return build_flag_moment_graph(rs)
-    return build_schubert_moment_graph(rs, w)
+    return build_schubert_moment_graph(rs, rs.parse_element(w_text))
 
 
 # -- axiom validation ----------------------------------------------------------
@@ -307,34 +314,31 @@ class AxiomReport:
         }
 
 
-def _find_cycle(g: MomentGraph) -> list | None:
+def _find_cycle(vertices, successors) -> list | None:
+    """A directed cycle [v, ..., v] through successors[v], or None."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertices}
+    color = {v: WHITE for v in vertices}
     parent: dict = {}
-    for root in g.vertices:
+    for root in vertices:
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(g.out_edges(root)))]
+        stack = [(root, iter(successors[root]))]
         color[root] = GRAY
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for e in it:
-                h = e.head
+            for h in it:
                 if color[h] == GRAY:
                     cyc = [h, v]
-                    cur = v
-                    while cur != h:
-                        cur = parent[cur]
-                        cyc.append(cur)
-                    return [g.vertex_str(x) for x in reversed(cyc)]
+                    while v != h:
+                        v = parent[v]
+                        cyc.append(v)
+                    return cyc[::-1]
                 if color[h] == WHITE:
                     color[h] = GRAY
                     parent[h] = v
-                    stack.append((h, iter(g.out_edges(h))))
-                    advanced = True
+                    stack.append((h, iter(successors[h])))
                     break
-            if not advanced:
+            else:
                 color[v] = BLACK
                 stack.pop()
     return None
@@ -342,7 +346,10 @@ def _find_cycle(g: MomentGraph) -> list | None:
 
 def validate_axioms(g: MomentGraph) -> AxiomReport:
     """Check the combinatorial moment-graph axioms; report, never raise."""
-    cycle = _find_cycle(g)
+    heads = {v: [e.head for e in g._out[v]] for v in g.vertices}
+    cycle = _find_cycle(g.vertices, heads)
+    if cycle is not None:
+        cycle = [g.vertex_str(x) for x in cycle]
     report = AxiomReport(acyclic=cycle is None, cycle=cycle)
 
     for v in g.vertices:
@@ -359,7 +366,7 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
                         )
                     )
 
-    if g.rs is not None and g.variety in ("flag", "schubert"):
+    if g.rs is not None:
         report.checked_schubert = True
         rs = g.rs
         for v in g.vertices:
@@ -423,24 +430,6 @@ def _degree_check(
         for a, b in directed
         if outdeg[a] <= outdeg[b]
     ]
-
-
-def _orientation_acyclic(vertices, directed) -> bool:
-    out: dict = {v: [] for v in vertices}
-    indeg = {v: 0 for v in vertices}
-    for a, b in directed:
-        out[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in vertices if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for b in out[v]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-    return seen == len(vertices)
 
 
 def _normalize(row: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -567,7 +556,10 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
                 directed.append((e.tail, e.head))
             else:
                 directed.append((e.head, e.tail))
-        if not _orientation_acyclic(g.vertices, directed):
+        heads: dict = {v: [] for v in g.vertices}
+        for a, b in directed:
+            heads[a].append(b)
+        if _find_cycle(g.vertices, heads) is not None:
             continue
         bad = _degree_check(g, directed)
         if not bad:

@@ -10,12 +10,12 @@ coadjoint substitution.
 
 A left divided difference is (1 - s_i) / alpha_i over the one s_i action of
 its level: the action on a class, or on a basis expansion the
-simple-reflection step below.  The right divided difference
-uses right multiplication of the vertex labels and a vertex-dependent
-denominator.  Group averaging produces the invariant classes whose graded
-span exhibits the equivariant cohomology of any Schubert variety as a sum
-of trivial representations, one per fixed point, in degrees given by
-length; :func:`decompose` assembles that ledger.
+simple-reflection step below.  The right divided difference is the GKM
+quotient across the edges v -- v s_i, divided by their labels.  Group
+averaging produces the invariant classes whose graded span exhibits the
+equivariant cohomology of any Schubert variety as a sum of trivial
+representations, one per fixed point, in degrees given by length;
+:func:`decompose` assembles that ledger.
 
 The orbit sum behind averaging (:func:`symmetrize`) runs along the
 parabolic chain W_1 < W_12 < ... < W: the sum over W_{1..k} is the sum of
@@ -178,25 +178,31 @@ def left_divided_difference(
 
 
 def right_divided_difference(i: int, c: EquivariantClass) -> EquivariantClass:
-    """Vertexwise operator (p(v s_i) - p(v)) / (v . alpha_i).
+    """Vertexwise operator (p(v s_i) - p(v)) / (v . alpha_i): the GKM
+    quotient across the s_i edges.
 
     Needs the full flag graph, whose vertex set is closed under right
-    multiplication by s_i; v s_i is read from the root system's ``rmul``
-    table.
+    multiplication by s_i.  Each pair v < x = v s_i (x read from the root
+    system's ``rmul`` table) is joined by the edge x -> v, labeled
+    v . alpha_i = -(x . alpha_i), so both ends get the one quotient
+    (p(x) - p(v)) / label, formed once from the lower end v.
     """
     g = c.graph
     rs = g.rs
     if rs is None or g.variety != "flag":
         raise ValueError("the right divided difference needs the full flag graph")
     row = rs.rmul[rs._simple_index(i)]
-    alpha = rs.simple_roots[i - 1]
-    elements = rs.elements()
+    length, index, elements = rs.lengths, rs.index, rs.elements()
     out = {}
     for v in g.vertices:
-        num = c[elements[row[rs.index[v]]]] - c[v]
+        k = index[v]
+        if length[row[k]] < length[k]:
+            continue  # the upper end of its pair
+        x = elements[row[k]]
+        num = c[x] - c[v]
         if num:
-            beta = rs.root_form(rs.act_on_root(v, alpha))
-            out[v] = _quotient("right", g, v, num, beta)
+            label = next(e.label for e in g.in_edges(v) if e.tail == x)
+            out[v] = out[x] = _quotient("right", g, v, num, label)
     return EquivariantClass(g, out)
 
 

@@ -151,7 +151,7 @@ class RootSystem:
         return self._elements
 
     def length(self, w) -> int:
-        return self.lengths[self.index[w]]
+        return self.lengths[self.element_id(w)]
 
     def element_id(self, w) -> int:
         """The id of w; ValueError when w is not an element of this group."""
@@ -273,7 +273,7 @@ class RootSystem:
 
     def lower_interval(self, w) -> frozenset:
         """All v <= w in Bruhat order, via products of subwords."""
-        k = self.index[w]
+        k = self.element_id(w)
         return frozenset(self._elements[u] for u in self.lower_intervals([k])[k])
 
     def lower_intervals(self, ids) -> dict[int, set[int]]:
@@ -302,7 +302,7 @@ class RootSystem:
         left descent of v, and iff v <= sw otherwise.  Each step shortens
         w by one, so the loop ends at w = e after l(w) steps.
         """
-        a, b = self.index[v], self.index[w]
+        a, b = self.element_id(v), self.element_id(w)
         while (i := self._descent(b)) is not None:
             row = self.lmul[i - 1]
             if self.lengths[row[a]] < self.lengths[a]:

@@ -286,6 +286,20 @@ class TestVerifyCommand:
             assert not any(f"A:{n}" in r.detail for n in (5, 6, 7)), r.line()
         assert any("A:4" in r.detail for r in results)
 
+    def test_type_a_crosscheck_stops_at_a4(self, monkeypatch):
+        # the row once walked all of S_n up to --max-n, which grows as n!
+        sizes = []
+        enumerate_group = verify.all_permutations
+
+        def recording(n):
+            sizes.append(n)
+            return enumerate_group(n)
+
+        monkeypatch.setattr(verify, "all_permutations", recording)
+        results = run_suite("root-system", max_n=7)
+        assert all(r.ok for r in results)
+        assert sizes == [2, 3, 4]
+
     def test_moment_graph_rows_stop_at_a4(self, monkeypatch):
         # flag-axioms once built and validated every A:n flag graph up to
         # --max-n, which grows as n!

@@ -9,6 +9,7 @@ from gkmcalc.cli import main
 from gkmcalc.coxeter import Permutation, all_permutations
 from gkmcalc.moment_graph import (
     GraphParseError,
+    _find_cycle,
     _form_vector,
     build_flag_moment_graph,
     build_schubert_moment_graph,
@@ -134,8 +135,16 @@ class TestValidation:
             }
         )
         rep = validate_axioms(g)
-        assert not rep.acyclic and rep.cycle is not None
+        assert not rep.acyclic and rep.cycle == ["a", "b", "a"]
         assert not rep.ok
+
+    def test_one_cycle_walk_for_names_and_orientations(self):
+        # validate_axioms names the vertices; the Palais-Smale search only
+        # asks whether an orientation has a cycle
+        assert _find_cycle("abc", {"a": ["b"], "b": ["c"], "c": ["a"]}) == [
+            "a", "b", "c", "a",
+        ]
+        assert _find_cycle("abc", {"a": ["b", "c"], "b": ["c"], "c": []}) is None
 
     def test_proportional_labels_reported(self):
         g = load_external_graph(

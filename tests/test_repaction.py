@@ -246,6 +246,22 @@ class TestRightDividedDifference:
         with pytest.raises(ValueError):
             right_divided_difference(1, point_class_top(xg))
 
+    @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+    def test_accepts_the_flag_graph_built_at_w0(self, label):
+        # build_schubert_moment_graph at the longest element is the flag graph
+        rs = root_system(label)
+        g = build_flag_moment_graph(rs)
+        xg = build_schubert_moment_graph(rs, rs.longest_element())
+        assert (xg.variety, xg.vertices, xg.edges) == ("flag", g.vertices, g.edges)
+        for v in xg.vertices:
+            c = knutson_tao_class_descent(xg, v)
+            flag_c = knutson_tao_class_descent(g, v)
+            assert c == flag_c
+            for i in range(1, rs.rank + 1):
+                got = right_divided_difference(i, c)
+                assert got.graph is xg
+                assert got == right_divided_difference(i, flag_c)
+
     @pytest.mark.parametrize("label", ["B2", "G2"])
     def test_general_type_output_gkm(self, label):
         rs = root_system(label)
@@ -492,8 +508,10 @@ class TestEntryChecks:
 
     def test_element_of_another_group_is_refused(self):
         a3 = build_flag_moment_graph(type_a(3))
+        b2 = build_flag_moment_graph(root_system("B2"))
         g2 = build_flag_moment_graph(root_system("G2"))
         b2_w0 = root_system("B2").longest_element()
+        g2_w0 = root_system("G2").longest_element()
         for u, g, line in (
             (
                 type_a(4).longest_element(),
@@ -505,11 +523,21 @@ class TestEntryChecks:
                 g2,
                 f"the B2 element {b2_w0} is not an element of the Weyl group of G2",
             ),
+            (
+                g2_w0,
+                b2,
+                f"the G2 element {g2_w0} is not an element of the Weyl group of B2",
+            ),
         ):
-            e = g.rs.identity()
+            rs, e = g.rs, g.rs.identity()
             for call in (
                 lambda: act_word(u, {e: 1}, g),
                 lambda: apply_group_element(u, point_class_top(g)),
+                lambda: rs.length(u),
+                lambda: rs.lower_interval(u),
+                lambda: rs.bruhat_leq(u, e),
+                lambda: rs.bruhat_leq(e, u),
+                lambda: build_schubert_moment_graph(rs, u),
             ):
                 with pytest.raises(ValueError, match=re.escape(line)):
                     call()
