@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+# the largest ring dimension an external graph may ask for
+MAX_EXTERNAL_N = 64
+
+
 class GraphParseError(ValueError):
     """Malformed external graph description."""
 
@@ -89,6 +93,9 @@ class MomentGraph:
         self._vkey = {v: key(v) for v in self.vertices}
         self._by_str = {s: v for v, s in self._vstr.items()}
 
+        # each distinct label is formatted once; a builder shares one label
+        # object among many edges
+        text = self._label_text = {}
         for e in edges:
             if e.tail not in self._vstr or e.head not in self._vstr:
                 raise GraphParseError(
@@ -96,14 +103,12 @@ class MomentGraph:
                     f"{self._vstr.get(e.tail, e.tail)} -> "
                     f"{self._vstr.get(e.head, e.head)}"
                 )
+            if e.label not in text:
+                text[e.label] = to_string(e.label, self.var_prefix)
         self.edges = tuple(
             sorted(
                 edges,
-                key=lambda e: (
-                    self._vkey[e.tail],
-                    self._vkey[e.head],
-                    to_string(e.label, self.var_prefix),
-                ),
+                key=lambda e: (self._vkey[e.tail], self._vkey[e.head], text[e.label]),
             )
         )
         self._out: dict = {v: [] for v in self.vertices}
@@ -113,6 +118,7 @@ class MomentGraph:
             self._in[e.head].append(e)
         self._topo: list | None = None
         self._axioms = None
+        self._json: tuple | None = None  # kept by graph_to_json
 
     # -- basic queries -------------------------------------------------------
 
@@ -125,6 +131,10 @@ class MomentGraph:
 
     def vertex_str(self, v) -> str:
         return self._vstr[v]
+
+    def label_str(self, label: Polynomial) -> str:
+        """The text of an edge label of this graph."""
+        return self._label_text[label]
 
     def vertex_by_str(self, s: str):
         try:
@@ -361,8 +371,8 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
                     report.independence_violations.append(
                         (
                             g.vertex_str(v),
-                            to_string(vecs[i][1].label, g.var_prefix),
-                            to_string(vecs[j][1].label, g.var_prefix),
+                            g.label_str(vecs[i][1].label),
+                            g.label_str(vecs[j][1].label),
                         )
                     )
 
@@ -588,16 +598,24 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
 
 
 def graph_to_json(g: MomentGraph) -> dict:
+    """The JSON form of g.
+
+    Its names and label texts are collected on the first call and kept on
+    the graph; every call returns new containers, which the caller may
+    change.
+    """
+    if g._json is None:
+        g._json = (
+            tuple(g.vertex_str(v) for v in g.vertices),
+            tuple(
+                (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
+                for e in g.edges
+            ),
+        )
+    names, edges = g._json
     return {
-        "vertices": [g.vertex_str(v) for v in g.vertices],
-        "edges": [
-            {
-                "tail": g.vertex_str(e.tail),
-                "head": g.vertex_str(e.head),
-                "label": to_string(e.label, g.var_prefix),
-            }
-            for e in g.edges
-        ],
+        "vertices": list(names),
+        "edges": [{"tail": t, "head": h, "label": text} for t, h, text in edges],
         "metadata": dict(g.metadata),
     }
 
@@ -610,12 +628,29 @@ def _infer_dimension(obj: dict) -> int:
     return best
 
 
+def _dimension(raw) -> int:
+    """The ring dimension given as metadata 'n': an integer in
+    0..MAX_EXTERNAL_N, else GraphParseError."""
+    try:
+        n = int(raw)
+    except (ValueError, OverflowError):  # "x", NaN, infinity
+        n = None
+    if n is None or (n != raw and not isinstance(raw, str)) or not 0 <= n <= MAX_EXTERNAL_N:
+        raise GraphParseError(
+            f"graph JSON 'n' must be an integer in 0..{MAX_EXTERNAL_N}, got {raw!r}"
+        )
+    return n
+
+
 def load_external_graph(description) -> MomentGraph:
     """Load a user-described moment graph from JSON text or a dict.
 
     Vertices are strings.  Labels parse from the polynomial string (or
-    object) form and must be nonzero linear forms.  Structural problems
-    raise GraphParseError; axiom violations are left to validate_axioms.
+    object) form and must be nonzero linear forms.  The ring dimension is
+    metadata 'n', or else the highest variable index the labels use; either
+    way it is at most MAX_EXTERNAL_N, since every term of every polynomial
+    on the graph holds n exponents.  Structural problems raise
+    GraphParseError; axiom violations are left to validate_axioms.
     """
     if isinstance(description, str):
         try:
@@ -635,7 +670,11 @@ def load_external_graph(description) -> MomentGraph:
     if not isinstance(meta, dict) or not isinstance(meta.get("n", 0), (int, float, str)):
         raise GraphParseError("graph JSON 'metadata' must be an object, 'n' a number")
     meta = dict(meta)
-    n = int(meta["n"]) if "n" in meta else _infer_dimension(obj)
+    n = _dimension(meta["n"]) if "n" in meta else _infer_dimension(obj)
+    if n > MAX_EXTERNAL_N:
+        raise GraphParseError(
+            f"edge labels use variable index {n}; at most {MAX_EXTERNAL_N} are allowed"
+        )
     meta["n"] = n
     meta.setdefault("var_prefix", "t")
     meta["variety"] = "external"
@@ -665,7 +704,7 @@ _DOT_COLORS = ("black", "gray50", "blue", "red")
 
 def graph_to_dot(g: MomentGraph) -> str:
     """Deterministic DOT text; one line style per distinct edge label."""
-    labels = sorted({to_string(e.label, g.var_prefix) for e in g.edges})
+    labels = sorted(set(g._label_text.values()))
     style_of = {}
     for k, text in enumerate(labels):
         style = _DOT_STYLES[k % len(_DOT_STYLES)]
@@ -690,7 +729,7 @@ def graph_to_dot(g: MomentGraph) -> str:
             show = f"{name}\\n{v.cycle_str()}"
         lines.append(f"  {q(name)} [label={q(show)}];")
     for e in g.edges:
-        text = to_string(e.label, g.var_prefix)
+        text = g.label_str(e.label)
         style, color = style_of[text]
         lines.append(
             f"  {q(g.vertex_str(e.tail))} -> {q(g.vertex_str(e.head))} "

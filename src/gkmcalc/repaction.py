@@ -19,19 +19,23 @@ representations, one per fixed point, in degrees given by length;
 
 The orbit sum behind averaging (:func:`symmetrize`) runs along the
 parabolic chain W_1 < W_12 < ... < W: the sum over W_{1..k} is the sum of
-c . S over the minimal left coset representatives c of W_{1..k}/W_{1..k-1},
-where S is the sum over W_{1..k-1}.  The representatives form a tree of
+c . T over the minimal left coset representatives c of W_{1..k}/W_{1..k-1},
+where T is the sum over W_{1..k-1}.  The representatives form a tree of
 single left multiplications, so the whole sum costs n(n-1)/2
 simple-reflection steps in A:n (m in a dihedral group of order 2m), not
 one step per letter of every one of the |W| elements.
+
+When v = x y is reduced, the class of y has one coefficient S_x in the
+orbit sum of the class of v, whatever v is (Billey, Duke Math. J. 96,
+1999).  So :func:`decompose` symmetrizes only the vertices with no right
+ascent in the graph, reads every orbit sum off S, and checks invariance
+by the divided-difference identity once per x, in int arithmetic.
 
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  An expansion is
 checked once, where it enters (the graph must come from a root system and
-hold its vertices), not at every step.  :func:`decompose` runs its checks
-on the integral orbit sum (|W| times the averaged class), so they need no
-rational arithmetic.
+hold its vertices), not at every step.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .gkm import (
     KnutsonTaoBasis,
     _accumulate,
     apply_group_element,
-    expansions_equal,
     expand_in_basis,
 )
 from .moment_graph import MomentGraph
@@ -334,15 +337,71 @@ class DecompositionReport:
         return "\n".join(lines) + "\n"
 
 
-def decompose(g: MomentGraph) -> DecompositionReport:
-    """Compute every averaged class and report the decomposition facts.
+def _factorizations(rs, v: int) -> dict[int, int]:
+    """The reduced factorizations v = x y of the element id v, as x -> y,
+    walked from (v, e) by right descents: (x, y) -> (x s_i, s_i y)."""
+    rmul, lmul, length = rs.rmul, rs.lmul, rs.lengths
+    pairs = {v: 0}  # id 0 is the identity
+    todo = [v]
+    for x in todo:  # grows
+        for rrow, lrow in zip(rmul, lmul):
+            xs = rrow[x]
+            if length[xs] < length[x] and xs not in pairs:
+                pairs[xs] = lrow[pairs[x]]
+                todo.append(xs)
+    return pairs
 
-    The checks run on the integral orbit sum of each class (|W| times its
-    average), so they stay in int arithmetic: invariance under every s_i is
-    linear, and unitriangularity reads coefficient |W| at v and support
-    inside the Bruhat interval [e, v].  The intervals of all its vertices
-    are built once per call; the simple-reflection steps read the root
-    system's tables.
+
+def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
+    """The table S (vertex id x -> S_x) of g, and each vertex's orbit sum.
+
+    S comes from the vertices with no right ascent in g, which lie above
+    every vertex in right weak order.  rows[v] is (row, failed, clean): row
+    maps the id of y to S_x over v = x y; failed holds each i at which the
+    identity fails at an x it reads; clean is false when v's own orbit sum
+    has a term S does not give, which then joins the row.
+    """
+    rs = g.rs
+    length, elements, index = rs.lengths, rs.elements(), rs.index
+    inside = set(ids)
+    one, zero = Polynomial.one(g.n), Polynomial.zero(g.n)
+    table: dict[int, Polynomial] = {}
+    stray: dict[int, dict] = {}
+    for v in ids:
+        if any(length[row[v]] > length[v] and row[v] in inside for row in rs.rmul):
+            continue
+        total = {index[u]: p for u, p in symmetrize({elements[v]: one}, g).items()}
+        for x, y in _factorizations(rs, v).items():
+            p = total.pop(y, zero)
+            if table.setdefault(x, p) != p:
+                total[y] = p
+        if total:
+            stray[v] = total
+    # the identity: s_i(S_x) is S_x + alpha_i S_{x s_i} when x s_i < x, else S_x
+    broken: dict[int, list[int]] = {x: [] for x in table}
+    for x, p in table.items():
+        for i, ((sub, minus_alpha), row) in enumerate(zip(rs.simple_twists, rs.rmul), 1):
+            xs = row[x]
+            want = p - table[xs] * minus_alpha if length[xs] < length[x] else p
+            if p.substitute(sub) != want:
+                broken[x].append(i)
+    rows = {}
+    for v in ids:
+        pairs = _factorizations(rs, v)
+        row = {y: table[x] for x, y in pairs.items()}
+        row.update(stray.get(v, {}))
+        failed = {i for x in pairs for i in broken[x]}
+        rows[v] = ({y: p for y, p in row.items() if p}, failed, v not in stray)
+    return table, rows
+
+
+def decompose(g: MomentGraph) -> DecompositionReport:
+    """Read off every orbit sum (|W| times the averaged class) and report
+    the decomposition facts.
+
+    A row is invariant under s_i when the divided-difference identity holds
+    at every x it reads.  Unitriangularity reads coefficient |W| at v and
+    support inside [e, v]; the intervals are built once per call.
     """
     rs = g.rs
     if rs is None:
@@ -355,19 +414,17 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     mod_t_ok = True
     one = Polynomial.one(g.n)
     order = Polynomial.constant(g.n, len(rs.elements()))
-    below = rs.lower_intervals([rs.index[v] for v in g.vertices])
+    elements = rs.elements()
+    ids = [rs.index[v] for v in g.vertices]
+    below = rs.lower_intervals(ids)
+    _, rows = _read_off(g, ids)
 
-    for v in g.vertices:
-        deg = rs.length(v)
-        total = symmetrize({v: one}, g)
-        invariant = True
-        for i in gen_ok:
-            image = _act_simple_on_expansion(i, total, g)
-            if not expansions_equal(image, total):
-                invariant = False
-                gen_ok[i] = False
-        support = {rs.index[u] for u in total}
-        unitri = total.get(v) == order and support <= below[rs.index[v]]
+    for v, k in zip(g.vertices, ids):
+        deg = rs.lengths[k]
+        row, failed, clean = rows[k]
+        for i in failed:
+            gen_ok[i] = False
+        unitri = clean and row.get(k) == order and row.keys() <= below[k]
         if not unitri:
             report.unitriangular = False
         # the induced action modulo the variable ideal fixes every class
@@ -382,9 +439,9 @@ def decompose(g: MomentGraph) -> DecompositionReport:
             {
                 "v": g.vertex_str(v),
                 "degree": deg,
-                "invariant": invariant,
+                "invariant": not failed,
                 "unitriangular": unitri,
-                "support": sorted(g.vertex_str(u) for u in total),
+                "support": sorted(g.vertex_str(elements[y]) for y in row),
             }
         )
         report.multiplicities[deg] = report.multiplicities.get(deg, 0) + 1

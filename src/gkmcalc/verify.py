@@ -43,6 +43,7 @@ from .polyring import (
 )
 from .repaction import (
     _act_simple_on_expansion,
+    _read_off,
     act_on_schubert_basis,
     act_word,
     average_class,
@@ -50,6 +51,7 @@ from .repaction import (
     divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
+    symmetrize,
 )
 from .root_system import root_system, type_a
 
@@ -687,6 +689,34 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
             "averaging-invariance",
             ok,
             "invariant under every s_i, equals the orbit sum; " + ", ".join(labels),
+        )
+    )
+
+    ok = True
+    for label in labels:
+        rs = root_system(label)
+        g = build_flag_moment_graph(rs)
+        one, elements = Polynomial.one(g.n), rs.elements()
+        ids = [rs.index[v] for v in g.vertices]
+        table, rows = _read_off(g, ids)
+        # every row decompose reads off is the orbit sum of its vertex alone
+        for v, k in zip(g.vertices, ids):
+            row, _, clean = rows[k]
+            row = {elements[y]: p for y, p in row.items()}
+            ok &= clean and expansions_equal(row, symmetrize({v: one}, g))
+        # d_i S_x = -S_{x s_i} when x s_i < x and 0 otherwise, by exact division
+        zero = Polynomial.zero(g.n)
+        for x, p in table.items():
+            for i in range(1, rs.rank + 1):
+                xs = rs.rmul[i - 1][x]
+                want = -table[xs] if rs.lengths[xs] < rs.lengths[x] else zero
+                ok &= rs.divided_difference(p, i) == want
+    out.append(
+        CheckResult(
+            "repaction",
+            "orbit-sum-read-off",
+            ok,
+            "rows equal symmetrize per vertex, S obeys d_i; " + ", ".join(labels),
         )
     )
 

@@ -445,6 +445,19 @@ MALFORMED += [
 ]
 
 
+# a ring dimension that is not an integer in 0..MAX_EXTERNAL_N, given as 'n'
+# or implied by a label; each is refused before anything is allocated
+_HEX_TEXT = json.dumps(toric_hexagon_json())
+_BIG_LABEL = {
+    "vertices": ["a", "b"],
+    "edges": [{"tail": "b", "head": "a", "label": "t99999999999"}],
+}
+MALFORMED += [
+    (("graph", "--load", "{g}"), {"g": _Raw(_HEX_TEXT.replace('"n": 3', f'"n": {n}'))})
+    for n in (10**30, "1e400", 10**18, 3.5, -1, 65)
+] + [(("graph", "--load", "{g}"), {"g": _BIG_LABEL})]
+
+
 @pytest.mark.parametrize(
     "argv,files",
     MALFORMED,

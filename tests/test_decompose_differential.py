@@ -6,8 +6,10 @@ simple reflection applied term by term (``rs.mul`` and two lengths per
 term), unitriangularity by one ``bruhat_leq`` per support element.
 ``decompose`` runs the same checks on the integral orbit sum, its steps
 reading the root system's tables; reports must match in JSON and table
-text.  The mutation tests corrupt the orbit sum ``decompose`` checks and
-show that the checks catch it.
+text.  ``decompose`` reads every row off a table S_x built from the orbit
+sums of the vertices with no right ascent in the graph; the mutation tests
+corrupt those orbit sums and show that the checks catch it, computing the
+rows each corruption must fail from ``rs.mul`` and ``rs.length``.
 """
 
 from fractions import Fraction
@@ -116,7 +118,26 @@ def test_a5_decompose_pool(w):
     assert_same_report(build_schubert_moment_graph(rs, rs.parse_element(w)))
 
 
+def reads(rs, v, x) -> bool:
+    """x <= v in right weak order: v = x y with l(x) + l(y) = l(v)."""
+    return rs.length(x) + rs.length(rs.mul(rs.inv(x), v)) == rs.length(v)
+
+
+def right_maximal(g) -> set:
+    """The vertices of g with no right ascent inside g."""
+    rs = g.rs
+    return {
+        v
+        for v in g.vertices
+        if not any(
+            rs.mul(v, s) in g and rs.length(rs.mul(v, s)) > rs.length(v)
+            for s in map(rs.simple_reflection, range(1, rs.rank + 1))
+        )
+    }
+
+
 def _mutate_orbit_sum(monkeypatch, corrupt):
+    """Corrupt every orbit sum decompose reads its table S from."""
     real = repaction.symmetrize
 
     def mutant(expansion, g):
@@ -128,48 +149,164 @@ def _mutate_orbit_sum(monkeypatch, corrupt):
     monkeypatch.setattr(repaction, "symmetrize", mutant)
 
 
+def _corrupt_coefficient(monkeypatch, label, change):
+    """Change S_x for one mid-length x in the flag graph's one orbit sum;
+    return the graph and x.  S_x is the coefficient of x^{-1} w0 there."""
+    rs = root_system(label)
+    x = rs.elements()[len(rs.elements()) // 2]
+    y = rs.mul(rs.inv(x), rs.longest_element())
+
+    def corrupt(total, v, g):
+        assert v == rs.longest_element()
+        change(total, y, g)
+
+    _mutate_orbit_sum(monkeypatch, corrupt)
+    return build_flag_moment_graph(rs), x
+
+
+def assert_rows_reading_x_fail(rep, g, x):
+    rs = g.rs
+    want = {g.vertex_str(v): not reads(rs, v, x) for v in g.vertices}
+    assert {r["v"]: r["invariant"] for r in rep.rows} == want
+    assert not all(rep.generator_invariance.values())
+    assert all(r["unitriangular"] for r in rep.rows)
+    assert not rep.ok
+
+
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_dropped_term_breaks_invariance(monkeypatch, label):
-    def drop_one_below(total, v, g):
-        # a term one step below v; for v = e there is none
-        below = [u for u in total if g.rs.length(u) == g.rs.length(v) - 1]
-        if below:
-            del total[below[0]]
+    g, x = _corrupt_coefficient(monkeypatch, label, lambda total, y, g: total.pop(y))
+    assert_rows_reading_x_fail(decompose(g), g, x)
 
-    _mutate_orbit_sum(monkeypatch, drop_one_below)
-    rs = root_system(label)
-    rep = decompose(build_flag_moment_graph(rs))
-    e = rs.element_str(rs.identity())
-    assert all(not r["invariant"] for r in rep.rows if r["v"] != e)
-    assert not all(rep.generator_invariance.values())
-    assert not rep.ok
+
+@pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+def test_changed_coefficient_breaks_invariance(monkeypatch, label):
+    def add_t1(total, y, g):
+        total[y] = total[y] + Polynomial.variable(g.n, 1)
+
+    g, x = _corrupt_coefficient(monkeypatch, label, add_t1)
+    assert_rows_reading_x_fail(decompose(g), g, x)
 
 
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_changed_top_coefficient_breaks_unitriangularity(monkeypatch, label):
+    """The top coefficient of an orbit sum is S_e, which every row reads at v."""
+
     def bump_top(total, v, g):
         total[v] = total[v] + Polynomial.one(g.n)
 
     _mutate_orbit_sum(monkeypatch, bump_top)
-    rep = decompose(build_flag_moment_graph(root_system(label)))
-    assert not any(r["unitriangular"] for r in rep.rows)
-    assert not rep.unitriangular
-    assert not rep.ok
+    rs = root_system(label)
+    for g in (
+        build_flag_moment_graph(rs),
+        build_schubert_moment_graph(rs, rs.elements()[-2]),
+    ):
+        rep = decompose(g)
+        assert not any(r["unitriangular"] for r in rep.rows)
+        assert not rep.unitriangular
+        assert not rep.ok
 
 
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_term_outside_the_interval_breaks_unitriangularity(monkeypatch, label):
-    def add_top_element(total, v, g):
-        w0 = g.rs.longest_element()
-        if w0 != v:
-            total[w0] = Polynomial.one(g.n)
+    """A term of a symmetrized orbit sum at a vertex y not <= v in left weak
+    order, so outside its factorization walk (whether or not y <= v in
+    Bruhat order), is never dropped: it makes the row of v fail."""
 
-    _mutate_orbit_sum(monkeypatch, add_top_element)
+    def add_outside(total, v, g):
+        rs = g.rs
+        outside = [y for y in g.vertices if not reads(rs, v, rs.mul(v, rs.inv(y)))]
+        for y in outside:
+            total[y] = Polynomial.one(g.n)
+
+    _mutate_orbit_sum(monkeypatch, add_outside)
     rs = root_system(label)
-    rep = decompose(build_flag_moment_graph(rs))
-    w0 = rs.element_str(rs.longest_element())
-    assert all(r["unitriangular"] == (r["v"] == w0) for r in rep.rows)
-    assert not rep.ok
+    failed = 0
+    for w in rs.elements():
+        g = build_schubert_moment_graph(rs, w)
+        rep = decompose(g)
+        want = {
+            g.vertex_str(v)
+            for v in right_maximal(g)
+            if any(not reads(rs, v, rs.mul(v, rs.inv(y))) for y in g.vertices)
+        }
+        assert {r["v"] for r in rep.rows if not r["unitriangular"]} == want
+        for r in rep.rows:
+            if r["v"] in want:
+                assert set(r["support"]) == {g.vertex_str(y) for y in g.vertices}
+        assert rep.ok == (not want)
+        failed += len(want)
+    assert failed
+
+
+def test_disagreeing_second_reading_breaks_unitriangularity(monkeypatch):
+    """S_e is read off every symmetrized orbit sum; each reading after the
+    first that disagrees with it fails its own row."""
+    first = {}
+
+    def bump_later_tops(total, v, g):
+        if first.setdefault(g, v) != v:
+            total[v] = total[v] + Polynomial.one(g.n)
+
+    _mutate_orbit_sum(monkeypatch, bump_later_tops)
+    rs = root_system("A:4")
+    failed = 0
+    for w in rs.elements():
+        g = build_schubert_moment_graph(rs, w)
+        rep = decompose(g)
+        top = [v for v in g.vertices if v in right_maximal(g)]
+        want = {g.vertex_str(v) for v in top[1:]}
+        assert {r["v"] for r in rep.rows if not r["unitriangular"]} == want
+        assert all(r["invariant"] for r in rep.rows)
+        failed += len(want)
+    assert failed
+
+
+@pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+def test_flag_graph_symmetrizes_w0_alone(monkeypatch, label):
+    calls = []
+    real = repaction.symmetrize
+    monkeypatch.setattr(
+        repaction, "symmetrize", lambda e, g: calls.append(tuple(e)) or real(e, g)
+    )
+    rs = root_system(label)
+    assert decompose(build_flag_moment_graph(rs)).ok
+    assert calls == [(rs.longest_element(),)]
+
+
+def test_schubert_graphs_symmetrize_each_right_maximal_vertex_once(monkeypatch):
+    calls = []
+    real = repaction.symmetrize
+    monkeypatch.setattr(
+        repaction, "symmetrize", lambda e, g: calls.append(tuple(e)) or real(e, g)
+    )
+    rs = root_system("A:4")
+    several = 0
+    for w in rs.elements():
+        calls.clear()
+        g = build_schubert_moment_graph(rs, w)
+        assert decompose(g).ok
+        assert len(calls) == len(set(calls))
+        assert {v for (v,) in calls} == right_maximal(g)
+        several += len(calls) > 1
+    assert several
+
+
+@pytest.mark.parametrize(
+    "label,w", [("A:5", "54321"), ("A:6", "351624")], ids=["A:5-flag", "A:6-351624"]
+)
+def test_read_off_rows_equal_orbit_sums(label, w):
+    rs = root_system(label)
+    g = build_schubert_moment_graph(rs, rs.parse_element(w))
+    ids = [rs.index[v] for v in g.vertices]
+    _, rows = repaction._read_off(g, ids)
+    one = Polynomial.one(g.n)
+    for v, k in zip(g.vertices, ids):
+        row, _, clean = rows[k]
+        assert clean
+        assert {rs.elements()[y]: p for y, p in row.items()} == repaction.symmetrize(
+            {v: one}, g
+        )
 
 
 @pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])

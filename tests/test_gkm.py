@@ -1,6 +1,8 @@
 """Equivariant classes: GKM checking, Knutson-Tao construction by both
 routes, restriction, and basis expansion."""
 
+import json
+
 import pytest
 
 from gkmcalc.coxeter import all_permutations
@@ -361,6 +363,21 @@ class TestClassJson:
         ones = EquivariantClass(g, {v: Polynomial.one(3) for v in g.vertices})
         again = class_from_json(class_to_json(ones))
         assert localization_table(again) == localization_table(ones)
+
+    def test_external_payloads_do_not_share_the_graph(self):
+        from gkmcalc.gkm import expansion_to_json
+
+        g = toric_hexagon_graph()
+        ones = EquivariantClass(g, {v: Polynomial.one(3) for v in g.vertices})
+        exp = {g.vertices[0]: 1}
+        for payload in (lambda: class_to_json(ones), lambda: expansion_to_json(exp, g)):
+            first = payload()
+            want = json.loads(json.dumps(first))
+            ref = first["graph_ref"]["graph"]
+            ref["vertices"].pop()
+            ref["edges"][0]["label"] = "t9"
+            ref["metadata"]["name"] = "changed"
+            assert payload() == want
 
     def test_expansion_roundtrip(self, flag3, basis3):
         from gkmcalc.gkm import expansion_from_json, expansion_to_json

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import moment_graph
 from gkmcalc.cli import main
 from gkmcalc.coxeter import Permutation, all_permutations
 from gkmcalc.moment_graph import (
+    MAX_EXTERNAL_N,
     GraphParseError,
     _find_cycle,
     _form_vector,
@@ -263,6 +265,18 @@ class TestExternalLoading:
         g = load_external_graph(toric_hexagon_json() | {"metadata": {}})
         assert g.n == 3
 
+    @pytest.mark.parametrize("n", [3, 3.0, "3", MAX_EXTERNAL_N])
+    def test_integral_dimension_in_range_loads(self, n):
+        g = load_external_graph(toric_hexagon_json() | {"metadata": {"n": n}})
+        assert g.n == int(n) and graph_to_json(g)["metadata"]["n"] == int(n)
+
+    @pytest.mark.parametrize(
+        "n", [3.5, -1, MAX_EXTERNAL_N + 1, 10**30, float("inf"), float("nan"), "x"]
+    )
+    def test_dimension_out_of_range_refused(self, n):
+        with pytest.raises(GraphParseError, match="'n' must be an integer in 0..64"):
+            load_external_graph(toric_hexagon_json() | {"metadata": {"n": n}})
+
     def test_vertex_by_str(self):
         for g in (toric_hexagon_graph(), build_flag_moment_graph(root_system("B2"))):
             for v in g.vertices:
@@ -294,6 +308,28 @@ class TestSerialization:
         assert '"321" [label="321\\n(13)"]' in dot
         # one style per distinct label, legend included
         assert "// label t1 - t2" in dot
+
+    def test_json_is_fresh_per_call(self):
+        g = toric_hexagon_graph()
+        first = graph_to_json(g)
+        want = json.loads(json.dumps(first))
+        first["vertices"].append("x")
+        first["edges"][0]["label"] = "t9"
+        first["metadata"]["n"] = 7
+        assert graph_to_json(g) == want
+
+    @pytest.mark.parametrize("label", ["A:4", "G2"])
+    def test_each_distinct_label_formatted_once(self, monkeypatch, label):
+        calls = []
+        monkeypatch.setattr(
+            moment_graph,
+            "to_string",
+            lambda p, prefix="t": calls.append(p) or to_string(p, prefix),
+        )
+        rs = root_system(label)
+        g = build_flag_moment_graph(rs)
+        graph_to_json(g), graph_to_dot(g), validate_axioms(g)
+        assert len(calls) == len(set(calls)) == len(rs.positive_roots)
 
     def test_dot_deterministic(self):
         g = toric_hexagon_graph()
