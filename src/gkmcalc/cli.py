@@ -22,6 +22,7 @@ import sys
 
 from .gkm import (
     KnutsonTaoBasis,
+    SolveError,
     class_from_json,
     class_to_json,
     expand_in_basis,
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, SolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -320,10 +320,11 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     with only the current path's columns alive.  Row u draws only on the
     rows u and u s_i < u, so row v needs only the rows u = v s_j ... s_k
     reached by length-lowering right multiplications: the lower ideal of
-    v in the right weak order, which lies inside [e, v].  Each step down
-    the tree lowers the row length by at most one, so a row u can still
-    reach row v from column x only when l(x) - l(u) <= top - l(v), where
-    top is the largest length in the graph; the other rows are dropped.
+    v in the right weak order, which lies inside [e, v]: the left factors
+    of RootSystem.factorizations(v).  Each step down the tree lowers the
+    row length by at most one, so a row u can still reach row v from
+    column x only when l(x) - l(u) <= top - l(v), where top is the
+    largest length in the graph; the other rows are dropped.
     """
     rs = g.rs
     if rs is None:
@@ -333,13 +334,7 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     # rows by element id; g.vertices comes in (length, name) order
     length, rmul, index = rs.lengths, rs.rmul, rs.index
     top = index[v]
-    rows, todo = {top}, [top]
-    while todo:
-        u = todo.pop()
-        for row in rmul:
-            if length[us := row[u]] < length[u] and us not in rows:
-                rows.add(us)
-                todo.append(us)
+    rows = rs.factorizations(top)  # keyed by the rows u with v = u y reduced
     slack = length[index[g.vertices[-1]]] - length[top]
     loc: dict = {}
     # (w, i, beta, column of w s_i): w's column is built when it is popped,

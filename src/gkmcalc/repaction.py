@@ -29,7 +29,10 @@ When v = x y is reduced, the class of y has one coefficient S_x in the
 orbit sum of the class of v, whatever v is (Billey, Duke Math. J. 96,
 1999).  So :func:`decompose` symmetrizes only the vertices with no right
 ascent in the graph, reads every orbit sum off S, and checks invariance
-by the divided-difference identity once per x, in int arithmetic.
+by the divided-difference identity once per x, in int arithmetic.  The
+pairs come from ``RootSystem.factorizations``, the walk that also gives
+Billey's formula its rows.  Mod t, s_i moves only the constant term of
+-alpha_i, so the induced action is decided once per generator.
 
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
@@ -337,33 +340,20 @@ class DecompositionReport:
         return "\n".join(lines) + "\n"
 
 
-def _factorizations(rs, v: int) -> dict[int, int]:
-    """The reduced factorizations v = x y of the element id v, as x -> y,
-    walked from (v, e) by right descents: (x, y) -> (x s_i, s_i y)."""
-    rmul, lmul, length = rs.rmul, rs.lmul, rs.lengths
-    pairs = {v: 0}  # id 0 is the identity
-    todo = [v]
-    for x in todo:  # grows
-        for rrow, lrow in zip(rmul, lmul):
-            xs = rrow[x]
-            if length[xs] < length[x] and xs not in pairs:
-                pairs[xs] = lrow[pairs[x]]
-                todo.append(xs)
-    return pairs
-
-
 def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
     """The table S (vertex id x -> S_x) of g, and each vertex's orbit sum.
 
     S comes from the vertices with no right ascent in g, which lie above
-    every vertex in right weak order.  rows[v] is (row, failed, clean): row
-    maps the id of y to S_x over v = x y; failed holds each i at which the
-    identity fails at an x it reads; clean is false when v's own orbit sum
-    has a term S does not give, which then joins the row.
+    every vertex in right weak order; each vertex is walked once.  rows[v]
+    is (row, failed, clean): row maps the id of y to S_x over v = x y;
+    failed holds each i at which the identity fails at an x it reads;
+    clean is false when v's own orbit sum has a term S does not give,
+    which then joins the row.
     """
     rs = g.rs
     length, elements, index = rs.lengths, rs.elements(), rs.index
     inside = set(ids)
+    walks = {v: rs.factorizations(v) for v in ids}
     one, zero = Polynomial.one(g.n), Polynomial.zero(g.n)
     table: dict[int, Polynomial] = {}
     stray: dict[int, dict] = {}
@@ -371,7 +361,7 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
         if any(length[row[v]] > length[v] and row[v] in inside for row in rs.rmul):
             continue
         total = {index[u]: p for u, p in symmetrize({elements[v]: one}, g).items()}
-        for x, y in _factorizations(rs, v).items():
+        for x, y in walks[v].items():
             p = total.pop(y, zero)
             if table.setdefault(x, p) != p:
                 total[y] = p
@@ -386,8 +376,7 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
             if p.substitute(sub) != want:
                 broken[x].append(i)
     rows = {}
-    for v in ids:
-        pairs = _factorizations(rs, v)
+    for v, pairs in walks.items():
         row = {y: table[x] for x, y in pairs.items()}
         row.update(stray.get(v, {}))
         failed = {i for x in pairs for i in broken[x]}
@@ -401,7 +390,8 @@ def decompose(g: MomentGraph) -> DecompositionReport:
 
     A row is invariant under s_i when the divided-difference identity holds
     at every x it reads.  Unitriangularity reads coefficient |W| at v and
-    support inside [e, v]; the intervals are built once per call.
+    support inside [e, v]; the intervals are built once per call.  The
+    mod-t identity reads each generator's -alpha_i from simple_twists.
     """
     rs = g.rs
     if rs is None:
@@ -411,8 +401,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
         w_label=g.metadata.get("w", ""),
     )
     gen_ok = {i: True for i in range(1, rs.rank + 1)}
-    mod_t_ok = True
-    one = Polynomial.one(g.n)
+    length = rs.lengths
     order = Polynomial.constant(g.n, len(rs.elements()))
     elements = rs.elements()
     ids = [rs.index[v] for v in g.vertices]
@@ -420,21 +409,13 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     _, rows = _read_off(g, ids)
 
     for v, k in zip(g.vertices, ids):
-        deg = rs.lengths[k]
+        deg = length[k]
         row, failed, clean = rows[k]
         for i in failed:
             gen_ok[i] = False
         unitri = clean and row.get(k) == order and row.keys() <= below[k]
         if not unitri:
             report.unitriangular = False
-        # the induced action modulo the variable ideal fixes every class
-        for i in gen_ok:
-            image = _act_simple_on_expansion(i, {v: one}, g)
-            consts = {
-                u: p.constant_term() for u, p in image.items() if p.constant_term()
-            }
-            if consts != {v: Fraction(1)}:
-                mod_t_ok = False
         report.rows.append(
             {
                 "v": g.vertex_str(v),
@@ -449,7 +430,12 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     top = max(report.multiplicities) if report.multiplicities else 0
     report.poincare = [report.multiplicities.get(d, 0) for d in range(top + 1)]
     report.generator_invariance = gen_ok
-    report.mod_t_identity = mod_t_ok
+    # s_i fixes the class of v (a twisted 1 is 1) and moves -alpha_i times it
+    # to s_i v < v: mod t, a constant term there breaks the identity
+    report.mod_t_identity = not any(
+        minus_alpha.constant_term() and any(length[row[k]] < length[k] for k in ids)
+        for (_, minus_alpha), row in zip(rs.simple_twists, rs.lmul)
+    )
     return report
 
 

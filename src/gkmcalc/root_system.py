@@ -18,7 +18,8 @@ per product table.  ``simple_twists[i-1]`` holds the coadjoint
 substitution of s_i, compiled once as a polyring ``Substitution``, and
 -alpha_i: the two polynomial pieces of every simple-reflection step (the
 action on a basis expansion and the divided differences).  Descents,
-reduced words, Bruhat order (by the lifting property) and lower intervals
+reduced words, Bruhat order (by the lifting property), lower intervals and
+reduced factorizations v = x y (Billey's rows, the decomposition's pairs)
 are table lookups, with no group product; element objects stay at the
 boundary (parsing, names, graph vertices).  The minimal coset
 representatives of the parabolic chain W_1 < W_12 < ... < W,
@@ -61,8 +62,8 @@ class RootSystem:
     class then answers the table questions (elements, lengths, simple
     reflections, the longest element) by lookup and supplies the
     type-independent algorithms (reduced words, Bruhat order and intervals,
-    the coadjoint divided difference).  Instances are immutable lookup
-    tables; get them through :func:`root_system`, which keeps one per type.
+    the coadjoint divided difference).  Instances are lookup tables whose
+    caches change no result; :func:`root_system` keeps one per type.
     """
 
     label: str
@@ -294,6 +295,22 @@ class RootSystem:
                 below = got[row[k]]
                 got[k] = below | {row[u] for u in below}
         return got
+
+    def factorizations(self, v: int) -> dict[int, int]:
+        """Every reduced factorization v = x y of the element id v, as x -> y:
+        the x are the lower ideal of v in right weak order, walked from
+        (v, e) by right descents, (x, y) -> (x s_i, s_i y)."""
+        length, steps = self.lengths, tuple(zip(self.rmul, self.lmul))
+        pairs = {v: 0}  # id 0 is the identity
+        todo = [v]
+        for x in todo:  # breadth-first: todo grows
+            y, lx = pairs[x], length[x]
+            for rrow, lrow in steps:
+                xs = rrow[x]
+                if length[xs] < lx and xs not in pairs:
+                    pairs[xs] = lrow[y]
+                    todo.append(xs)
+        return pairs
 
     def bruhat_leq(self, v, w) -> bool:
         """v <= w in Bruhat order, by the lifting property.

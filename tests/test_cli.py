@@ -457,6 +457,19 @@ MALFORMED += [
     for n in (10**30, "1e400", 10**18, 3.5, -1, 65)
 ] + [(("graph", "--load", "{g}"), {"g": _BIG_LABEL})]
 
+# a valid GKM class on the toric hexagon, t1 - t2 on the path (12), (123),
+# (13): the graph has no Knutson-Tao basis to expand it in, since the
+# solver finds the constraints at (123) underdetermined
+_HEX_GKM_CLASS = {
+    "graph_ref": {"graph": toric_hexagon_json()},
+    "base": None,
+    "localizations": {
+        v: "t1 - t2" if v in ("(12)", "(123)", "(13)") else "0"
+        for v in toric_hexagon_json()["vertices"]
+    },
+}
+MALFORMED += [(("expand", "--class", "{cls}"), {"cls": _HEX_GKM_CLASS})]
+
 
 @pytest.mark.parametrize(
     "argv,files",

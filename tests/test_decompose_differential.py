@@ -9,7 +9,9 @@ reading the root system's tables; reports must match in JSON and table
 text.  ``decompose`` reads every row off a table S_x built from the orbit
 sums of the vertices with no right ascent in the graph; the mutation tests
 corrupt those orbit sums and show that the checks catch it, computing the
-rows each corruption must fail from ``rs.mul`` and ``rs.length``.
+rows each corruption must fail from ``rs.mul`` and ``rs.length``.  A
+constant term put into one generator's -alpha_i must make the mod-t
+identity fail wherever some vertex descends by that generator.
 """
 
 from fractions import Fraction
@@ -322,6 +324,39 @@ def test_divided_differences_of_the_identity_coefficients(label):
             xs = rs.mul(x, rs.simple_reflection(i))
             want = -P[xs] if rs.length(xs) < rs.length(x) else zero
             assert rs.divided_difference(P[x], i) == want, (label, x, i)
+
+
+def _constant_in_minus_alpha(monkeypatch, rs, i):
+    """Give -alpha_i in the simple_twists entry of s_i the constant term 1."""
+    twists = list(rs.simple_twists)
+    sub, minus_alpha = twists[i - 1]
+    twists[i - 1] = (sub, minus_alpha + Polynomial.one(rs.dim))
+    monkeypatch.setattr(rs, "simple_twists", tuple(twists))
+
+
+@pytest.mark.parametrize(
+    "label,w,i",
+    [("A:3", None, 1), ("A:3", None, 2), ("G2", None, 2), ("A:4", "2413", 2)],
+    ids=["A:3-flag-1", "A:3-flag-2", "G2-flag-2", "A:4-2413-2"],
+)
+def test_constant_term_breaks_the_mod_t_identity(monkeypatch, label, w, i):
+    """Mod t the step moves the constant term of -alpha_i down to s_i v."""
+    rs = root_system(label)
+    top = rs.longest_element() if w is None else rs.parse_element(w)
+    g = build_schubert_moment_graph(rs, top)
+    assert decompose(g).mod_t_identity
+    _constant_in_minus_alpha(monkeypatch, rs, i)
+    rep = decompose(g)
+    assert rep.to_json()["mod_t_identity"] is False
+    assert not rep.ok
+
+
+def test_generator_that_moves_nothing_keeps_the_mod_t_identity(monkeypatch):
+    """On X_{s_1} no vertex descends by s_2, so s_2 moves no term at all."""
+    rs = root_system("A:3")
+    g = build_schubert_moment_graph(rs, rs.simple_reflection(1))
+    _constant_in_minus_alpha(monkeypatch, rs, 2)
+    assert decompose(g).mod_t_identity
 
 
 def test_vertex_outside_the_graph_is_refused():

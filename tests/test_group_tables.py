@@ -4,7 +4,8 @@ Every root system numbers its elements in (length, name) order and keeps
 flat tables of lengths, left and right products by simple reflections and
 inverses.  These tests compare the tables with ``mul``, ``inv`` and
 ``length`` on the element objects, check the one-pass lower intervals
-against products of subwords, and guard that the production Billey route
+against products of subwords and the reduced factorizations against
+lengths of products, and guard that the production Billey route
 and the solver do their group and axiom bookkeeping once, not per call.
 The per-type simple twists (coadjoint substitution of s_i, compiled once,
 and -alpha_i) must match the reflections, and the action's steps must
@@ -98,6 +99,40 @@ def test_lower_intervals_in_one_pass(label):
     # a scattered request fills in the chains below it
     top = len(els) - 1
     assert rs.lower_intervals([top])[top] == set(range(len(els)))
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
+def test_factorizations_are_the_reduced_pairs(label):
+    """The walk maps exactly the x with l(x) + l(x^{-1} v) = l(v) to x^{-1} v."""
+    rs = root_system(label)
+    for k, v in enumerate(rs.elements()):
+        want = {}
+        for x in rs.elements():
+            y = rs.mul(rs.inv(x), v)
+            if rs.length(x) + rs.length(y) == rs.length(v):
+                want[rs.index[x]] = rs.index[y]
+        assert rs.factorizations(k) == want, rs.element_str(v)
+
+
+def test_billey_and_decompose_walk_each_vertex_once(monkeypatch):
+    calls = []
+    original = RootSystem.factorizations
+
+    def counting(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(RootSystem, "factorizations", counting)
+    rs = root_system("A:4")
+    g = build_flag_moment_graph(rs)
+    ids = [rs.index[v] for v in g.vertices]
+    assert decompose(g).ok
+    assert sorted(calls) == ids
+    calls.clear()
+    basis = KnutsonTaoBasis(g)
+    for v in g.vertices:
+        basis.cls(v)
+    assert sorted(calls) == ids
 
 
 def _times_word(rs, k: int, word) -> int:
