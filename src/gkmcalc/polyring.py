@@ -1,7 +1,18 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in n variables is stored as a map from exponent vectors
-(length-n tuples of non-negative ints) to nonzero rational coefficients.
+A polynomial in n variables is stored as a map from monomials to nonzero
+rational coefficients, and each monomial t1^e1 ... tn^en is packed into
+one int of n + 1 eight-bit fields: the total degree e1 + ... + en in the
+top field, then e1, ..., en, with e1 the most significant.  Graded-lex
+order is then plain int order, a product of monomials is a sum of keys
+and the quotient by a variable a difference.  Every field must fit in
+eight bits, so the total degree of a polynomial is at most
+``MAX_DEGREE`` (255); a constructor, parser, power or product whose result
+would pass it raises ``ValueError`` instead of letting a field overflow.
+Exponent tuples appear only at the boundary: the ``Polynomial(n, terms)``
+constructor, ``terms()``, ``coefficient()``, the text form and the JSON
+``exp`` lists.
+
 An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer classes that dominate the package never pay
 for ``Fraction`` arithmetic; only a division (``exact_divide``, a scalar
@@ -14,7 +25,9 @@ representation is canonical: two polynomials are equal exactly when their
 term maps are equal, and serialization orders terms in descending
 graded-lexicographic order.
 
-Everything here is pure and immutable, so values can be shared freely.
+A polynomial never changes after it is built; it only caches its hash.
+A compiled :class:`Substitution` keeps the powers of its images between
+calls.  Neither cache changes a value, so values can be shared freely.
 
 >>> t1, t2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
 >>> str(t1 - t2)
@@ -42,13 +55,14 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
     "Exponent",
     "ExactDivisionError",
+    "MAX_DEGREE",
     "Polynomial",
     "Substitution",
     "divides",
@@ -68,6 +82,10 @@ __all__ = [
 Exponent = tuple[int, ...]
 Coefficient = int | Fraction  # int when integral, see the module docstring
 
+_BITS = 8  # width of one field of a packed monomial
+MAX_DEGREE = (1 << _BITS) - 1  # the largest total degree a field holds: 255
+_FIELD = MAX_DEGREE  # mask of one field
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -76,9 +94,34 @@ class ExactDivisionError(ArithmeticError):
     """The dividend is not an exact multiple of the divisor."""
 
 
-def _grlex(exp: Exponent):
-    # graded lex: compare total degree first, then the exponent vector
-    return (sum(exp), exp)
+# -- packed monomials ----------------------------------------------------------
+
+
+def _degree_error(d: int) -> ValueError:
+    return ValueError(f"total degree {d} is above MAX_DEGREE = {MAX_DEGREE}")
+
+
+def _pack(exp: Exponent) -> int:
+    """The key of an exponent vector of total degree at most MAX_DEGREE."""
+    return int.from_bytes(bytes((sum(exp), *exp)), "big")
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    return tuple(key.to_bytes(n + 1, "big")[1:])
+
+
+def _shift(n: int, pos: int) -> int:
+    """Bit offset of the field of the variable at 0-based position pos."""
+    return _BITS * (n - 1 - pos)
+
+
+def _variable_key(n: int, pos: int) -> int:
+    return 1 << _BITS * n | 1 << _shift(n, pos)
+
+
+def _position(n: int, key: int) -> int:
+    """0-based position of the variable whose key (degree one) is given."""
+    return n - 1 - ((key ^ (1 << _BITS * n)).bit_length() - 1) // _BITS
 
 
 def _coeff(c) -> Coefficient:
@@ -105,16 +148,25 @@ def _canon(terms: dict) -> dict:
     return terms
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two term maps, canonical."""
+def _mul_terms(a: dict, b: dict, n: int) -> dict:
+    """Product of two term maps in n variables, canonical."""
+    if not a or not b:
+        return {}
+    s = _BITS * n
+    d = (max(a) >> s) + (max(b) >> s)
+    if d > MAX_DEGREE:
+        raise _degree_error(d)
     if len(a) < len(b):
         a, b = b, a
-    out: dict = {}
+    a_items = a.items()
+    b_items = iter(b.items())
+    eb, cb = next(b_items)
+    # the first row shifts every key of a alike, so its keys are distinct
+    out = {ea + eb: ca * cb for ea, ca in a_items}
     get = out.get
-    b_items = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in b_items:
-            e = tuple(map(add, ea, eb))
+    for eb, cb in b_items:
+        for ea, ca in a_items:
+            e = ea + eb
             out[e] = get(e, 0) + ca * cb
     return _canon(out)
 
@@ -128,14 +180,14 @@ def _div(a: Coefficient, b: Coefficient) -> Coefficient:
     return q.numerator if q.denominator == 1 else q
 
 
-def _single_variable(terms: dict) -> int | None:
+def _single_variable(terms: dict, n: int) -> int | None:
     """Position of the variable a term map equals, if it is one with coefficient 1."""
     if len(terms) != 1:
         return None
-    ((exp, c),) = terms.items()
-    if c != 1 or sum(exp) != 1:
+    ((key, c),) = terms.items()
+    if c != 1 or key >> _BITS * n != 1:
         return None
-    return exp.index(1)
+    return _position(n, key)
 
 
 class Polynomial:
@@ -146,19 +198,22 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[Exponent, object] | None = None):
         if n < 0:
             raise ValueError(f"ring dimension must be non-negative, got {n}")
-        clean: dict[Exponent, Coefficient] = {}
+        clean: dict[int, Coefficient] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
-                if len(exp) != n or any(not isinstance(e, int) or e < 0 for e in exp):
+                if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                     raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
-                clean[exp] = clean.get(exp, 0) + _coeff(coeff)
+                if sum(exp) > MAX_DEGREE:
+                    raise _degree_error(sum(exp))
+                key = _pack(exp)
+                clean[key] = clean.get(key, 0) + _coeff(coeff)
         self.n = n
         self._terms = _canon(clean)
         self._hash = None
 
     @classmethod
-    def _make(cls, n: int, terms: dict[Exponent, Coefficient]) -> "Polynomial":
+    def _make(cls, n: int, terms: dict[int, Coefficient]) -> "Polynomial":
         # internal fast path: terms must already be canonical
         self = object.__new__(cls)
         self.n = n
@@ -179,52 +234,56 @@ class Polynomial:
     @classmethod
     def constant(cls, n: int, c) -> "Polynomial":
         c = _coeff(c)
-        return cls._make(n, {(0,) * n: c} if c else {})
+        return cls._make(n, {0: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Polynomial":
         """The variable with 1-based index i."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
-        exp = [0] * n
-        exp[i - 1] = 1
-        return cls._make(n, {tuple(exp): 1})
+        return cls._make(n, {_variable_key(n, i - 1): 1})
 
     @classmethod
     def linear_form(cls, n: int, coeffs: Mapping[int, object]) -> "Polynomial":
         """Degree-one form from a map of 1-based variable index to coefficient."""
-        terms: dict[Exponent, Coefficient] = {}
+        terms: dict[int, Coefficient] = {}
         for i, c in coeffs.items():
             if not 1 <= i <= n:
                 raise ValueError(f"variable index {i} outside 1..{n}")
             c = _coeff(c)
             if c:
-                exp = [0] * n
-                exp[i - 1] = 1
-                terms[tuple(exp)] = c
+                terms[_variable_key(n, i - 1)] = c
         return cls._make(n, terms)
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[Exponent, Fraction]:
-        return {e: Fraction(c) for e, c in self._terms.items()}
+        n = self.n
+        return {_unpack(k, n): Fraction(c) for k, c in self._terms.items()}
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(exp), 0))
+        exp = tuple(exp)
+        try:
+            key = _pack(exp) if len(exp) == self.n else None
+        except (TypeError, ValueError):  # not an exponent vector of this ring
+            key = None
+        return Fraction(self._terms.get(key, 0))
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._terms.get((0,) * self.n, 0))
+        return Fraction(self._terms.get(0, 0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=-1)
+        return max(self._terms) >> _BITS * self.n if self._terms else -1
 
     def is_homogeneous(self, d: int) -> bool:
         """True when every term has total degree d (vacuously true for 0)."""
-        return all(sum(e) == d for e in self._terms)
+        terms = self._terms
+        s = _BITS * self.n
+        return not terms or min(terms) >> s == d == max(terms) >> s
 
     # -- arithmetic --------------------------------------------------------
 
@@ -280,13 +339,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        return Polynomial._make(self.n, _mul_terms(self._terms, other._terms))
+        return Polynomial._make(self.n, _mul_terms(self._terms, other._terms, self.n))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined")
+        if self.total_degree() * k > MAX_DEGREE:
+            raise _degree_error(self.total_degree() * k)
         out = Polynomial.one(self.n)
         for _ in range(k):
             out = out * self
@@ -334,20 +395,23 @@ class Polynomial:
 class Substitution:
     """A variable assignment analysed once and applied to many polynomials.
 
-    The analysis picks one of four ways to apply it.  When every image is a
-    single variable with coefficient 1 (a Weyl group element of type A, a
-    swap, the hyperplane of a type-A root), the exponent vectors are
-    relabelled and no product is formed: by one ``itemgetter`` for a
-    permutation of the variables, by moving the exponents that change
-    when images collide (terms that land on the same exponent are summed),
-    or not at all for the identity.  Otherwise each term is expanded into
-    one result dict.  The powers of the images that expansion needs are
-    kept for later calls, at most one per image and exponent.
+    The analysis picks one of four ways to apply it.  When every image is
+    a single variable with coefficient 1 (a Weyl group element of type A,
+    a swap, the hyperplane of a type-A root), the fields of each packed
+    monomial are relabelled and no product is formed: by one xor for a
+    transposition of two variables, otherwise by adding e * (unit of t -
+    unit of p) to the key for each exponent e that moves from position p
+    to t (when images collide, terms that land on the same monomial are
+    summed), or not at all for the identity.  Otherwise the substituted
+    fields, and their share of the degree, are stripped from each key and
+    the rest is multiplied by the powers of the images, into one result
+    dict.  Those powers are kept for later calls, at most one per image
+    and exponent.
 
     ``assignment`` is the read-only map the object was compiled from.
     """
 
-    __slots__ = ("n", "assignment", "_pick", "_moves", "_images", "_powers")
+    __slots__ = ("n", "assignment", "_swap", "_moves", "_images", "_powers")
 
     def __init__(self, n: int, assignment: Mapping[int, Polynomial]):
         target = list(range(n))  # where each variable's exponent moves
@@ -359,85 +423,95 @@ class Substitution:
             if q.n != n:
                 raise ValueError(f"ring dimension mismatch: {n} vs {q.n}")
             images[i - 1] = q._terms
-            j = _single_variable(q._terms)
+            j = _single_variable(q._terms, n)
             if j is None:
                 relabel = False
             else:
                 target[i - 1] = j
         self.n = n
         self.assignment = MappingProxyType(dict(assignment))
-        self._pick = self._moves = self._images = None
+        self._swap = self._moves = self._images = None
         self._powers: dict[tuple[int, int], dict] = {}
+        moved = [(p, t) for p, t in enumerate(target) if p != t]
         if not relabel:
-            self._images = images
-        elif sorted(target) != list(range(n)):
-            self._moves = [(p, t) for p, t in enumerate(target) if p != t]
-        elif target != list(range(n)):
-            # a permutation of the variables: exponents never collide
-            source = [0] * n
-            for pos, t in enumerate(target):
-                source[t] = pos
-            self._pick = itemgetter(*source)
+            # (position, field offset, key of the variable, image)
+            self._images = [
+                (p, _shift(n, p), _variable_key(n, p), q) for p, q in images.items()
+            ]
+        elif len(moved) == 2 and moved[0] == moved[1][::-1]:
+            # a transposition of the fields at offsets sq + d and sq
+            sq = _shift(n, moved[1][0])
+            d = _shift(n, moved[0][0]) - sq
+            self._swap = (d, _FIELD << sq, 1 << d | 1)
+        elif moved:
+            self._moves = [
+                (_shift(n, p), (1 << _shift(n, t)) - (1 << _shift(n, p)))
+                for p, t in moved
+            ]
 
     def _apply(self, p: Polynomial) -> dict:
         """The term map of p with the assignment substituted, canonical."""
         if p.n != self.n:
             raise ValueError(f"ring dimension mismatch: {p.n} vs {self.n}")
-        if self._pick is not None:
-            pick = self._pick
-            return {pick(e): c for e, c in p._terms.items()}
+        terms = p._terms
+        if self._swap is not None:
+            # the xor of the two fields, at the lower one, then spread to both
+            d, low, spread = self._swap
+            return {k ^ ((k >> d ^ k) & low) * spread: c for k, c in terms.items()}
         if self._moves is not None:
-            return _relabel(p._terms, self._moves)
+            return _relabel(terms, self._moves)
         if self._images is not None:
-            return _expand(p._terms, self._images, self._powers)
-        return p._terms
+            return _expand(terms, self.n, self._images, self._powers)
+        return terms
 
 
 def _relabel(terms: dict, moves: list[tuple[int, int]]) -> dict:
-    """Move the exponent at each position p to t, for every (p, t) in moves."""
+    """Move each exponent at field offset s by step, for every (s, step) in moves.
+
+    step is the unit of the target field minus the unit of the source, so
+    the moved key is k + e * step, with e read from the unmoved key.
+    """
     out: dict = {}
-    for exp, c in terms.items():
-        moved = list(exp)
-        for pos, t in moves:
-            e = exp[pos]
-            if e:
-                moved[pos] -= e
-                moved[t] += e
-        moved = tuple(moved)
-        out[moved] = out.get(moved, 0) + c
+    get = out.get
+    for k, c in terms.items():
+        moved = k
+        for s, step in moves:
+            moved += ((k >> s) & _FIELD) * step
+        out[moved] = get(moved, 0) + c
     return _canon(out)
 
 
-def _expand(terms: dict, images: dict[int, dict], powers: dict) -> dict:
-    """Substitute images[pos] for the variable at each position pos.
+def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
+    """Substitute the image of each variable in images for it.
 
-    powers maps (pos, e) to the e-th power of images[pos]; missing powers
-    are computed and added to it.
+    images lists (position, field offset, variable key, image terms);
+    powers maps (position, e) to the e-th power of that image; missing
+    powers are computed and added to it.
     """
 
-    def power(pos: int, e: int) -> dict:
+    def power(pos: int, image: dict, e: int) -> dict:
         key = (pos, e)
         if key not in powers:
             powers[key] = (
-                images[pos] if e == 1 else _mul_terms(power(pos, e - 1), images[pos])
+                image if e == 1 else _mul_terms(power(pos, image, e - 1), image, n)
             )
         return powers[key]
 
     out: dict = {}
     get = out.get
-    for exp, c in terms.items():
-        plain = list(exp)  # untouched part of the monomial
+    for k, c in terms.items():
+        plain = k  # untouched part of the monomial
         factors = []
-        for pos in images:
-            e = exp[pos]
+        for pos, s, var, image in images:
+            e = (k >> s) & _FIELD
             if e:
-                plain[pos] = 0
-                factors.append(power(pos, e))
-        term = {tuple(plain): c}
+                plain -= e * var
+                factors.append(power(pos, image, e))
+        term = {plain: c}
         for f in factors:
-            term = _mul_terms(term, f)
-        for e, k in term.items():
-            out[e] = get(e, 0) + k
+            term = _mul_terms(term, f, n)
+        for e, v in term.items():
+            out[e] = get(e, 0) + v
     return _canon(out)
 
 
@@ -454,15 +528,14 @@ def is_linear_form(p: Polynomial) -> bool:
 
 
 def _pivot(f: Polynomial) -> tuple[int, Coefficient]:
-    """Smallest-index variable of a linear form together with its coefficient."""
+    """Key of the smallest-index variable of a linear form, and its coefficient.
+
+    t1's field is the most significant, so that is the largest key.
+    """
     if not is_linear_form(f):
         raise ValueError(f"not a nonzero linear form: {f}")
-    best = None
-    for exp, c in f._terms.items():
-        i = exp.index(1) + 1
-        if best is None or i < best[0]:
-            best = (i, c)
-    return best
+    key = max(f._terms)
+    return key, f._terms[key]
 
 
 def hyperplane(f: Polynomial) -> Substitution:
@@ -471,7 +544,8 @@ def hyperplane(f: Polynomial) -> Substitution:
     Substituting it reduces modulo the ideal generated by the linear form
     f; compile it once for a label that reduces many polynomials.
     """
-    k, c = _pivot(f)
+    key, c = _pivot(f)
+    k = _position(f.n, key) + 1
     # on f = 0 the pivot variable equals t_k - f/c
     return Substitution(f.n, {k: Polynomial.variable(f.n, k) - f * Fraction(1, c)})
 
@@ -499,31 +573,30 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
     the grlex-leading term of the remainder, and the terms it adds are
     grlex-smaller (they move one degree from the pivot to a later
     variable), so the leading terms come off a heap in strictly
-    decreasing order and each is handled once.
+    decreasing order and each is handled once.  Keys are grlex-ordered
+    ints, so the heap holds them negated and a quotient monomial is the
+    remainder's leading key minus the pivot's.
     """
-    k, c = _pivot(f)
+    pivot, c = _pivot(f)
     if p.n != f.n:
         raise ValueError(f"ring dimension mismatch: {p.n} vs {f.n}")
-    pos = k - 1
+    s = _shift(p.n, _position(p.n, pivot))
     rem = dict(p._terms)
-    # max-heap on grlex: degree, then the exponent vector, both negated
-    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heap = [-k for k in rem]  # a max-heap on the keys
     heapq.heapify(heap)
     f_items = list(f._terms.items())
-    quo: dict[Exponent, Coefficient] = {}
+    quo: dict[int, Coefficient] = {}
     while rem:
-        exp = heapq.heappop(heap)[2]
-        if exp not in rem:
+        k = -heapq.heappop(heap)
+        if k not in rem:
             continue  # cancelled after it was pushed
-        if exp[pos] == 0:
+        if not (k >> s) & _FIELD:
             raise ExactDivisionError(f"{to_string(f)} does not divide {to_string(p)}")
-        qc = _div(rem[exp], c)
-        qe = list(exp)
-        qe[pos] -= 1
-        qe = tuple(qe)
-        quo[qe] = qc
-        for fe, fc in f_items:
-            e = tuple(map(add, qe, fe))
+        qc = _div(rem[k], c)
+        qk = k - pivot
+        quo[qk] = qc
+        for fk, fc in f_items:
+            e = qk + fk
             c0 = rem.get(e, 0) - qc * fc
             if not c0:
                 del rem[e]
@@ -531,7 +604,7 @@ def exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
             if c0.__class__ is Fraction and c0.denominator == 1:
                 c0 = c0.numerator
             if e not in rem:
-                heapq.heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                heapq.heappush(heap, -e)
             rem[e] = c0
     return Polynomial._make(p.n, quo)
 
@@ -560,14 +633,17 @@ def poly_divided_difference(p: Polynomial, i: int) -> Polynomial:
 
 def to_string(p: Polynomial, prefix: str = "t") -> str:
     """Human-readable form like ``t1 - t2`` or ``3/2*a1^2*a2``."""
-    if p.is_zero():
+    terms = p._terms
+    if not terms:
         return "0"
+    names = [f"{prefix}{i}" for i in range(1, p.n + 1)]
+    width = p.n + 1
     parts: list[str] = []
-    for exp in sorted(p._terms, key=_grlex, reverse=True):
-        c = p._terms[exp]
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
         mono = "*".join(
-            f"{prefix}{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(exp)
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(names, key.to_bytes(width, "big")[1:])
             if e
         )
         mag = abs(c)
@@ -674,11 +750,12 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
 
 def polynomial_to_json(p: Polynomial) -> dict:
+    width = p.n + 1
     return {
         "n": p.n,
         "terms": [
-            {"exp": list(e), "coeff": str(p._terms[e])}
-            for e in sorted(p._terms, key=_grlex, reverse=True)
+            {"exp": list(k.to_bytes(width, "big")[1:]), "coeff": str(p._terms[k])}
+            for k in sorted(p._terms, reverse=True)
         ],
     }
 
@@ -703,7 +780,10 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
     for t in terms:
         if not isinstance(t, dict) or not isinstance(t.get("exp"), list):
             raise ValueError(f"a polynomial term needs an exp list, not {t!r}")
-        out[tuple(t["exp"])] = _coefficient_from_json(t.get("coeff"))
+        exp = tuple(t["exp"])
+        if any(type(e) is not int for e in exp):  # bools and lists included
+            raise ValueError(f"bad exponent vector {exp!r} for dimension {dim}")
+        out[exp] = _coefficient_from_json(t.get("coeff"))
     return Polynomial(dim, out)
 
 

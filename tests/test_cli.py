@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from gkmcalc import cli, verify
 from gkmcalc.cli import main
 from gkmcalc.gkm import class_to_json, knutson_tao_class_descent, knutson_tao_class_solve
 from gkmcalc.moment_graph import schubert_graph, toric_hexagon_json
+from gkmcalc.polyring import MAX_DEGREE
 from gkmcalc.verify import run_suite
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -223,6 +225,29 @@ class TestDdiffAndExpand:
         )
         assert code == 0
 
+    def test_expand_refuses_a_degree_past_the_bound_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_a3_power_class(10**12)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--class", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        bound = f"total degree {10**12} is above MAX_DEGREE = {MAX_DEGREE}"
+        assert err == f"error: bad class file: {bound}\n"
+
+    @pytest.mark.parametrize("k,code", [(MAX_DEGREE, 0), (MAX_DEGREE + 1, 2)])
+    def test_degree_bound_of_a_class_file(self, capsys, tmp_path, k, code):
+        # equal localizations: a GKM class that expands without a division
+        path = tmp_path / "flat.json"
+        loc = {v: f"t1^{k}" for v in ("123", "132", "213", "231", "312", "321")}
+        path.write_text(json.dumps(_A3_CLASS | {"localizations": loc}))
+        got, out, err = run(capsys, "expand", "--class", str(path))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["coefficients"] == {"123": f"t1^{k}"}
+        else:
+            assert "MAX_DEGREE" in err
+
     def test_expand_bad_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -352,6 +377,16 @@ _BAD_HEX = toric_hexagon_json()
 _BAD_HEX["edges"][0]["label"] = "1/0*t1"
 _A3_CLASS = {"graph_ref": {"type": "A:3", "w": "321"}, "base": None, "localizations": {}}
 
+
+def _a3_power_class(k):
+    """The GKM class v -> t_{v(1)}^k on the A:3 flag graph.
+
+    Expanding it divides t_a^k - t_b^k by t_a - t_b, one degree per step.
+    """
+    perms = ("123", "132", "213", "231", "312", "321")
+    return _A3_CLASS | {"localizations": {v: f"t{v[0]}^{k}" for v in perms}}
+
+
 MALFORMED = [
     (("graph", "--load", "{div0}"), {"div0": _BAD_HEX}),
     (("ddiff", "--side", "left", "--i", "1", "--class", "{cls}"), {"cls": _HEX_CLASS}),
@@ -469,6 +504,17 @@ _HEX_GKM_CLASS = {
     },
 }
 MALFORMED += [(("expand", "--class", "{cls}"), {"cls": _HEX_GKM_CLASS})]
+
+# a degree no packed monomial holds (dividing it out one degree per step
+# would take hours), and exponents that are not ints: a list, which cannot
+# be hashed, and bools
+MALFORMED += [(("expand", "--class", "{cls}"), {"cls": _a3_power_class(10**12)})] + [
+    (("expand", "--class", "{c}"), {"c": _A3_CLASS | {"localizations": {"123": loc}}})
+    for loc in (
+        {"terms": [{"exp": [[1], 0, 0], "coeff": "1"}]},
+        {"terms": [{"exp": [True, False, False], "coeff": "1"}]},
+    )
+]
 
 
 @pytest.mark.parametrize(

@@ -9,17 +9,24 @@ stores integral coefficients as ``int`` and divides off a heap; on every
 input here it must give the same polynomial, the same hash and the same
 text and JSON bytes.  A compiled ``Substitution`` keeps the powers of its
 images between calls, so one object is applied to many polynomials.
+
+The kernel packs each monomial into one int (see ``gkmcalc.polyring``);
+the last section checks the packing itself, and every way of applying a
+substitution, at the degree bound where a field is full.
 """
 
 import json
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmcalc import polyring
+from gkmcalc.moment_graph import MAX_EXTERNAL_N
 from gkmcalc.polyring import (
+    MAX_DEGREE,
     ExactDivisionError,
     Polynomial,
     Substitution,
@@ -114,8 +121,8 @@ def assert_matches(got, ref, n):
     for c in got._terms.values():
         # stored form: nonzero, int exactly when integral
         assert c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
-    # the reference as the Fraction-only kernel stored it
-    old = Polynomial._make(n, dict(ref))
+    # the reference as the Fraction-only kernel stored it, under packed keys
+    old = Polynomial._make(n, {polyring._pack(e): c for e, c in ref.items()})
     assert got == old and hash(got) == hash(old)
     assert to_string(got) == to_string(old)
     assert to_string(got, prefix="a") == to_string(old, prefix="a")
@@ -177,6 +184,7 @@ _G2 = root_system("G2")
 COMPILED_PATHS = {
     # name: (dimension, assignment), one per way of applying it
     "permutation": (4, {1: _t(4, 3), 2: _t(4, 1), 3: _t(4, 2)}),
+    "transposition": (4, {2: _t(4, 4), 4: _t(4, 2)}),
     "collision": (4, {1: _t(4, 2), 3: _t(4, 2)}),
     "collision chain": (4, {1: _t(4, 2), 2: _t(4, 3)}),
     "identity": (4, {2: _t(4, 2)}),
@@ -212,7 +220,8 @@ def test_compiled_relabel_paths_form_no_products(monkeypatch):
     monkeypatch.setattr(polyring, "_expand", no_products)
     monkeypatch.setattr(polyring, "_mul_terms", no_products)
     p = random_poly(random.Random(5), 4)
-    for name in ("permutation", "collision", "collision chain", "identity", "empty"):
+    relabellings = ("permutation", "transposition", "collision", "collision chain")
+    for name in (*relabellings, "identity", "empty"):
         p.substitute(Substitution(*COMPILED_PATHS[name]))
     p.substitute(hyperplane(_t(4, 2) - _t(4, 4)))
     assert p.substitute(Substitution(4, {}))._terms is p._terms
@@ -371,4 +380,109 @@ def test_fractions_that_become_integral_are_stored_as_int():
     assert all(type(c) is Fraction for c in half._terms.values())
     for p in (half * 2, half + half, exact_divide(2 * t1 * t1 - 2 * t1 * t2, 2 * t1)):
         assert all(type(c) is int for c in p._terms.values())
-    assert exact_divide(t1 * t2, 3 * t1)._terms == {(0, 1, 0): Fraction(1, 3)}
+    third = exact_divide(t1 * t2, 3 * t1)._terms
+    assert third == {polyring._pack((0, 1, 0)): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in third.values())
+
+
+# -- packed monomials and the degree bound ----------------------------------------
+
+DIMS = [*range(10), MAX_EXTERNAL_N]
+
+
+@st.composite
+def exponents(draw, n):
+    """An exponent vector in n variables of total degree at most MAX_DEGREE."""
+    exp = [0] * n
+    if n:
+        size = draw(
+            st.one_of(st.integers(0, 6), st.integers(0, MAX_DEGREE), st.just(MAX_DEGREE))
+        )
+        for pos in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)):
+            exp[pos] += 1
+    return tuple(exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from(DIMS))
+def test_pack_unpack_round_trip(data, n):
+    exp = data.draw(exponents(n))
+    key = polyring._pack(exp)
+    assert polyring._unpack(key, n) == exp
+    assert key >> polyring._BITS * n == sum(exp)  # the degree is the top field
+    p = Polynomial(n, {exp: 3})
+    assert p.terms() == {exp: 3} and p.coefficient(exp) == 3
+    assert p.total_degree() == sum(exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.sampled_from(DIMS))
+def test_key_order_is_graded_lex(data, n):
+    a, b = data.draw(exponents(n)), data.draw(exponents(n))
+    ka, kb = polyring._pack(a), polyring._pack(b)
+    assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+    assert (ka == kb) == (a == b)
+    if sum(a) + sum(b) <= MAX_DEGREE:
+        # a product of monomials is a sum of keys
+        assert polyring._pack(tuple(map(add, a, b))) == ka + kb
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_key_order_at_the_corners(n):
+    # the constant, then each variable to the power MAX_DEGREE, grlex-ascending
+    corners = [(0,) * n] + [
+        tuple(MAX_DEGREE if i == pos else 0 for i in range(n)) for pos in reversed(range(n))
+    ]
+    keys = [polyring._pack(e) for e in corners]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys) == n + 1
+    assert [polyring._unpack(k, n) for k in keys] == corners
+
+
+BOUND_PATHS = {
+    # name: (assignment, the compiled path it must take)
+    "xor swap": ({1: v(3), 3: v(1)}, "_swap"),
+    "permutation": ({1: v(2), 2: v(3), 3: v(1)}, "_moves"),
+    "move": ({2: v(3)}, "_moves"),
+    "move, two sources": ({1: v(3), 2: v(3)}, "_moves"),
+    "expand, monomial images": ({1: 2 * v(2), 3: v(3) * Fraction(-1, 2)}, "_images"),
+    "expand, linear image": ({1: v(2) - v(3)}, "_images"),
+}
+
+
+@st.composite
+def polys_at_the_bound(draw, low=MAX_DEGREE - 2, high=MAX_DEGREE, max_first=MAX_DEGREE):
+    """Polynomials whose terms have total degree low .. high."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(low, high))
+        a = draw(st.integers(0, min(d, max_first)))
+        b = draw(st.integers(0, d - a))
+        terms[(a, b, d - a - b)] = draw(coeffs.filter(bool))
+    return Polynomial(N, terms)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_PATHS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_substitution_paths_at_the_degree_bound(name, data):
+    assignment, path = BOUND_PATHS[name]
+    sub = Substitution(N, assignment)
+    assert getattr(sub, path) is not None
+    # a two-term image makes the reference expand (t2 - t3)^e term by term
+    max_first = 4 if name.endswith("linear image") else MAX_DEGREE
+    p = data.draw(polys_at_the_bound(max_first=max_first))
+    want = ref_substitute(p.terms(), N, {i: q.terms() for i, q in assignment.items()})
+    got = p.substitute(sub)
+    assert_matches(got, want, N)
+    assert got.total_degree() <= MAX_DEGREE
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=polys_at_the_bound(low=MAX_DEGREE - 1, high=MAX_DEGREE - 1), f=linear_forms())
+def test_product_and_exact_divide_at_the_degree_bound(p, f):
+    prod = p * f
+    assert_matches(prod, ref_mul(p.terms(), f.terms()), N)
+    assert prod.total_degree() == MAX_DEGREE
+    assert_matches(exact_divide(prod, f), ref_exact_divide(prod.terms(), f.terms()), N)
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} is above"):
+        prod * f

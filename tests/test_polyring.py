@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmcalc.polyring import (
+    MAX_DEGREE,
     ExactDivisionError,
     Polynomial,
     divides,
@@ -308,6 +309,8 @@ class TestTextForms:
             {"terms": [{"exp": [1, 0, 0], "coeff": "1/0"}]},
             {"terms": [{"exp": [1, 0, 0], "coeff": None}]},
             {"n": "3", "terms": []},
+            {"terms": [{"exp": [[1], 0, 0], "coeff": "1"}]},
+            {"terms": [{"exp": [1.0, 0, 0], "coeff": "1"}]},
         ],
     )
     def test_json_bad_object_is_a_value_error(self, obj):
@@ -323,6 +326,65 @@ class TestTextForms:
                 {"exp": [0, 1, 0], "coeff": "-1"},
             ],
         }
+
+
+class TestDegreeBound:
+    """Each packed field holds at most MAX_DEGREE; no entry point may pass it."""
+
+    def test_the_bound_is_the_field_width(self):
+        assert MAX_DEGREE == 255
+
+    def test_constructor(self):
+        at = Polynomial(3, {(MAX_DEGREE - 1, 0, 1): 1, (0, 0, 0): 2})
+        assert at.total_degree() == MAX_DEGREE
+        assert at.coefficient((MAX_DEGREE - 1, 0, 1)) == 1
+        for exp in ((MAX_DEGREE, 0, 1), (0, MAX_DEGREE + 1, 0), (10**12, 0, 0)):
+            with pytest.raises(ValueError, match=f"above MAX_DEGREE = {MAX_DEGREE}$"):
+                Polynomial(3, {exp: 1})
+
+    def test_parse(self):
+        assert parse_polynomial(f"t1^{MAX_DEGREE}", 3).total_degree() == MAX_DEGREE
+        assert parse_polynomial(f"t2^{MAX_DEGREE - 1}*t3 - 1", 3).total_degree() == MAX_DEGREE
+        for text in (
+            f"t1^{MAX_DEGREE + 1}",
+            f"t2^{MAX_DEGREE}*t3",
+            "t1^1000000000000",
+        ):
+            with pytest.raises(ValueError, match="MAX_DEGREE"):
+                parse_polynomial(text, 3)
+
+    def test_json(self):
+        def obj(exp):
+            return {"n": 3, "terms": [{"exp": exp, "coeff": "1"}]}
+
+        assert polynomial_from_json(obj([0, 0, MAX_DEGREE])) == t3**MAX_DEGREE
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            polynomial_from_json(obj([0, 1, MAX_DEGREE]))
+
+    def test_power(self):
+        assert (t1 * t2) ** (MAX_DEGREE // 2) == Polynomial(3, {(127, 127, 0): 1})
+        assert (t1 + 1) ** MAX_DEGREE != 0
+        assert (t2 + 3) ** 0 == Polynomial.one(3)
+        for base, k in ((t1, MAX_DEGREE + 1), (t1 * t2, 128), (t1 - t3, 10**12)):
+            with pytest.raises(ValueError, match="MAX_DEGREE"):
+                base**k
+        assert Polynomial.constant(3, 2) ** 300 == Polynomial.constant(3, 2**300)
+
+    def test_product(self):
+        p = t1 ** (MAX_DEGREE - 1) - t2
+        assert (p * (t1 - t3)).total_degree() == MAX_DEGREE
+        with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} is above"):
+            p * (t1 * t3)
+        with pytest.raises(ValueError, match="MAX_DEGREE"):
+            (t1**200).substitute({1: t2 * t3})
+
+    def test_bool_exponents_are_refused(self):
+        with pytest.raises(ValueError, match=r"bad exponent vector \(True, 0\)"):
+            Polynomial(2, {(True, 0): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            polynomial_from_json({"n": 2, "terms": [{"exp": [True, False], "coeff": "3"}]})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            polynomial_from_json({"n": 2, "terms": [{"exp": [1, False], "coeff": "3"}]})
 
 
 def test_homogeneous_exponents_enumeration():
