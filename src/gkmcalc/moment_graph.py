@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .polyring import (
+    MAX_DEGREE,
     Polynomial,
     is_linear_form,
     parse_polynomial,
@@ -649,8 +650,10 @@ def load_external_graph(description) -> MomentGraph:
     object) form and must be nonzero linear forms.  The ring dimension is
     metadata 'n', or else the highest variable index the labels use; either
     way it is at most MAX_EXTERNAL_N, since every term of every polynomial
-    on the graph holds n exponents.  Structural problems raise
-    GraphParseError; axiom violations are left to validate_axioms.
+    on the graph holds n exponents.  No vertex may have more than
+    MAX_DEGREE out-edges, since the class of a vertex has its out-degree
+    as total degree.  Structural problems raise GraphParseError; axiom
+    violations are left to validate_axioms.
     """
     if isinstance(description, str):
         try:
@@ -684,10 +687,17 @@ def load_external_graph(description) -> MomentGraph:
         raise GraphParseError("duplicate vertices")
     vset = set(vertices)
     edges = []
+    out_degree = dict.fromkeys(vertices, 0)
     for rec in records:
         tail, head = str(rec.get("tail")), str(rec.get("head"))
         if tail not in vset or head not in vset:
             raise GraphParseError(f"dangling edge endpoint: {tail} -> {head}")
+        out_degree[tail] += 1
+        if out_degree[tail] > MAX_DEGREE:
+            raise GraphParseError(
+                f"vertex {tail} has more than {MAX_DEGREE} out-edges "
+                f"(MAX_DEGREE, the largest degree of a class)"
+            )
         try:
             label = parse_polynomial(str(rec["label"]), n)
         except (KeyError, ValueError) as exc:

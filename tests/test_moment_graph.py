@@ -24,7 +24,7 @@ from gkmcalc.moment_graph import (
     toric_hexagon_json,
     validate_axioms,
 )
-from gkmcalc.polyring import Polynomial, to_string
+from gkmcalc.polyring import MAX_DEGREE, Polynomial, to_string
 from gkmcalc.root_system import root_system, type_a
 
 
@@ -277,6 +277,16 @@ class TestExternalLoading:
         with pytest.raises(GraphParseError, match="'n' must be an integer in 0..64"):
             load_external_graph(toric_hexagon_json() | {"metadata": {"n": n}})
 
+    @pytest.mark.parametrize("k", [MAX_DEGREE, MAX_DEGREE + 1])
+    def test_out_degree_bound(self, k):
+        # the class of the centre of a k-edge star has total degree k
+        star = _star_json(k)
+        if k <= MAX_DEGREE:
+            assert load_external_graph(star).out_degree("top") == k
+        else:
+            with pytest.raises(GraphParseError, match="more than 255 out-edges"):
+                load_external_graph(star)
+
     def test_vertex_by_str(self):
         for g in (toric_hexagon_graph(), build_flag_moment_graph(root_system("B2"))):
             for v in g.vertices:
@@ -284,6 +294,17 @@ class TestExternalLoading:
             for bad in ("nope", ["e"]):
                 with pytest.raises(KeyError):
                     g.vertex_by_str(bad)
+
+
+def _star_json(k):
+    """A graph in two variables with k edges out of the vertex 'top'."""
+    return {
+        "vertices": ["top", *(f"v{i}" for i in range(k))],
+        "edges": [
+            {"tail": "top", "head": f"v{i}", "label": f"t1 + {i}*t2"} for i in range(k)
+        ],
+        "metadata": {"n": 2},
+    }
 
 
 class TestSerialization:
