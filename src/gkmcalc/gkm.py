@@ -20,7 +20,7 @@ by name and compare with Billey's classes:
 * the solve route, which walks the vertices upward and determines each
   localization from the divisibility constraints by a remainder-theorem
   recursion over the out-edge labels; it reduces modulo a label by
-  substituting the label's hyperplane, compiled once per distinct label.
+  substituting the hyperplane the graph compiles once per distinct label.
 
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
@@ -44,7 +44,6 @@ from .polyring import (
     Polynomial,
     Substitution,
     exact_divide,
-    hyperplane,
     polynomial_from_json,
     to_string,
 )
@@ -192,19 +191,6 @@ class GkmReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def _label_hyperplanes(g: MomentGraph) -> dict[Polynomial, Substitution]:
-    """The compiled hyperplane of each distinct edge label of g.
-
-    Substituting it reduces modulo the label, so a polynomial is divisible
-    by the label exactly when the substitution sends it to zero.
-    """
-    planes: dict = {}
-    for e in g.edges:
-        if e.label not in planes:
-            planes[e.label] = hyperplane(e.label)
-    return planes
-
-
 def _divisible(p: Polynomial, plane: Substitution) -> bool:
     """p lies in the ideal of the label whose hyperplane is plane."""
     return not p or not p.substitute(plane)
@@ -214,15 +200,10 @@ def check_gkm(c: EquivariantClass) -> GkmReport:
     """Divisibility of localization differences across every edge."""
     bad = []
     g = c.graph
-    planes = _label_hyperplanes(g)
     for e in g.edges:
-        if not _divisible(c[e.tail] - c[e.head], planes[e.label]):
+        if not _divisible(c[e.tail] - c[e.head], g.label_hyperplane(e.label)):
             bad.append(
-                (
-                    g.vertex_str(e.tail),
-                    g.vertex_str(e.head),
-                    to_string(e.label, g.var_prefix),
-                )
+                (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
             )
     return GkmReport(ok=not bad, violations=bad)
 
@@ -392,18 +373,19 @@ def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
 
 
 def _solve_vertex(
-    name: str, n: int, d: int, labels: list, residues: list, planes: dict
+    g: MomentGraph, u, d: int, labels: list, residues: list
 ) -> Polynomial:
-    """The degree-d p with p = residues[j] modulo labels[j] for every j.
+    """The degree-d p at vertex u with p = residues[j] modulo labels[j].
 
-    Remainder-theorem recursion over pairwise independent linear forms:
+    Remainder-theorem recursion over pairwise independent edge labels of g:
     p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
     q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
     already reduced modulo labels[j], and so is every quotient, so only
-    t_1 and a_1 need reducing, by the compiled hyperplane planes[a_j].  A q
+    t_1 and a_1 need reducing, by the hyperplane of a_j that g keeps.  A q
     exists exactly when the quotient is exact; q is unique once the degree
     drops below zero.
     """
+    name = g.vertex_str(u)
     levels: list = []
     while d >= 0:
         if not labels:
@@ -411,7 +393,7 @@ def _solve_vertex(
         a1, t1 = labels[0], residues[0]
         nxt = []
         for aj, tj in zip(labels[1:], residues[1:]):
-            plane = planes[aj]
+            plane = g.label_hyperplane(aj)
             try:
                 nxt.append(
                     exact_divide(tj - t1.substitute(plane), a1.substitute(plane))
@@ -424,7 +406,7 @@ def _solve_vertex(
         labels, residues, d = labels[1:], nxt, d - 1
     if any(residues):
         raise SolveError(f"constraints at vertex {name} are inconsistent")
-    p = Polynomial.zero(n)
+    p = Polynomial.zero(g.n)
     for a, t in reversed(levels):
         p = t + a * p
     return p
@@ -438,10 +420,10 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     out-edges, found by the remainder-theorem recursion of _solve_vertex;
     the base is pinned to its out-label product and vertices with no path
     down to v are pinned to zero.  Every reduction modulo an edge label
-    substitutes that label's hyperplane, compiled once per call for each
-    distinct label.  Raises SolveError when a vertex system is
-    inconsistent (no class exists) or underdetermined (uniqueness fails,
-    e.g. the graph is not Palais-Smale).
+    substitutes the hyperplane the graph keeps for it, compiled once per
+    graph.  Raises SolveError when a vertex system is inconsistent (no
+    class exists) or underdetermined (uniqueness fails, e.g. the graph is
+    not Palais-Smale).
     """
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
@@ -452,12 +434,11 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     n = g.n
     d = g.out_degree(v)
     above = g.above(v)
-    planes = _label_hyperplanes(g)
     loc: dict = {}
 
     def check_pinned(u) -> None:
         for e in g.out_edges(u):
-            if not _divisible(loc[u] - loc[e.head], planes[e.label]):
+            if not _divisible(loc[u] - loc[e.head], g.label_hyperplane(e.label)):
                 raise SolveError(
                     f"no class: edge {g.vertex_str(u)} -> "
                     f"{g.vertex_str(e.head)} violates divisibility"
@@ -479,12 +460,11 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
                 f"degree-{d} class: underdetermined"
             )
         loc[u] = _solve_vertex(
-            g.vertex_str(u),
-            n,
+            g,
+            u,
             d,
             [e.label for e in out],
-            [loc[e.head].substitute(planes[e.label]) for e in out],
-            planes,
+            [loc[e.head].substitute(g.label_hyperplane(e.label)) for e in out],
         )
     return EquivariantClass(g, loc, base=v)
 

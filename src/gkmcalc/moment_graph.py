@@ -7,14 +7,17 @@ pointing at s_alpha * w and labeled alpha; every Schubert variety gives the
 subgraph induced on the lower Bruhat interval of its top element.  Only
 the builder turns roots into labels, one label object per positive root
 shared by its edges; the consumers read them off ``out_edges`` and
-``in_edges``.  External graphs (any vertex names and labels) load from JSON.
+``in_edges``.  External graphs (any vertex names and labels) load from JSON,
+each distinct label text parsed once.  A graph keeps, per distinct label,
+its text, its line and (on first use) its compiled hyperplane.
 
 Validation never throws: :func:`validate_axioms` returns a report listing
-acyclicity, pairwise label independence at each vertex, and the Schubert
-out-degree/label facts when they apply.  The Palais-Smale check runs either
-on the stored orientation or searches the finitely many orientations
-induced by generic covectors on the edge labels; each sign chamber is
-tested for a covector by Fourier-Motzkin elimination (:func:`strict_feasible`).
+acyclicity, pairwise label independence at each vertex (by lines), and the
+Schubert out-degree/label facts when they apply.  The Palais-Smale check
+runs either on the stored orientation or searches the finitely many
+orientations induced by generic covectors on the label lines, fixing one
+sign at a time and testing each prefix for a covector by Fourier-Motzkin
+elimination (:func:`strict_feasible`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .polyring import (
     MAX_DEGREE,
     Polynomial,
+    Substitution,
+    hyperplane,
     is_linear_form,
     parse_polynomial,
     to_string,
@@ -94,9 +99,10 @@ class MomentGraph:
         self._vkey = {v: key(v) for v in self.vertices}
         self._by_str = {s: v for v, s in self._vstr.items()}
 
-        # each distinct label is formatted once; a builder shares one label
-        # object among many edges
-        text = self._label_text = {}
+        # one row per distinct label, which a builder or the loader shares
+        # among its edges: its text, its line, and its hyperplane once asked
+        text, line = self._label_text, self._label_line = {}, {}
+        self._planes: dict = {}
         for e in edges:
             if e.tail not in self._vstr or e.head not in self._vstr:
                 raise GraphParseError(
@@ -106,6 +112,7 @@ class MomentGraph:
                 )
             if e.label not in text:
                 text[e.label] = to_string(e.label, self.var_prefix)
+                line[e.label] = _line(e.label)
         self.edges = tuple(
             sorted(
                 edges,
@@ -136,6 +143,18 @@ class MomentGraph:
     def label_str(self, label: Polynomial) -> str:
         """The text of an edge label of this graph."""
         return self._label_text[label]
+
+    def label_line(self, label: Polynomial) -> tuple[tuple[Fraction, ...], int] | None:
+        """(coefficients over the first nonzero one, that one's sign) of an
+        edge label; None for a label with no line (not a nonzero linear form)."""
+        return self._label_line[label]
+
+    def label_hyperplane(self, label: Polynomial) -> Substitution:
+        """polyring.hyperplane of an edge label, compiled on first use and kept."""
+        plane = self._planes.get(label)
+        if plane is None:
+            plane = self._planes[label] = hyperplane(label)
+        return plane
 
     def vertex_by_str(self, s: str):
         try:
@@ -275,10 +294,12 @@ def _form_vector(label: Polynomial, n: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def _proportional(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> bool:
-    return all(
-        a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a))
-    )
+def _line(label: Polynomial) -> tuple[tuple[Fraction, ...], int] | None:
+    if not is_linear_form(label):
+        return None
+    vec = _form_vector(label, label.n)
+    lead = next(x for x in vec if x)
+    return tuple(x / lead for x in vec), 1 if lead > 0 else -1
 
 
 class AxiomReport:
@@ -363,18 +384,14 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
         cycle = [g.vertex_str(x) for x in cycle]
     report = AxiomReport(acyclic=cycle is None, cycle=cycle)
 
+    # two labels are dependent when they share a line, or one has none
     for v in g.vertices:
-        out = g.out_edges(v)
-        vecs = [(_form_vector(e.label, g.n), e) for e in out]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if _proportional(vecs[i][0], vecs[j][0]):
+        out = [(e.label, g.label_line(e.label)) for e in g._out[v]]
+        for i, (a, la) in enumerate(out):
+            for b, lb in out[i + 1 :]:
+                if la is None or lb is None or la[0] == lb[0]:
                     report.independence_violations.append(
-                        (
-                            g.vertex_str(v),
-                            g.label_str(vecs[i][1].label),
-                            g.label_str(vecs[j][1].label),
-                        )
+                        (g.vertex_str(v), g.label_str(a), g.label_str(b))
                     )
 
     if g.rs is not None:
@@ -513,6 +530,25 @@ def strict_feasible(rows: Sequence[Sequence[Fraction]]) -> list[Fraction] | None
     return solve(work, k)
 
 
+def _chambers(dirs: list[tuple[Fraction, ...]]):
+    """(signs, covector) for each sign vector whose rows signs[k] * dirs[k]
+    have a strict solution, in the order of the mask with bit k set when
+    signs[k] is 1.  Signs are fixed from the last direction down, and a
+    branch is dropped once its rows have none: more rows cannot restore one.
+    """
+    k = len(dirs)
+    stack: list[tuple[int, ...]] = [(1,), (-1,)] if dirs else [()]
+    while stack:
+        signs = stack.pop()  # the signs of dirs[k - len(signs) :]
+        xi = strict_feasible(
+            [tuple(s * x for x in d) for s, d in zip(signs, dirs[k - len(signs) :])]
+        )
+        if xi is not None and len(signs) == k:
+            yield signs, xi
+        elif xi is not None:
+            stack += [(1,) + signs, (-1,) + signs]
+
+
 def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
     """Check that out-degrees strictly drop along every directed edge.
 
@@ -533,40 +569,22 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r} (use 'given' or 'search')")
 
-    # Canonical direction per label line, plus the sign linking each edge
-    # label to its canonical representative.
-    dirs: list[tuple[Fraction, ...]] = []
-    edge_dir: list[tuple[int, int]] = []  # (direction index, sign)
-    for e in g.edges:
-        vec = _form_vector(e.label, g.n)
-        lead = next((x for x in vec if x), None)
-        if lead is None:
-            raise ValueError("zero edge label")
-        sign = 1 if lead > 0 else -1
-        canon = tuple(x * sign / abs(lead) for x in vec)
-        try:
-            idx = dirs.index(canon)
-        except ValueError:
-            dirs.append(canon)
-            idx = len(dirs) - 1
-        edge_dir.append((idx, sign))
+    lines = [g.label_line(e.label) for e in g.edges]
+    if None in lines:
+        label = g.label_str(g.edges[lines.index(None)].label)
+        raise ValueError(f"edge label {label!r} is not a nonzero linear form")
+    dirs = list(dict.fromkeys(line for line, _ in lines))  # one per label line
+    index = {d: k for k, d in enumerate(dirs)}
 
     tried = 0
     first_bad: list[tuple[str, str, int, int]] = []
-    for mask in range(1 << len(dirs)):
-        signs = [1 if mask & (1 << k) else -1 for k in range(len(dirs))]
-        rows = [tuple(s * x for x in d) for s, d in zip(signs, dirs)]
-        xi = strict_feasible(rows)
-        if xi is None:
-            continue
+    for signs, xi in _chambers(dirs):
         tried += 1
-        directed = []
-        for e, (idx, sign) in zip(g.edges, edge_dir):
-            # orient out of the endpoint whose weight is positive on xi
-            if signs[idx] * sign > 0:
-                directed.append((e.tail, e.head))
-            else:
-                directed.append((e.head, e.tail))
+        # orient out of the endpoint whose weight is positive on xi
+        directed = [
+            (e.tail, e.head) if signs[index[line]] * sign > 0 else (e.head, e.tail)
+            for e, (line, sign) in zip(g.edges, lines)
+        ]
         heads: dict = {v: [] for v in g.vertices}
         for a, b in directed:
             heads[a].append(b)
@@ -687,6 +705,7 @@ def load_external_graph(description) -> MomentGraph:
         raise GraphParseError("duplicate vertices")
     vset = set(vertices)
     edges = []
+    labels: dict[str, Polynomial] = {}  # each distinct text parsed once
     out_degree = dict.fromkeys(vertices, 0)
     for rec in records:
         tail, head = str(rec.get("tail")), str(rec.get("head"))
@@ -699,12 +718,13 @@ def load_external_graph(description) -> MomentGraph:
                 f"(MAX_DEGREE, the largest degree of a class)"
             )
         try:
-            label = parse_polynomial(str(rec["label"]), n)
+            text = str(rec["label"])
+            label = labels.get(text) or parse_polynomial(text, n)
         except (KeyError, ValueError) as exc:
             raise GraphParseError(f"bad edge label in {rec}: {exc}") from exc
         if not is_linear_form(label):
             raise GraphParseError(f"edge label is not a nonzero linear form: {rec}")
-        edges.append(Edge(tail, head, label))
+        edges.append(Edge(tail, head, labels.setdefault(text, label)))
     return MomentGraph(vertices, edges, meta, rs=None)
 
 

@@ -154,17 +154,15 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
 
     Level k of the parabolic chain (RootSystem.coset_chain) turns the sum
     over W_{1..k-1} into the sum over W_{1..k} by adding its image under
-    each minimal left coset representative.  Each representative is its
-    parent in the chain's tree times one simple reflection, so it costs a
-    single simple-reflection step.
+    each minimal left coset representative.  The representatives of a
+    level are the prefixes of one word, so each costs a single
+    simple-reflection step on the image before it.
     """
     total = _as_polynomials(expansion, g)
-    for level in g.rs.coset_chain():
-        images = [total]
-        total = dict(total)
-        for parent, i in level:
-            img = _act_simple_on_expansion(i, images[parent], g)
-            images.append(img)
+    for word in g.rs.coset_chain():
+        img, total = total, dict(total)
+        for i in word:
+            img = _act_simple_on_expansion(i, img, g)
             for x, p in img.items():
                 _accumulate(total, x, p)
     return total

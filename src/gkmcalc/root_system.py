@@ -22,9 +22,9 @@ reduced words, Bruhat order (by the lifting property), lower intervals and
 reduced factorizations v = x y (Billey's rows, the decomposition's pairs)
 are table lookups, with no group product; element objects stay at the
 boundary (parsing, names, graph vertices).  The minimal coset
-representatives of the parabolic chain W_1 < W_12 < ... < W,
-which the group average walks, come from the same tables on first use
-(:meth:`RootSystem.coset_chain`).
+representatives of the parabolic chain W_1 < W_12 < ... < W, one word per
+level, which the group average walks, come from the same tables on first
+use (:meth:`RootSystem.coset_chain`).
 
 Inversion sets follow the usual convention: Inv(w) is the set of positive
 roots that w^{-1} makes negative, and len(Inv(w)) is the Coxeter length.
@@ -177,17 +177,17 @@ class RootSystem:
 
     _chain = None
 
-    def coset_chain(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def coset_chain(self) -> tuple[tuple[int, ...], ...]:
         """Minimal left coset representatives along W_1 < W_12 < ... < W.
 
         Entry k-1 describes level k: the elements c of W_{1..k} with no
         right descent in {1..k-1}, so every u in W_{1..k} is c u' for one
-        such c and one u' in W_{1..k-1}.  Closed under removing a left
-        descent, they form a tree: node 0 is the identity, and the j-th
-        step (parent, i) makes node j the element s_i * node[parent], one
-        longer.  A:n has n(n-1)/2 steps in all, a dihedral group of order
-        2m has m.  Derived from the group table on first use and kept on
-        the instance.
+        such c and one u' in W_{1..k-1}.  For the types here they form a
+        chain, given as a word (i_1, i_2, ...): the j-th representative is
+        s_{i_j} times the one before, one longer, starting at the identity.
+        A:n's level k is (k, k-1, ..., 1), a dihedral group of order 2m has
+        (1) and (2, 1, 2, ...) of length m - 1.  Derived from the group
+        table on first use and kept on the instance.
         """
         if self._chain is None:
             self._chain = tuple(
@@ -195,19 +195,20 @@ class RootSystem:
             )
         return self._chain
 
-    def _coset_level(self, k: int) -> tuple[tuple[int, int], ...]:
-        length = self.lengths
-        nodes, steps = [0], []
-        for parent, c in enumerate(nodes):  # breadth-first: nodes grows
+    def _coset_level(self, k: int) -> tuple[int, ...]:
+        # walk up the chain: each step is the one longer minimal representative
+        length, c, word = self.lengths, 0, []
+        while True:
             for i in range(1, k + 1):
                 sc = self.lmul[i - 1][c]
-                if sc in nodes or length[sc] < length[c]:
-                    continue
-                if any(length[self.rmul[j][sc]] < length[sc] for j in range(k - 1)):
-                    continue
-                nodes.append(sc)
-                steps.append((parent, i))
-        return tuple(steps)
+                if length[sc] > length[c] and all(
+                    length[self.rmul[j][sc]] > length[sc] for j in range(k - 1)
+                ):
+                    break
+            else:
+                return tuple(word)
+            c = sc
+            word.append(i)
 
     # -- shared algorithms -----------------------------------------------------
 

@@ -281,22 +281,23 @@ def test_coset_chain_factors_the_group(label):
     chain = rs.coset_chain()
     assert len(chain) == rs.rank
     products = [rs.identity()]
-    for k, level in enumerate(chain, start=1):
+    for k, word in enumerate(chain, start=1):
         reps = [rs.identity()]
-        for parent, i in level:
+        for i in word:  # the representatives are the prefixes of the word
             assert 1 <= i <= k
-            c = rs.mul(rs.simple_reflection(i), reps[parent])
-            assert rs.length(c) == rs.length(reps[parent]) + 1
+            c = rs.mul(rs.simple_reflection(i), reps[-1])
+            assert rs.length(c) == rs.length(reps[-1]) + 1
             for j in range(1, k):  # minimal in its coset of W_{1..k-1}
                 assert rs.length(rs.mul(c, rs.simple_reflection(j))) > rs.length(c)
             reps.append(c)
         products = [rs.mul(c, u) for c in reps for u in products]
     # every element of W is c_rank ... c_1 in exactly one way
     assert len(products) == len(set(products)) == len(rs.elements())
-    steps = sum(len(level) for level in chain)
+    steps = sum(len(word) for word in chain)
     if label.startswith("A:"):
         n = rs.rank + 1
         assert steps == n * (n - 1) // 2
+        assert chain == tuple(tuple(range(k, 0, -1)) for k in range(1, n))
     else:
         assert steps == len(rs.elements()) // 2
     assert rs.coset_chain() is chain
