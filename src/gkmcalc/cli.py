@@ -178,18 +178,20 @@ def cmd_act(args) -> int:
 
 
 def cmd_ddiff(args) -> int:
+    basis = None  # the left side expands through it on a Schubert graph
     if args.class_file:
         cls = _load_class(args.class_file)
     else:
         g = _graph_for(args)
         if not args.v:
             raise CliError("need --class FILE or --type/--v")
-        cls = KnutsonTaoBasis(g).cls(_vertex_arg(g, args.v))
+        basis = KnutsonTaoBasis(g)
+        cls = basis.cls(_vertex_arg(g, args.v))
     if cls.graph.rs is None:
         raise CliError("ddiff needs a class on a flag or Schubert graph")
     try:
         if args.side == "left":
-            out = left_divided_difference(args.i, cls)
+            out = left_divided_difference(args.i, cls, basis)
         else:
             out = right_divided_difference(args.i, cls)
     except ExactDivisionError as exc:  # only a non-GKM class leaves a remainder
@@ -203,8 +205,7 @@ def cmd_ddiff(args) -> int:
 
 def cmd_expand(args) -> int:
     cls = _load_class(args.class_file)
-    basis = KnutsonTaoBasis(cls.graph)
-    expansion = expand_in_basis(cls, basis)
+    expansion = expand_in_basis(cls)
     _emit(_json_text(expansion_to_json(expansion, cls.graph)), args.output)
     return 0
 

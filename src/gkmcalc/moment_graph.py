@@ -72,7 +72,13 @@ class Edge(NamedTuple):
 
 
 class MomentGraph:
-    """Immutable labeled DAG with canonical vertex and edge order."""
+    """Immutable labeled DAG with canonical vertex and edge order.
+
+    Vertices are sorted by (length, name), or by name on an external graph;
+    edges by the positions of their tail and head, then label text.  Each
+    vertex's out- and in-edges and the topological order are tuples, built
+    once and handed out as they are.
+    """
 
     def __init__(
         self,
@@ -96,7 +102,7 @@ class MomentGraph:
             self._vstr = {v: str(v) for v in vlist}
             key = lambda v: (0, self._vstr[v])
         self.vertices = tuple(sorted(vlist, key=key))
-        self._vkey = {v: key(v) for v in self.vertices}
+        pos = self._pos = {v: k for k, v in enumerate(self.vertices)}
         self._by_str = {s: v for v, s in self._vstr.items()}
 
         # one row per distinct label, which a builder or the loader shares
@@ -114,17 +120,16 @@ class MomentGraph:
                 text[e.label] = to_string(e.label, self.var_prefix)
                 line[e.label] = _line(e.label)
         self.edges = tuple(
-            sorted(
-                edges,
-                key=lambda e: (self._vkey[e.tail], self._vkey[e.head], text[e.label]),
-            )
+            sorted(edges, key=lambda e: (pos[e.tail], pos[e.head], text[e.label]))
         )
-        self._out: dict = {v: [] for v in self.vertices}
-        self._in: dict = {v: [] for v in self.vertices}
+        out: dict = {v: [] for v in self.vertices}
+        into: dict = {v: [] for v in self.vertices}
         for e in self.edges:
-            self._out[e.tail].append(e)
-            self._in[e.head].append(e)
-        self._topo: list | None = None
+            out[e.tail].append(e)
+            into[e.head].append(e)
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in into.items()}
+        self._topo: tuple | None = None
         self._axioms = None
         self._json: tuple | None = None  # kept by graph_to_json
 
@@ -162,11 +167,11 @@ class MomentGraph:
         except (KeyError, TypeError):  # TypeError: an unhashable name from JSON
             raise KeyError(f"no vertex named {s!r}") from None
 
-    def out_edges(self, v) -> list[Edge]:
-        return list(self._out[v])
+    def out_edges(self, v) -> tuple[Edge, ...]:
+        return self._out[v]
 
-    def in_edges(self, v) -> list[Edge]:
-        return list(self._in[v])
+    def in_edges(self, v) -> tuple[Edge, ...]:
+        return self._in[v]
 
     def out_degree(self, v) -> int:
         return len(self._out[v])
@@ -189,25 +194,26 @@ class MomentGraph:
             raise ValueError(f"graph does not have a unique maximum: {names}")
         return src[0]
 
-    def topo_min_first(self) -> list:
-        """Vertices ordered so every edge head comes before its tail."""
+    def topo_min_first(self) -> tuple:
+        """Vertices ordered so every edge head comes before its tail, the
+        earliest in ``vertices`` first among those ready; computed once."""
         if self._topo is None:
-            remaining = {v: self.out_degree(v) for v in self.vertices}
-            lookup = {self._vkey[v]: v for v in self.vertices}
-            ready = [self._vkey[v] for v in self.vertices if remaining[v] == 0]
-            heapq.heapify(ready)
+            remaining = [len(self._out[v]) for v in self.vertices]
+            # a heap of vertex positions; sorted as built, so already a heap
+            ready = [k for k, deg in enumerate(remaining) if deg == 0]
             order = []
             while ready:
-                v = lookup[heapq.heappop(ready)]
+                v = self.vertices[heapq.heappop(ready)]
                 order.append(v)
                 for e in self._in[v]:
-                    remaining[e.tail] -= 1
-                    if remaining[e.tail] == 0:
-                        heapq.heappush(ready, self._vkey[e.tail])
+                    k = self._pos[e.tail]
+                    remaining[k] -= 1
+                    if remaining[k] == 0:
+                        heapq.heappush(ready, k)
             if len(order) != len(self.vertices):
                 raise ValueError("graph has a directed circuit")
-            self._topo = order
-        return list(self._topo)
+            self._topo = tuple(order)
+        return self._topo
 
     def axioms(self) -> "AxiomReport":
         """validate_axioms(self), computed on first use and kept."""
@@ -378,7 +384,7 @@ def _find_cycle(vertices, successors) -> list | None:
 
 def validate_axioms(g: MomentGraph) -> AxiomReport:
     """Check the combinatorial moment-graph axioms; report, never raise."""
-    heads = {v: [e.head for e in g._out[v]] for v in g.vertices}
+    heads = {v: [e.head for e in g.out_edges(v)] for v in g.vertices}
     cycle = _find_cycle(g.vertices, heads)
     if cycle is not None:
         cycle = [g.vertex_str(x) for x in cycle]
@@ -386,7 +392,7 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
 
     # two labels are dependent when they share a line, or one has none
     for v in g.vertices:
-        out = [(e.label, g.label_line(e.label)) for e in g._out[v]]
+        out = [(e.label, g.label_line(e.label)) for e in g.out_edges(v)]
         for i, (a, la) in enumerate(out):
             for b, lb in out[i + 1 :]:
                 if la is None or lb is None or la[0] == lb[0]:
@@ -734,7 +740,7 @@ _DOT_COLORS = ("black", "gray50", "blue", "red")
 
 def graph_to_dot(g: MomentGraph) -> str:
     """Deterministic DOT text; one line style per distinct edge label."""
-    labels = sorted(set(g._label_text.values()))
+    labels = sorted({g.label_str(e.label) for e in g.edges})
     style_of = {}
     for k, text in enumerate(labels):
         style = _DOT_STYLES[k % len(_DOT_STYLES)]

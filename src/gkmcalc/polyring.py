@@ -56,7 +56,6 @@ import heapq
 import re
 from fractions import Fraction
 from operator import add, sub
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -406,12 +405,11 @@ class Substitution:
     fields, and their share of the degree, are stripped from each key and
     the rest is multiplied by the powers of the images, into one result
     dict.  Those powers are kept for later calls, at most one per image
-    and exponent.
-
-    ``assignment`` is the read-only map the object was compiled from.
+    and exponent.  The caller's mapping is not kept: changing it after
+    compiling changes no result.
     """
 
-    __slots__ = ("n", "assignment", "_swap", "_moves", "_images", "_powers")
+    __slots__ = ("n", "_swap", "_moves", "_images", "_powers")
 
     def __init__(self, n: int, assignment: Mapping[int, Polynomial]):
         target = list(range(n))  # where each variable's exponent moves
@@ -429,7 +427,6 @@ class Substitution:
             else:
                 target[i - 1] = j
         self.n = n
-        self.assignment = MappingProxyType(dict(assignment))
         self._swap = self._moves = self._images = None
         self._powers: dict[tuple[int, int], dict] = {}
         moved = [(p, t) for p, t in enumerate(target) if p != t]

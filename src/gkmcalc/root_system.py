@@ -23,8 +23,8 @@ reduced factorizations v = x y (Billey's rows, the decomposition's pairs)
 are table lookups, with no group product; element objects stay at the
 boundary (parsing, names, graph vertices).  The minimal coset
 representatives of the parabolic chain W_1 < W_12 < ... < W, one word per
-level, which the group average walks, come from the same tables on first
-use (:meth:`RootSystem.coset_chain`).
+level, which the group average walks, are type data that each backend
+sets in its constructor (:meth:`RootSystem.coset_chain`).
 
 Inversion sets follow the usual convention: Inv(w) is the set of positive
 roots that w^{-1} makes negative, and len(Inv(w)) is the Coxeter length.
@@ -58,12 +58,13 @@ class RootSystem:
 
     Subclasses provide the group operations (identity, product, inverse,
     reflections, the action on roots and on the coordinate ring, element
-    names) and end their constructor with :meth:`_build_group`.  This base
-    class then answers the table questions (elements, lengths, simple
-    reflections, the longest element) by lookup and supplies the
-    type-independent algorithms (reduced words, Bruhat order and intervals,
-    the coadjoint divided difference).  Instances are lookup tables whose
-    caches change no result; :func:`root_system` keeps one per type.
+    names) and the coset-chain words, and end their constructor with
+    :meth:`_build_group`.  This base class then answers the table questions
+    (elements, lengths, simple reflections, the longest element, the coset
+    chain) by lookup and supplies the type-independent algorithms (reduced
+    words, Bruhat order and intervals, the coadjoint divided difference).
+    Instances are lookup tables, complete once built; :func:`root_system`
+    keeps one per type.
     """
 
     label: str
@@ -73,6 +74,7 @@ class RootSystem:
     simple_roots: tuple[RootVector, ...]
     positive_roots: tuple[RootVector, ...]
     _bilinear: tuple[tuple[int, ...], ...]
+    _coset_words: tuple[tuple[int, ...], ...]
 
     # -- subclass surface ----------------------------------------------------
 
@@ -175,8 +177,6 @@ class RootSystem:
     def longest_element(self):
         return self._elements[-1]
 
-    _chain = None
-
     def coset_chain(self) -> tuple[tuple[int, ...], ...]:
         """Minimal left coset representatives along W_1 < W_12 < ... < W.
 
@@ -186,29 +186,10 @@ class RootSystem:
         chain, given as a word (i_1, i_2, ...): the j-th representative is
         s_{i_j} times the one before, one longer, starting at the identity.
         A:n's level k is (k, k-1, ..., 1), a dihedral group of order 2m has
-        (1) and (2, 1, 2, ...) of length m - 1.  Derived from the group
-        table on first use and kept on the instance.
+        (1) and (2, 1, 2, ...) of length m - 1.  The words are type data,
+        set by each backend's constructor.
         """
-        if self._chain is None:
-            self._chain = tuple(
-                self._coset_level(k) for k in range(1, self.rank + 1)
-            )
-        return self._chain
-
-    def _coset_level(self, k: int) -> tuple[int, ...]:
-        # walk up the chain: each step is the one longer minimal representative
-        length, c, word = self.lengths, 0, []
-        while True:
-            for i in range(1, k + 1):
-                sc = self.lmul[i - 1][c]
-                if length[sc] > length[c] and all(
-                    length[self.rmul[j][sc]] > length[sc] for j in range(k - 1)
-                ):
-                    break
-            else:
-                return tuple(word)
-            c = sc
-            word.append(i)
+        return self._coset_words
 
     # -- shared algorithms -----------------------------------------------------
 
@@ -377,6 +358,7 @@ class TypeARootSystem(RootSystem):
         self._bilinear = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
+        self._coset_words = tuple(tuple(range(k, 0, -1)) for k in range(1, n))
         self._build_group()
 
     def _pair_root(self, i: int, j: int) -> RootVector:
@@ -469,6 +451,8 @@ class RankTwoRootSystem(RootSystem):
         self._roots = pos + tuple(tuple(-x for x in r) for r in pos)
         self._root_index = {r: k for k, r in enumerate(self._roots)}
         self._npos = len(pos)
+        # dihedral of order 2m, m = |positive roots|: (1), then (2, 1, 2, ...)
+        self._coset_words = ((1,), tuple(2 - j % 2 for j in range(self._npos - 1)))
         self._names: dict = {}
         self._build_group()
 

@@ -224,6 +224,25 @@ class TestDdiffAndExpand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("i,want", [("1", ["3142"]), ("2", ["3142", "2143"])])
+    def test_ddiff_builds_each_class_once(self, capsys, monkeypatch, i, want):
+        # the class of --v and the expansion of the left side share a basis;
+        # s_2 3142 = 2143 is shorter, so its class enters once as well
+        calls = []
+        billey = gkm.knutson_tao_class_billey
+
+        def counting(g, v):
+            calls.append(g.vertex_str(v))
+            return billey(g, v)
+
+        monkeypatch.setattr(gkm, "knutson_tao_class_billey", counting)
+        code, _, _ = run(
+            capsys, "ddiff", "--side", "left", "--i", i,
+            "--type", "A:4", "--w", "3412", "--v", "3142",
+        )
+        assert code == 0
+        assert calls == want
+
     def test_expand_refuses_a_degree_past_the_bound_at_once(
         self, capsys, tmp_path, monkeypatch
     ):

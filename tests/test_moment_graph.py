@@ -373,6 +373,37 @@ class TestOrderStructure:
         pos = {v: k for k, v in enumerate(order)}
         assert all(pos[e.head] < pos[e.tail] for e in g.edges)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_flag_moment_graph(type_a(3)),
+            lambda: schubert_graph("A:4", "3412"),
+            lambda: schubert_graph("G2", "2121"),
+            toric_hexagon_graph,
+        ],
+        ids=["flag A:3", "schubert A:4 3412", "schubert G2 2121", "hexagon"],
+    )
+    def test_accessors_hand_out_the_stored_tuples(self, make):
+        g = make()
+        order = g.topo_min_first()
+        assert isinstance(order, tuple) and g.topo_min_first() is order
+        for v in g.vertices:
+            for edges in (g.out_edges, g.in_edges):
+                assert isinstance(edges(v), tuple) and edges(v) is edges(v)
+        # the order picks the least ready vertex by (length, name), the sort
+        # key of the vertices, at every step
+        rs = g.rs
+        key = (lambda v: (rs.length(v), g.vertex_str(v))) if rs else g.vertex_str
+        remaining = {v: g.out_degree(v) for v in g.vertices}
+        want = []
+        while len(want) < len(g.vertices):
+            v = min((u for u, k in remaining.items() if k == 0), key=key)
+            want.append(v)
+            remaining[v] = -1
+            for e in g.in_edges(v):
+                remaining[e.tail] -= 1
+        assert order == tuple(want)
+
     def test_top_vertex(self):
         rs = type_a(3)
         g = build_schubert_moment_graph(rs, rs.parse_element("231"))

@@ -301,3 +301,28 @@ def test_coset_chain_factors_the_group(label):
     else:
         assert steps == len(rs.elements()) // 2
     assert rs.coset_chain() is chain
+
+
+def _coset_level_by_walk(rs, k):
+    """Level k's word found in the group tables: from the identity, step to
+    the first s_i c (i <= k) that is one longer and still has no right
+    descent in {1..k-1}, until there is none."""
+    length, c, word = rs.lengths, 0, []
+    while True:
+        for i in range(1, k + 1):
+            sc = rs.lmul[i - 1][c]
+            if length[sc] > length[c] and all(
+                length[rs.rmul[j][sc]] > length[sc] for j in range(k - 1)
+            ):
+                break
+        else:
+            return tuple(word)
+        c = sc
+        word.append(i)
+
+
+@pytest.mark.parametrize("label", [f"A:{n}" for n in range(1, 9)] + ["B2", "G2"])
+def test_coset_chain_words_match_the_table_walk(label):
+    rs = root_system(label)
+    walked = tuple(_coset_level_by_walk(rs, k) for k in range(1, rs.rank + 1))
+    assert rs.coset_chain() == walked
