@@ -37,7 +37,7 @@ from .moment_graph import (
     schubert_graph,
     validate_axioms,
 )
-from .polyring import ExactDivisionError, to_string
+from .polyring import ExactDivisionError, to_strings
 from .repaction import (
     act_word,
     decompose,
@@ -117,11 +117,10 @@ def _vertex_arg(g, text: str):
 
 def _class_table(cls) -> str:
     g = cls.graph
-    width = max((len(g.vertex_str(v)) for v in g.vertices), default=1)
-    lines = [
-        f"{g.vertex_str(v):>{width}}  {to_string(p, g.var_prefix)}"
-        for v, p in cls.items()
-    ]
+    names = [g.vertex_str(v) for v in g.vertices]
+    width = max(map(len, names), default=1)
+    texts = to_strings((p for _, p in cls.items()), g.var_prefix)
+    lines = [f"{name:>{width}}  {text}" for name, text in zip(names, texts)]
     return "\n".join(lines) + "\n"
 
 

@@ -43,9 +43,10 @@ from .polyring import (
     ExactDivisionError,
     Polynomial,
     Substitution,
+    add_mul,
     exact_divide,
     polynomial_from_json,
-    to_string,
+    to_strings,
 )
 
 __all__ = [
@@ -73,12 +74,18 @@ __all__ = [
 ]
 
 
-def _accumulate(out: dict, v, p: Polynomial) -> None:
-    """Add p to out[v], dropping the entry when the sum vanishes."""
+def _accumulate(
+    out: dict, v, p: Polynomial, factor: Polynomial | None = None
+) -> None:
+    """Add p, or p * factor when a factor is given, to out[v], dropping the
+    entry when the sum vanishes."""
     if not p:
         return
     cur = out.get(v)
-    cur = p if cur is None else cur + p
+    if factor is not None:
+        cur = add_mul(Polynomial.zero(p.n) if cur is None else cur, p, factor)
+    else:
+        cur = p if cur is None else cur + p
     if cur:
         out[v] = cur
     else:
@@ -175,10 +182,9 @@ class EquivariantClass:
         )
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{self.graph.vertex_str(v)}: {to_string(p, self.graph.var_prefix)}"
-            for v, p in self.items()
-        )
+        g = self.graph
+        texts = to_strings((p for _, p in self.items()), g.var_prefix)
+        body = ", ".join(f"{g.vertex_str(v)}: {t}" for v, t in zip(g.vertices, texts))
         return f"EquivariantClass({body})"
 
 
@@ -296,9 +302,12 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     Billey's sum over reduced subwords with the last letter split off.
 
     Each vertex w != e has the parent w s_i, for its first right descent
-    i; a Schubert graph is closed under this, so its columns xi^.(w) are
-    built depth first down that tree, over the in-edges of each column,
-    with only the current path's columns alive.  Row u draws only on the
+    i, which the root system keeps as a table (``rdescent``); a Schubert
+    graph is closed under this, so its columns xi^.(w) are built depth
+    first down that tree, over the in-edges of each column, with only the
+    current path's columns alive.  Each column entry takes its beta term
+    by one fused multiply-add (``add_mul``), so no product beta *
+    xi^{u s_i}(w') is built only to be added.  Row u draws only on the
     rows u and u s_i < u, so row v needs only the rows u = v s_j ... s_k
     reached by length-lowering right multiplications: the lower ideal of
     v in the right weak order, which lies inside [e, v]: the left factors
@@ -313,10 +322,11 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
     # rows by element id; g.vertices comes in (length, name) order
-    length, rmul, index = rs.lengths, rs.rmul, rs.index
+    length, rmul, rdescent, index = rs.lengths, rs.rmul, rs.rdescent, rs.index
     top = index[v]
     rows = rs.factorizations(top)  # keyed by the rows u with v = u y reduced
     slack = length[index[g.vertices[-1]]] - length[top]
+    zero = Polynomial.zero(g.n)
     loc: dict = {}
     # (w, i, beta, column of w s_i): w's column is built when it is popped,
     # so only the columns on the current path stay alive
@@ -334,8 +344,7 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
                 us = row[u]
                 if length[us] > length[u] and us in rows and lw - length[us] <= slack:
                     # a sum of products of positive roots: never zero
-                    q = beta * p
-                    col[us] = col[us] + q if us in col else q
+                    col[us] = add_mul(col.get(us, zero), beta, p)
             if not col:
                 continue  # and so is every column below w
         if top in col:
@@ -343,10 +352,8 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
         # the children of w: the tails y = w s_j whose first right descent is j
         for e in g.in_edges(w):
             y = index[e.tail]
-            for j, row in enumerate(rmul):
-                if length[row[y]] < length[y]:
-                    break
-            if row[y] == k:
+            j = rdescent[y]
+            if rmul[j][y] == k:
                 stack.append((e.tail, j, e.label, col))
     return EquivariantClass(g, loc, base=v)
 
@@ -592,12 +599,11 @@ def resolve_graph_ref(ref: dict) -> MomentGraph:
 
 def class_to_json(c: EquivariantClass) -> dict:
     g = c.graph
+    texts = to_strings((p for _, p in c.items()), g.var_prefix)
     return {
         "graph_ref": graph_ref(g),
         "base": None if c.base is None else g.vertex_str(c.base),
-        "localizations": {
-            g.vertex_str(v): to_string(p, g.var_prefix) for v, p in c.items()
-        },
+        "localizations": dict(zip(map(g.vertex_str, g.vertices), texts)),
     }
 
 
@@ -615,13 +621,14 @@ def class_from_json(obj: dict, graph: MomentGraph | None = None) -> EquivariantC
 
 
 def expansion_to_json(expansion: Mapping, g: MomentGraph) -> dict:
-    out = {}
+    terms = {}
     for v, p in expansion.items():
         if isinstance(p, (int, Fraction)):
             p = Polynomial.constant(g.n, p)
         if p:
-            out[g.vertex_str(v)] = to_string(p, g.var_prefix)
-    return {"graph_ref": graph_ref(g), "coefficients": out}
+            terms[g.vertex_str(v)] = p
+    texts = to_strings(terms.values(), g.var_prefix)
+    return {"graph_ref": graph_ref(g), "coefficients": dict(zip(terms, texts))}
 
 
 def expansion_from_json(obj: dict, graph: MomentGraph | None = None) -> dict:

@@ -109,6 +109,7 @@ class MomentGraph:
         # among its edges: its text, its line, and its hyperplane once asked
         text, line = self._label_text, self._label_line = {}, {}
         self._planes: dict = {}
+        edges = list(edges)  # read twice below; a generator is spent by one read
         for e in edges:
             if e.tail not in self._vstr or e.head not in self._vstr:
                 raise GraphParseError(

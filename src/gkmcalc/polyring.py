@@ -48,6 +48,19 @@ elimination of f's pivot variable on f = 0, which reduces modulo f:
 >>> on_line = hyperplane(t1 - 2 * t2)  # t1 = 2*t2 on the line
 >>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
 ['2*t2', '0']
+
+Two operations serve the hot loops that would otherwise build a value
+only to drop it.  ``add_mul(p, a, b)`` is p + a * b accumulated into one
+copy of p's terms, with no product built (Billey's step, the action's
+simple-reflection step, the decomposition's identity check).
+``to_strings`` forms the text of many polynomials of one ring and puts
+each distinct monomial into text once per call; ``to_string`` is its
+one-polynomial case:
+
+>>> str(add_mul(t1, t1 - t2, t2))
+'t1*t2 - t2^2 + t1'
+>>> to_strings([t1 - t2, 2 * t1, t1 - t1], prefix="a")
+['a1 - a2', '2*a1', '0']
 """
 
 from __future__ import annotations
@@ -64,6 +77,7 @@ __all__ = [
     "MAX_DEGREE",
     "Polynomial",
     "Substitution",
+    "add_mul",
     "divides",
     "exact_divide",
     "hyperplane",
@@ -73,6 +87,7 @@ __all__ = [
     "is_linear_form",
     "swap_substitution",
     "to_string",
+    "to_strings",
     "parse_polynomial",
     "polynomial_to_json",
     "polynomial_from_json",
@@ -391,6 +406,42 @@ class Polynomial:
         return Polynomial._make(self.n, assignment._apply(self))
 
 
+def add_mul(p: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
+    """p + a * b, accumulated into one copy of p's terms in one pass.
+
+    The product is never built: each term product is added into the
+    copy, which drops a coefficient as soon as it cancels and stores an
+    integral Fraction as int on the terms it touches, so no term is
+    scanned twice.  The degree of a * b is checked up front, as a product
+    checks it.  Billey's step, the action's simple-reflection step and the
+    decomposition's identity check are all of this form.
+    """
+    p._check_dim(a)
+    p._check_dim(b)
+    out = dict(p._terms)
+    at, bt = a._terms, b._terms
+    if at and bt:
+        s = _BITS * p.n
+        d = (max(at) >> s) + (max(bt) >> s)
+        if d > MAX_DEGREE:
+            raise _degree_error(d)
+        if len(at) < len(bt):
+            at, bt = bt, at
+        get = out.get
+        a_items = at.items()
+        for eb, cb in bt.items():
+            for ea, ca in a_items:
+                e = ea + eb
+                c = get(e, 0) + ca * cb
+                if not c:
+                    del out[e]
+                elif c.__class__ is Fraction and c.denominator == 1:
+                    out[e] = c.numerator
+                else:
+                    out[e] = c
+    return Polynomial._make(p.n, out)
+
+
 class Substitution:
     """A variable assignment analysed once and applied to many polynomials.
 
@@ -630,31 +681,48 @@ def poly_divided_difference(p: Polynomial, i: int) -> Polynomial:
 
 def to_string(p: Polynomial, prefix: str = "t") -> str:
     """Human-readable form like ``t1 - t2`` or ``3/2*a1^2*a2``."""
-    terms = p._terms
-    if not terms:
-        return "0"
-    names = [f"{prefix}{i}" for i in range(1, p.n + 1)]
-    width = p.n + 1
-    parts: list[str] = []
-    for key in sorted(terms, reverse=True):
-        c = terms[key]
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, key.to_bytes(width, "big")[1:])
-            if e
-        )
-        mag = abs(c)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return to_strings([p], prefix)[0]
+
+
+def to_strings(polys: Iterable[Polynomial], prefix: str = "t") -> list[str]:
+    """The :func:`to_string` forms of polynomials of one ring, in order.
+
+    Each distinct monomial is put into text once per call, however many
+    of the polynomials hold it: the localizations of one class repeat the
+    same few hundred monomials across all their vertices.
+    """
+    out: list[str] = []
+    n = names = None
+    monos: dict[int, str] = {}  # key -> "*t1^2*t3", "" for the constant
+    for p in polys:
+        if p.n != n:
+            if names is not None:
+                raise ValueError(f"ring dimension mismatch: {n} vs {p.n}")
+            n = p.n
+            names = [f"{prefix}{i}" for i in range(1, n + 1)]
+        terms = p._terms
+        if not terms:
+            out.append("0")
+            continue
+        parts: list[str] = []
+        for key in sorted(terms, reverse=True):
+            mono = monos.get(key)
+            if mono is None:
+                mono = monos[key] = "".join(
+                    f"*{name}" if e == 1 else f"*{name}^{e}"
+                    for name, e in zip(names, key.to_bytes(n + 1, "big")[1:])
+                    if e
+                )
+            c = terms[key]
+            sign = "+ " if c > 0 else "- "
+            if c == 1 or c == -1:
+                parts.append(sign + mono[1:] if mono else sign + "1")
+            else:
+                parts.append(f"{sign}{abs(c)}{mono}")
+        text = " ".join(parts)
+        # the leading term has no "+ " and a bare "-"
+        out.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    return out
 
 
 _TOKEN = re.compile(

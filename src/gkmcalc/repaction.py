@@ -54,7 +54,7 @@ from .gkm import (
     expand_in_basis,
 )
 from .moment_graph import MomentGraph
-from .polyring import ExactDivisionError, Polynomial, exact_divide
+from .polyring import ExactDivisionError, Polynomial, add_mul, exact_divide
 
 __all__ = [
     "act",
@@ -132,7 +132,7 @@ def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict
         _accumulate(out, v, tw)
         k = index[v]
         if length[row[k]] < length[k]:
-            _accumulate(out, elements[row[k]], tw * minus_alpha)
+            _accumulate(out, elements[row[k]], tw, minus_alpha)
     return out
 
 
@@ -366,11 +366,15 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
         if total:
             stray[v] = total
     # the identity: s_i(S_x) is S_x + alpha_i S_{x s_i} when x s_i < x, else S_x
+    steps = [
+        (sub, -minus_alpha, row)
+        for (sub, minus_alpha), row in zip(rs.simple_twists, rs.rmul)
+    ]
     broken: dict[int, list[int]] = {x: [] for x in table}
     for x, p in table.items():
-        for i, ((sub, minus_alpha), row) in enumerate(zip(rs.simple_twists, rs.rmul), 1):
+        for i, (sub, alpha, row) in enumerate(steps, 1):
             xs = row[x]
-            want = p - table[xs] * minus_alpha if length[xs] < length[x] else p
+            want = add_mul(p, table[xs], alpha) if length[xs] < length[x] else p
             if p.substitute(sub) != want:
                 broken[x].append(i)
     rows = {}

@@ -13,9 +13,11 @@ Each instance enumerates its Weyl group once, at construction, and numbers
 the elements 0..|W|-1 in (length, name) order: the identity is 0 and the
 longest element |W|-1.  ``index`` maps an element to its id, and flat int
 tables indexed by id hold the length (``lengths``), s_i * w and w * s_i
-(``lmul[i-1]``, ``rmul[i-1]``) and w^{-1} (``inverse``), rank x |W| ints
-per product table.  ``simple_twists[i-1]`` holds the coadjoint
-substitution of s_i, compiled once as a polyring ``Substitution``, and
+(``lmul[i-1]``, ``rmul[i-1]``), w^{-1} (``inverse``) and the first right
+descent (``rdescent``: i - 1 for the least i with w * s_i shorter, None
+for the identity), rank x |W| ints per product table.
+``simple_twists[i-1]`` holds the coadjoint substitution of s_i, compiled
+once as a polyring ``Substitution``, and
 -alpha_i: the two polynomial pieces of every simple-reflection step (the
 action on a basis expansion and the divided differences).  Descents,
 reduced words, Bruhat order (by the lifting property), lower intervals and
@@ -142,6 +144,15 @@ class RootSystem:
         inv = self.inverse = tuple([self.index[self.inv(w)] for w in self._elements])
         # w * s_i = (s_i * w^{-1})^{-1}
         self.rmul = tuple(tuple([inv[row[k]] for k in inv]) for row in self.lmul)
+        # w's first right descent i (w * s_{i+1} is shorter), None for e: the
+        # rows are read last to first, so the first descent is written last
+        length, first = self.lengths, [None] * len(ids)
+        for i in reversed(range(len(self.rmul))):
+            first = [
+                i if length[r] < lk else d
+                for d, r, lk in zip(first, self.rmul[i], length)
+            ]
+        self.rdescent = tuple(first)
         self.simple_twists = tuple(
             (
                 Substitution(self.dim, self.coadjoint_substitution(s)),

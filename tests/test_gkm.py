@@ -32,6 +32,7 @@ from gkmcalc.moment_graph import (
     build_schubert_moment_graph,
     load_external_graph,
     toric_hexagon_graph,
+    toric_hexagon_json,
 )
 from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
 from gkmcalc.repaction import AveragedClass, DecompositionReport
@@ -378,6 +379,51 @@ class TestClassJson:
             ref["edges"][0]["label"] = "t9"
             ref["metadata"]["name"] = "changed"
             assert payload() == want
+
+    @pytest.mark.parametrize("label", ["A:3", "B2", "G2", "external"])
+    def test_text_forms_match_to_string(self, label):
+        """class_to_json, expansion_to_json, repr and the CLI table format a
+        whole class in one batch; each text equals to_string of its own."""
+        from fractions import Fraction
+
+        from gkmcalc.cli import _class_table
+        from gkmcalc.gkm import expansion_to_json
+        from gkmcalc.polyring import to_string
+
+        if label == "external":
+            hexagon = json.loads(json.dumps(toric_hexagon_json()))
+            hexagon["metadata"]["var_prefix"] = "x"
+            g = load_external_graph(hexagon)
+            t = [Polynomial.variable(3, i) for i in (1, 2, 3)]
+            polys = [t[0] - t[1], Fraction(-3, 2) * t[2] * t[2], Polynomial.one(3)]
+            classes = [EquivariantClass(g, dict(zip(g.vertices[::2], polys)))]
+        else:
+            g = build_flag_moment_graph(root_system(label))
+            basis = KnutsonTaoBasis(g)
+            classes = [basis.cls(v).scale(Fraction(-1, 3)) for v in g.vertices]
+            classes += [basis.cls(v) for v in g.vertices]
+        prefix = g.var_prefix
+        assert prefix == {"A:3": "t", "B2": "a", "G2": "a", "external": "x"}[label]
+        for c in classes:
+            texts = {g.vertex_str(v): to_string(p, prefix) for v, p in c.items()}
+            assert class_to_json(c)["localizations"] == texts
+            assert repr(c) == "EquivariantClass(" + ", ".join(
+                f"{name}: {text}" for name, text in texts.items()
+            ) + ")"
+            width = max(map(len, texts))
+            assert _class_table(c) == "".join(
+                f"{name:>{width}}  {text}\n" for name, text in texts.items()
+            )
+        exp = {v: p for v, p in classes[0].items()}
+        exp[g.vertices[0]] = Fraction(5, 7)
+        exp[g.vertices[-1]] = -2
+        want = {}
+        for v, p in exp.items():
+            if not isinstance(p, Polynomial):
+                p = Polynomial.constant(g.n, p)
+            if p:
+                want[g.vertex_str(v)] = to_string(p, prefix)
+        assert expansion_to_json(exp, g)["coefficients"] == want
 
     def test_expansion_roundtrip(self, flag3, basis3):
         from gkmcalc.gkm import expansion_from_json, expansion_to_json

@@ -7,9 +7,10 @@ inverses.  These tests compare the tables with ``mul``, ``inv`` and
 against products of subwords and the reduced factorizations against
 lengths of products, and guard that the production Billey route
 and the solver do their group and axiom bookkeeping once, not per call.
-The per-type simple twists (coadjoint substitution of s_i, compiled once,
-and -alpha_i) must match the reflections, and the action's steps must
-only read them.
+The first right descents, which Billey's walk reads, must match a scan of
+``rmul``.  The per-type simple twists (coadjoint substitution of s_i,
+compiled once, and -alpha_i) must match the reflections, and the
+action's steps must only read them.
 """
 
 import json
@@ -54,6 +55,17 @@ def test_tables_match_the_group(label):
         s = rs.simple_reflection(i)
         assert [rs.index[rs.mul(s, w)] for w in els] == list(rs.lmul[i - 1])
         assert [rs.index[rs.mul(w, s)] for w in els] == list(rs.rmul[i - 1])
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
+def test_first_right_descents_match_a_scan_of_rmul(label):
+    rs = root_system(label)
+    assert rs.rdescent[0] is None  # the identity has no descent
+    for k in range(1, len(rs.elements())):
+        lk = rs.lengths[k]
+        shorter = [i for i, row in enumerate(rs.rmul) if rs.lengths[row[k]] < lk]
+        assert rs.rdescent[k] == shorter[0]
+    assert len(rs.rdescent) == len(rs.elements())
 
 
 @pytest.mark.parametrize("label", [f"A:{n}" for n in range(1, 9)] + ["B2", "G2"])

@@ -8,7 +8,9 @@ relabels exponents for variable permutations, accumulates into one dict,
 stores integral coefficients as ``int`` and divides off a heap; on every
 input here it must give the same polynomial, the same hash and the same
 text and JSON bytes.  A compiled ``Substitution`` keeps the powers of its
-images between calls, so one object is applied to many polynomials.
+images between calls, so one object is applied to many polynomials.  The
+fused ``add_mul(p, a, b)`` must equal ``p + a * b``, and the batch text
+form ``to_strings`` the straightforward per-polynomial formatter below.
 
 The kernel packs each monomial into one int (see ``gkmcalc.polyring``);
 the last section checks the packing itself, and every way of applying a
@@ -23,20 +25,24 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmcalc import polyring
-from gkmcalc.moment_graph import MAX_EXTERNAL_N
+from gkmcalc import polyring, repaction
+from gkmcalc.gkm import KnutsonTaoBasis
+from gkmcalc.moment_graph import MAX_EXTERNAL_N, build_flag_moment_graph
 from gkmcalc.polyring import (
     MAX_DEGREE,
     ExactDivisionError,
     Polynomial,
     Substitution,
+    add_mul,
     exact_divide,
     hyperplane,
     polynomial_to_json,
     reduce_modulo,
     swap_substitution,
     to_string,
+    to_strings,
 )
+from gkmcalc.repaction import decompose
 from gkmcalc.root_system import root_system
 
 
@@ -111,6 +117,27 @@ def ref_reduce_modulo(p, f, n):
     return ref_substitute(p, n, {pos + 1: h})
 
 
+def ref_to_string(terms, prefix="t"):
+    """The text form, one term at a time, from an exponent -> Fraction map."""
+    if not terms:
+        return "0"
+    parts = []
+    for exp in sorted(terms, key=_grlex, reverse=True):
+        c = terms[exp]
+        mono = "*".join(
+            f"{prefix}{i}" if e == 1 else f"{prefix}{i}^{e}"
+            for i, e in enumerate(exp, 1)
+            if e
+        )
+        mag = abs(c)
+        body = mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -124,7 +151,7 @@ def assert_matches(got, ref, n):
     # the reference as the Fraction-only kernel stored it, under packed keys
     old = Polynomial._make(n, {polyring._pack(e): c for e, c in ref.items()})
     assert got == old and hash(got) == hash(old)
-    assert to_string(got) == to_string(old)
+    assert to_string(got) == to_string(old) == ref_to_string(ref)
     assert to_string(got, prefix="a") == to_string(old, prefix="a")
     assert json.dumps(polynomial_to_json(got)) == json.dumps(polynomial_to_json(old))
 
@@ -375,6 +402,107 @@ def test_exact_divide_failures():
             exact_divide(num, den)
 
 
+# -- the fused multiply-add ------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=polys(), a=polys(), b=polys())
+def test_add_mul_matches_reference(p, a, b):
+    want = ref_add(p.terms(), ref_mul(a.terms(), b.terms()))
+    got = add_mul(p, a, b)
+    assert_matches(got, want, N)
+    assert got == p + a * b
+    assert_matches(add_mul(Polynomial.zero(N), a, b), ref_mul(a.terms(), b.terms()), N)
+    assert add_mul(p, a, Polynomial.zero(N)) == p == add_mul(p, Polynomial.zero(N), b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=polys(), b=polys(), c=polys())
+def test_add_mul_cancels_to_zero(a, b, c):
+    # p = -(a * b) cancels every term; with p = a * (b - c), a * c cancels
+    assert add_mul(-(a * b), a, b)._terms == {}
+    assert_matches(add_mul(a * (b - c), a, c), ref_mul(a.terms(), b.terms()), N)
+
+
+def test_add_mul_stores_integral_fractions_as_int():
+    t1, t2 = v(1), v(2)
+    half = (t1 + t2) * Fraction(1, 2)
+    for got, want in (
+        (add_mul(half * t1, half, t1), t1 * t1 + t1 * t2),  # 1/2 + 1/2 per term
+        (add_mul(t1 * t1, half, 2 * t1), 2 * t1 * t1 + t1 * t2),
+        (add_mul(Polynomial.zero(N), half, 2 * (t1 - t2)), t1 * t1 - t2 * t2),
+    ):
+        assert got == want
+        assert all(type(c) is int for c in got._terms.values())
+    third = add_mul(t1, t1, Polynomial.constant(N, Fraction(-2, 3)))._terms
+    assert third == {polyring._pack((1, 0, 0)): Fraction(1, 3)}
+
+
+def test_add_mul_checks_the_ring():
+    other = Polynomial.variable(N + 1, 1)
+    for args in ((other, v(1), v(2)), (v(1), other, v(2)), (v(1), v(2), other)):
+        with pytest.raises(ValueError, match="ring dimension mismatch"):
+            add_mul(*args)
+
+
+def test_a_perturbed_table_entry_flips_invariant(monkeypatch):
+    """decompose's identity check, run through add_mul, still sees a broken
+    table: one orbit sum that the read-off turns into S_x is perturbed."""
+    g = build_flag_moment_graph(root_system("A:3"))
+    assert decompose(g).ok
+    calls = []
+
+    def counting(p, a, b):
+        calls.append(1)
+        return add_mul(p, a, b)
+
+    symmetrize = repaction.symmetrize
+
+    def perturbed(expansion, graph):
+        total = symmetrize(expansion, graph)
+        y = graph.vertex_by_str("132")
+        total[y] = total[y] + Polynomial.variable(graph.n, 1)
+        return total
+
+    monkeypatch.setattr(repaction, "add_mul", counting)
+    monkeypatch.setattr(repaction, "symmetrize", perturbed)
+    report = decompose(g)
+    assert calls  # the identity check went through the fused kernel
+    assert not report.ok
+    assert report.generator_invariance[1] is False
+    flipped = [r["v"] for r in report.rows if not r["invariant"]]
+    assert flipped and len(flipped) < len(report.rows)
+
+
+# -- the batch text form --------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(ps=st.lists(polys(), max_size=8), c=coeffs)
+def test_to_strings_matches_the_reference(ps, c):
+    ps = ps + [-p for p in ps] + [Polynomial.constant(N, c), Polynomial.zero(N)]
+    for prefix in ("t", "a", "x"):
+        want = [ref_to_string(p.terms(), prefix) for p in ps]
+        assert to_strings(ps, prefix) == want
+        assert [to_string(p, prefix) for p in ps] == want
+        assert to_strings(iter(ps), prefix) == want
+
+
+def test_to_strings_of_one_ring():
+    assert to_strings([]) == []
+    with pytest.raises(ValueError, match="ring dimension mismatch"):
+        to_strings([v(1), Polynomial.variable(N + 1, 1)])
+
+
+@pytest.mark.parametrize("label", ["A:4", "B2", "G2"])
+def test_to_strings_of_every_class_of_a_flag_graph(label):
+    g = build_flag_moment_graph(root_system(label))
+    basis = KnutsonTaoBasis(g)
+    localizations = [p for v in g.vertices for _, p in basis.cls(v).items()]
+    want = [ref_to_string(p.terms(), g.var_prefix) for p in localizations]
+    assert to_strings(localizations, g.var_prefix) == want
+
+
 def test_fractions_that_become_integral_are_stored_as_int():
     t1, t2 = v(1), v(2)
     half = (t1 + t2) * Fraction(1, 2)
@@ -487,3 +615,21 @@ def test_product_and_exact_divide_at_the_degree_bound(p, f):
     assert_matches(exact_divide(prod, f), ref_exact_divide(prod.terms(), f.terms()), N)
     with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} is above"):
         prod * f
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=polys_at_the_bound(low=MAX_DEGREE - 1, high=MAX_DEGREE - 1), f=linear_forms())
+def test_add_mul_at_the_degree_bound(p, f):
+    prod = p * f
+    assert prod.total_degree() == MAX_DEGREE
+    # degree 255 is accepted, with or without a polynomial to add to
+    assert add_mul(prod, p, f) == prod + prod
+    assert add_mul(Polynomial.zero(N), p, f) == prod
+    with pytest.raises(ValueError) as product:
+        prod * f
+    with pytest.raises(ValueError) as fused:
+        add_mul(f, prod, f)
+    assert str(fused.value) == str(product.value)
+    assert str(fused.value) == (
+        f"total degree {MAX_DEGREE + 1} is above MAX_DEGREE = {MAX_DEGREE}"
+    )

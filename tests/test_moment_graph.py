@@ -10,7 +10,9 @@ from gkmcalc.cli import main
 from gkmcalc.coxeter import Permutation, all_permutations
 from gkmcalc.moment_graph import (
     MAX_EXTERNAL_N,
+    Edge,
     GraphParseError,
+    MomentGraph,
     _find_cycle,
     _form_vector,
     build_flag_moment_graph,
@@ -222,6 +224,22 @@ class TestExternalLoading:
         g = load_external_graph({"vertices": [], "edges": []})
         assert g.vertices == ()
         assert validate_axioms(g).ok
+
+    def test_edges_may_come_from_a_generator(self):
+        t1, t2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        listed = MomentGraph(["a", "b"], [Edge("b", "a", t1 - t2)], {"n": 2})
+        generated = MomentGraph(
+            ["a", "b"], (Edge("b", "a", t1 - t2) for _ in range(1)), {"n": 2}
+        )
+        assert len(listed.edges) == 1
+        assert generated.edges == listed.edges
+        assert generated.out_edges("b") == listed.out_edges("b")
+        hexagon = toric_hexagon_graph()
+        again = MomentGraph(hexagon.vertices, iter(hexagon.edges), hexagon.metadata)
+        assert again.edges == hexagon.edges
+        assert [again.in_edges(v) for v in again.vertices] == [
+            hexagon.in_edges(v) for v in hexagon.vertices
+        ]
 
     def test_dangling_endpoint(self):
         with pytest.raises(GraphParseError):
