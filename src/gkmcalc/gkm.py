@@ -415,7 +415,7 @@ def _solve_vertex(
         raise SolveError(f"constraints at vertex {name} are inconsistent")
     p = Polynomial.zero(g.n)
     for a, t in reversed(levels):
-        p = t + a * p
+        p = add_mul(t, a, p)
     return p
 
 
@@ -519,8 +519,10 @@ class KnutsonTaoBasis:
         out: dict = {}
         for v, cv in expansion.items():
             if cv:
+                if not isinstance(cv, Polynomial):  # an int or Fraction scalar
+                    cv = Polynomial.constant(self.graph.n, cv)
                 for x, px in self.cls(v)._loc.items():
-                    _accumulate(out, x, px * cv)
+                    _accumulate(out, x, px, cv)
         return EquivariantClass(self.graph, out)
 
 
@@ -560,7 +562,7 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
         coeffs[u] = q
         minus_q = -q
         for x, px in basis.cls(u)._loc.items():
-            _accumulate(work, x, minus_q * px)
+            _accumulate(work, x, px, minus_q)
     if work:
         raise SpanError("expansion left a nonzero residue")  # unreachable on DAGs
     return coeffs

@@ -16,14 +16,15 @@ constructor, ``terms()``, ``coefficient()``, the text form and the JSON
 An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer classes that dominate the package never pay
 for ``Fraction`` arithmetic; only a division (``exact_divide``, a scalar
-like 1/|W|) leaves a ``Fraction``.  Every constructor and every operation
-restores that form, and the public accessors (``terms``, ``coefficient``,
-``constant_term``) still return ``Fraction``.  Variables are 1-indexed and
-print as ``t1``, ``t2``, ... by default; the general-type modules render
-the same ring with an ``a`` prefix for simple-root coordinates.  The
-representation is canonical: two polynomials are equal exactly when their
-term maps are equal, and serialization orders terms in descending
-graded-lexicographic order.
+like 1/|W|) leaves a ``Fraction``.  Every sum is stored in that form as
+it is formed, a zero one dropped, so no result is scanned again; the
+public accessors (``terms``, ``coefficient``, ``constant_term``) still
+return ``Fraction``.  Variables are 1-indexed and print as ``t1``,
+``t2``, ... by default; the general-type modules render the same ring
+with an ``a`` prefix for simple-root coordinates.  The representation is
+canonical: two polynomials are equal exactly when their term maps are
+equal, and serialization orders terms in descending graded-lexicographic
+order.
 
 A polynomial never changes after it is built; it only caches its hash.
 A compiled :class:`Substitution` keeps the powers of its images between
@@ -49,13 +50,19 @@ elimination of f's pivot variable on f = 0, which reduces modulo f:
 >>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
 ['2*t2', '0']
 
-Two operations serve the hot loops that would otherwise build a value
-only to drop it.  ``add_mul(p, a, b)`` is p + a * b accumulated into one
-copy of p's terms, with no product built (Billey's step, the action's
-simple-reflection step, the decomposition's identity check).
-``to_strings`` forms the text of many polynomials of one ring and puts
-each distinct monomial into text once per call; ``to_string`` is its
-one-polynomial case:
+Every sum, product and substitution runs through one multiply-accumulate
+loop, which adds the product of two term maps into a third (S. C.
+Johnson's one-target accumulation): a product accumulates into an empty
+map, a sum is a product by the constant 1 or -1, and an expansion adds
+each term's last factor straight into its result.  ``add_mul(p, a, b)``
+exposes it as p + a * b accumulated into one copy of p's terms, with no
+product built, for the loops that would otherwise build a product only
+to add it (Billey's step, the action's simple-reflection step, the
+decomposition's identity check, the basis expansion and reconstruction,
+the vertex solver).  ``exact_divide`` keeps its own heap loop, since
+division is a different algorithm.  ``to_strings`` forms the text of many
+polynomials of one ring and puts each distinct monomial into text once
+per call; ``to_string`` is its one-polynomial case:
 
 >>> str(add_mul(t1, t1 - t2, t2))
 't1*t2 - t2^2 + t1'
@@ -68,7 +75,6 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -102,6 +108,7 @@ _FIELD = MAX_DEGREE  # mask of one field
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNIT = {0: 1}  # the term map of the constant 1; read, never written
 
 
 class ExactDivisionError(ArithmeticError):
@@ -146,43 +153,36 @@ def _coeff(c) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canon(terms: dict) -> dict:
-    """Drop zero coefficients and store integral ones as int, in place."""
-    fix = [
-        e
-        for e, c in terms.items()
-        if not c or (c.__class__ is Fraction and c.denominator == 1)
-    ]
-    for e in fix:
-        c = terms[e]
-        if c:
-            terms[e] = c.numerator
-        else:
-            del terms[e]
-    return terms
+def _add_mul_terms(out: dict, a: dict, b: dict, n: int) -> dict:
+    """Add the product of the term maps a and b in n variables into out.
 
-
-def _mul_terms(a: dict, b: dict, n: int) -> dict:
-    """Product of two term maps in n variables, canonical."""
-    if not a or not b:
-        return {}
-    s = _BITS * n
-    d = (max(a) >> s) + (max(b) >> s)
-    if d > MAX_DEGREE:
-        raise _degree_error(d)
-    if len(a) < len(b):
-        a, b = b, a
-    a_items = a.items()
-    b_items = iter(b.items())
-    eb, cb = next(b_items)
-    # the first row shifts every key of a alike, so its keys are distinct
-    out = {ea + eb: ca * cb for ea, ca in a_items}
-    get = out.get
-    for eb, cb in b_items:
-        for ea, ca in a_items:
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    return _canon(out)
+    The ring's one multiply-accumulate loop (see the module docstring).
+    The degree of a * b is checked from the largest keys before any term
+    is formed.  A coefficient is dropped as soon as it cancels and an
+    integral Fraction is stored as int, so out stays canonical when it
+    starts so.  Returns out.
+    """
+    if a and b:
+        s = _BITS * n
+        d = (max(a) >> s) + (max(b) >> s)
+        if d > MAX_DEGREE:
+            raise _degree_error(d)
+        if len(a) < len(b):
+            a, b = b, a
+        get = out.get
+        a_items = a.items()
+        for eb, cb in b.items():
+            for ea, ca in a_items:
+                e = ea + eb
+                c = get(e)  # a new term skips a Fraction's costly 0 + c
+                c = ca * cb if c is None else c + ca * cb
+                if not c:
+                    del out[e]
+                elif c.__class__ is Fraction and c.denominator == 1:
+                    out[e] = c.numerator
+                else:
+                    out[e] = c
+    return out
 
 
 def _div(a: Coefficient, b: Coefficient) -> Coefficient:
@@ -220,10 +220,11 @@ class Polynomial:
                     raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
                 if sum(exp) > MAX_DEGREE:
                     raise _degree_error(sum(exp))
-                key = _pack(exp)
-                clean[key] = clean.get(key, 0) + _coeff(coeff)
+                c = _coeff(coeff)
+                if c:
+                    _add_mul_terms(clean, {_pack(exp): c}, _UNIT, n)
         self.n = n
-        self._terms = _canon(clean)
+        self._terms = clean
         self._hash = None
 
     @classmethod
@@ -305,27 +306,18 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"ring dimension mismatch: {self.n} vs {other.n}")
 
-    def _combine(self, other: "Polynomial", op) -> "Polynomial":
-        # self + other or self - other, in one dict
-        self._check_dim(other)
-        out = dict(self._terms)
-        get = out.get
-        for exp, c in other._terms.items():
-            c0 = op(get(exp, 0), c)
-            if not c0:
-                del out[exp]
-            elif c0.__class__ is Fraction and c0.denominator == 1:
-                out[exp] = c0.numerator
-            else:
-                out[exp] = c0
-        return Polynomial._make(self.n, out)
-
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        # self + sign * other, for sign 1 or -1: other times a constant
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._combine(other, add)
+        self._check_dim(other)
+        out = _add_mul_terms(dict(self._terms), other._terms, {0: sign}, self.n)
+        return Polynomial._make(self.n, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -333,11 +325,7 @@ class Polynomial:
         return Polynomial._make(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.n, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -345,15 +333,13 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            if not c:
-                return Polynomial.zero(self.n)
-            return Polynomial._make(
-                self.n, _canon({e: k * c for e, k in self._terms.items()})
-            )
-        if not isinstance(other, Polynomial):
+            b = {0: c} if c else {}
+        elif isinstance(other, Polynomial):
+            self._check_dim(other)
+            b = other._terms
+        else:
             return NotImplemented
-        self._check_dim(other)
-        return Polynomial._make(self.n, _mul_terms(self._terms, other._terms, self.n))
+        return Polynomial._make(self.n, _add_mul_terms({}, self._terms, b, self.n))
 
     __rmul__ = __mul__
 
@@ -409,36 +395,16 @@ class Polynomial:
 def add_mul(p: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
     """p + a * b, accumulated into one copy of p's terms in one pass.
 
-    The product is never built: each term product is added into the
-    copy, which drops a coefficient as soon as it cancels and stores an
-    integral Fraction as int on the terms it touches, so no term is
-    scanned twice.  The degree of a * b is checked up front, as a product
-    checks it.  Billey's step, the action's simple-reflection step and the
-    decomposition's identity check are all of this form.
+    The product is never built: the ring's one multiply-accumulate loop,
+    which also forms every product and sum, adds each term product into
+    the copy.  The degree of a * b is checked up front, as a product
+    checks it.  Billey's step, the action's simple-reflection step, the
+    decomposition's identity check, the basis expansion and reconstruction
+    and the vertex solver's remainder-theorem step are all of this form.
     """
     p._check_dim(a)
     p._check_dim(b)
-    out = dict(p._terms)
-    at, bt = a._terms, b._terms
-    if at and bt:
-        s = _BITS * p.n
-        d = (max(at) >> s) + (max(bt) >> s)
-        if d > MAX_DEGREE:
-            raise _degree_error(d)
-        if len(at) < len(bt):
-            at, bt = bt, at
-        get = out.get
-        a_items = at.items()
-        for eb, cb in bt.items():
-            for ea, ca in a_items:
-                e = ea + eb
-                c = get(e, 0) + ca * cb
-                if not c:
-                    del out[e]
-                elif c.__class__ is Fraction and c.denominator == 1:
-                    out[e] = c.numerator
-                else:
-                    out[e] = c
+    out = _add_mul_terms(dict(p._terms), a._terms, b._terms, p.n)
     return Polynomial._make(p.n, out)
 
 
@@ -520,13 +486,19 @@ def _relabel(terms: dict, moves: list[tuple[int, int]]) -> dict:
     the moved key is k + e * step, with e read from the unmoved key.
     """
     out: dict = {}
-    get = out.get
     for k, c in terms.items():
         moved = k
         for s, step in moves:
             moved += ((k >> s) & _FIELD) * step
-        out[moved] = get(moved, 0) + c
-    return _canon(out)
+        if moved in out:  # colliding terms are summed, in stored form
+            c += out[moved]
+            if not c:
+                del out[moved]
+                continue
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+        out[moved] = c
+    return out
 
 
 def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
@@ -541,12 +513,13 @@ def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
         key = (pos, e)
         if key not in powers:
             powers[key] = (
-                image if e == 1 else _mul_terms(power(pos, image, e - 1), image, n)
+                image
+                if e == 1
+                else _add_mul_terms({}, power(pos, image, e - 1), image, n)
             )
         return powers[key]
 
     out: dict = {}
-    get = out.get
     for k, c in terms.items():
         plain = k  # untouched part of the monomial
         factors = []
@@ -555,12 +528,12 @@ def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
             if e:
                 plain -= e * var
                 factors.append(power(pos, image, e))
+        *rest, last = factors or (_UNIT,)
         term = {plain: c}
-        for f in factors:
-            term = _mul_terms(term, f, n)
-        for e, v in term.items():
-            out[e] = get(e, 0) + v
-    return _canon(out)
+        for f in rest:
+            term = _add_mul_terms({}, term, f, n)
+        _add_mul_terms(out, term, last, n)  # the last factor goes straight in
+    return out
 
 
 # -- module-level operations (the public contract) --------------------------

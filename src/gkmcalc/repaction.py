@@ -234,13 +234,14 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     k = rs._simple_index(i)
     sub = rs.simple_twists[k][0]
     row, length, index, elements = rs.lmul[k], rs.lengths, rs.index, rs.elements()
-    out = {v: rs.divided_difference(p, i) for v, p in expansion.items()}
+    out: dict = {}
+    for v, p in expansion.items():
+        _accumulate(out, v, rs.divided_difference(p, i))
     for v, p in expansion.items():
         j = index[v]
         if length[row[j]] < length[j]:
-            u, tw = elements[row[j]], p.substitute(sub)
-            out[u] = out[u] + tw if u in out else tw
-    return {v: p for v, p in out.items() if p}
+            _accumulate(out, elements[row[j]], p.substitute(sub))
+    return out
 
 
 class AveragedClass:

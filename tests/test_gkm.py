@@ -2,6 +2,7 @@
 routes, restriction, and basis expansion."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from gkmcalc.moment_graph import (
     build_flag_moment_graph,
     build_schubert_moment_graph,
     load_external_graph,
+    schubert_graph,
     toric_hexagon_graph,
     toric_hexagon_json,
 )
@@ -295,6 +297,16 @@ class TestExpand:
         cls = basis3.reconstruct(exp)
         assert check_gkm(cls).ok
         assert expansions_equal(expand_in_basis(cls, basis3), exp)
+
+    @pytest.mark.parametrize("label, w", [("A:3", "321"), ("G2", "2121")])
+    def test_reconstruct_takes_scalar_coefficients(self, label, w):
+        # an int or Fraction coefficient is a constant: {v: 1} is v's class
+        g = schubert_graph(label, w)
+        b = KnutsonTaoBasis(g)
+        for v in g.vertices:
+            assert b.reconstruct({v: 1}) == b.cls(v)
+            half = Fraction(1, 2)
+            assert b.reconstruct({v: half}) == b.cls(v).scale(half)
 
 
 class TestLocalizationLemmas:

@@ -244,13 +244,15 @@ def test_compiled_relabel_paths_form_no_products(monkeypatch):
     def no_products(*args):
         raise AssertionError("a relabelling must not form products")
 
-    monkeypatch.setattr(polyring, "_expand", no_products)
-    monkeypatch.setattr(polyring, "_mul_terms", no_products)
     p = random_poly(random.Random(5), 4)
+    # building the hyperplane forms a difference, so it comes before the patch
+    plane = hyperplane(_t(4, 2) - _t(4, 4))
+    monkeypatch.setattr(polyring, "_expand", no_products)
+    monkeypatch.setattr(polyring, "_add_mul_terms", no_products)
     relabellings = ("permutation", "transposition", "collision", "collision chain")
     for name in (*relabellings, "identity", "empty"):
         p.substitute(Substitution(*COMPILED_PATHS[name]))
-    p.substitute(hyperplane(_t(4, 2) - _t(4, 4)))
+    p.substitute(plane)
     assert p.substitute(Substitution(4, {}))._terms is p._terms
 
 

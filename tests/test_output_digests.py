@@ -11,7 +11,12 @@ is a bug in the change, not a reason to re-record.  The cases:
   image of a Knutson-Tao class (on an A:4 Schubert graph, and halved on
   the G2 flag graph, so that it has ``Fraction`` coefficients);
 * ``act`` on 8 fixed queries;
-* ``decompose`` as JSON on every Schubert variety of A:3.
+* ``decompose`` as JSON on every Schubert variety of A:3, B2 and G2 (the
+  B2 and G2 twists go through substitution by expansion);
+* ``ddiff`` on both sides and for every simple index at every vertex of
+  the A:3 and G2 flag graphs, and on the left for every simple index at
+  every vertex of the A:4 Schubert graph of 3412 (expand, act and
+  reconstruct on a Schubert graph).
 
 To record the digests of the current tree (only when the output is meant
 to change, e.g. a new case):
@@ -46,9 +51,11 @@ ACT_QUERIES = [
 ]
 
 
-def _vertex_names(label: str) -> list[str]:
-    rs = root_system(label)
-    g = schubert_graph(label, rs.element_str(rs.longest_element()))
+def _vertex_names(label: str, w: str | None = None) -> list[str]:
+    if w is None:
+        rs = root_system(label)
+        w = rs.element_str(rs.longest_element())
+    g = schubert_graph(label, w)
     return [g.vertex_str(v) for v in g.vertices]
 
 
@@ -77,8 +84,22 @@ def cases() -> dict[str, tuple[str, ...]]:
         out[f"expand {name}"] = ("expand", "--class", "{" + name + "}")
     for q in ACT_QUERIES:
         out["act " + " ".join(q)] = ("act", *q)
-    for w in _vertex_names("A:3"):
-        out[f"decompose A:3 {w}"] = ("decompose", "--type", "A:3", "--w", w)
+    for label in ("A:3", "B2", "G2"):
+        for w in _vertex_names(label):
+            out[f"decompose {label} {w}"] = ("decompose", "--type", label, "--w", w)
+    for label in ("A:3", "G2"):
+        for v in _vertex_names(label):
+            for side in ("left", "right"):
+                for i in ("1", "2"):
+                    out[f"ddiff {label} {v} {side} {i}"] = (
+                        "ddiff", "--side", side, "--i", i, "--type", label, "--v", v
+                    )
+    for v in _vertex_names("A:4", "3412"):
+        for i in ("1", "2", "3"):
+            out[f"ddiff A:4 X_3412 {v} left {i}"] = (
+                "ddiff", "--side", "left", "--i", i,
+                "--type", "A:4", "--w", "3412", "--v", v,
+            )
     return out
 
 
