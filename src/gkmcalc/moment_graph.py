@@ -4,12 +4,14 @@ A moment graph is a finite directed acyclic graph whose edges carry linear
 forms (torus weights).  For the full flag variety the vertices are all Weyl
 group elements and each vertex w has one out-edge per inversion root alpha,
 pointing at s_alpha * w and labeled alpha; every Schubert variety gives the
-subgraph induced on the lower Bruhat interval of its top element.  Only
-the builder turns roots into labels, one label object per positive root
-shared by its edges; the consumers read them off ``out_edges`` and
-``in_edges``.  External graphs (any vertex names and labels) load from JSON,
-each distinct label text parsed once.  A graph keeps, per distinct label,
-its text, its line and (on first use) its compiled hyperplane.
+subgraph induced on the lower Bruhat interval of its top element.  The
+builder finds every edge in the root system's root rows, by int lookups,
+and puts the row's label object on it, one per positive root shared by its
+edges; the consumers read them off ``out_edges`` and ``in_edges``.
+External graphs (any vertex names and labels) load from JSON, each distinct
+label text parsed once.  A graph keeps, per distinct label, its text, its
+line (a root label's taken from its root row) and (on first use) its
+compiled hyperplane.
 
 Validation never throws: :func:`validate_axioms` returns a report listing
 acyclicity, pairwise label independence at each vertex (by lines), and the
@@ -32,6 +34,7 @@ from .polyring import (
     MAX_DEGREE,
     Polynomial,
     Substitution,
+    _line,
     hyperplane,
     is_linear_form,
     parse_polynomial,
@@ -106,9 +109,11 @@ class MomentGraph:
         self._by_str = {s: v for v, s in self._vstr.items()}
 
         # one row per distinct label, which a builder or the loader shares
-        # among its edges: its text, its line, and its hyperplane once asked
+        # among its edges: its text, its line (a root label's from its root
+        # row), and its hyperplane once asked
         text, line = self._label_text, self._label_line = {}, {}
         self._planes: dict = {}
+        root_lines = {} if rs is None else {f: ln for f, ln, _ in rs.root_rows}
         edges = list(edges)  # read twice below; a generator is spent by one read
         for e in edges:
             if e.tail not in self._vstr or e.head not in self._vstr:
@@ -119,7 +124,8 @@ class MomentGraph:
                 )
             if e.label not in text:
                 text[e.label] = to_string(e.label, self.var_prefix)
-                line[e.label] = _line(e.label)
+                ln = root_lines.get(e.label)
+                line[e.label] = _line(e.label) if ln is None else ln
         self.edges = tuple(
             sorted(edges, key=lambda e: (pos[e.tail], pos[e.head], text[e.label]))
         )
@@ -267,14 +273,21 @@ def build_schubert_moment_graph(rs: RootSystem, w) -> MomentGraph:
 
 
 def _bruhat_graph(rs: RootSystem, vertices, variety: str, w) -> MomentGraph:
-    # one (reflection, label) pair per positive root, shared by its edges;
-    # an edge leaving the vertex set would make MomentGraph raise
-    by_root = {a: (rs.reflection(a), rs.root_form(a)) for a in rs.positive_roots}
-    edges = [
-        Edge(v, rs.mul(s, v), label)
-        for v in vertices
-        for s, label in map(by_root.__getitem__, rs.inversions(v))
-    ]
+    # t_beta * v for each positive root beta: v's id walked through beta's
+    # root row.  The edge is there exactly when the length drops (beta is
+    # an inversion of v); it ends at the root system's own element and
+    # carries the row's label.  A lower interval holds every such head.
+    els, lengths, index = rs.elements(), rs.lengths, rs.index
+    edges = []
+    for v in vertices:
+        k = index[v]
+        lk = lengths[k]
+        for label, _, steps in rs.root_rows:
+            h = k
+            for row in steps:
+                h = row[h]
+            if lengths[h] < lk:
+                edges.append(Edge(v, els[h], label))
     meta = {
         "variety": variety,
         "type": rs.label,
@@ -292,21 +305,6 @@ def schubert_graph(label: str, w_text: str) -> MomentGraph:
 
 
 # -- axiom validation ----------------------------------------------------------
-
-
-def _form_vector(label: Polynomial, n: int) -> tuple[Fraction, ...]:
-    vec = [Fraction(0)] * n
-    for exp, c in label.terms().items():
-        vec[exp.index(1)] = Fraction(c)
-    return tuple(vec)
-
-
-def _line(label: Polynomial) -> tuple[tuple[Fraction, ...], int] | None:
-    if not is_linear_form(label):
-        return None
-    vec = _form_vector(label, label.n)
-    lead = next(x for x in vec if x)
-    return tuple(x / lead for x in vec), 1 if lead > 0 else -1
 
 
 class AxiomReport:

@@ -571,6 +571,25 @@ def hyperplane(f: Polynomial) -> Substitution:
     return Substitution(f.n, {k: Polynomial.variable(f.n, k) - f * Fraction(1, c)})
 
 
+def _form_vector(f: Polynomial, n: int) -> tuple[Fraction, ...]:
+    """The n coefficients of a linear form, as Fractions."""
+    vec = [_ZERO] * n
+    for exp, c in f.terms().items():
+        vec[exp.index(1)] = Fraction(c)
+    return tuple(vec)
+
+
+def _line(f: Polynomial) -> tuple[tuple[Fraction, ...], int] | None:
+    """(coefficients over the first nonzero one, that one's sign) of a
+    nonzero linear form, so proportional forms share the vector; None for
+    any other polynomial."""
+    if not is_linear_form(f):
+        return None
+    vec = _form_vector(f, f.n)
+    lead = next(x for x in vec if x)
+    return tuple(x / lead for x in vec), 1 if lead > 0 else -1
+
+
 def reduce_modulo(p: Polynomial, f: Polynomial) -> Polynomial:
     """Residue of p modulo the principal ideal generated by a linear form.
 

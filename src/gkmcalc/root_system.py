@@ -19,7 +19,12 @@ for the identity), rank x |W| ints per product table.
 ``simple_twists[i-1]`` holds the coadjoint substitution of s_i, compiled
 once as a polyring ``Substitution``, and
 -alpha_i: the two polynomial pieces of every simple-reflection step (the
-action on a basis expansion and the divided differences).  Descents,
+action on a basis expansion and the divided differences).
+``root_rows`` holds one row per positive root beta, in ``positive_roots``
+order: its edge label ``root_form(beta)``, that label's line and the
+``lmul`` rows along a word for the reflection t_beta, so the id of
+t_beta * w is one int lookup per letter away from w's; the moment-graph
+builder reads every edge off them.  Descents,
 reduced words, Bruhat order (by the lifting property), lower intervals and
 reduced factorizations v = x y (Billey's rows, the decomposition's pairs)
 are table lookups, with no group product; element objects stay at the
@@ -38,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import Permutation, inversion_pairs, parse_permutation
-from .polyring import Polynomial, Substitution, exact_divide
+from .polyring import Polynomial, Substitution, _line, exact_divide
 
 __all__ = [
     "RootSystem",
@@ -112,7 +117,8 @@ class RootSystem:
     # -- the group table -------------------------------------------------------
 
     def _build_group(self) -> None:
-        """Enumerate W breadth-first from the identity into the id tables.
+        """Enumerate W breadth-first from the identity into the id tables,
+        then the simple twists and the root rows, which read them.
 
         Each step multiplies on the left by a simple reflection, so BFS
         depth is length, and the BFS forms every s_i * w exactly once.
@@ -160,6 +166,23 @@ class RootSystem:
             )
             for s, a in zip(self._simple, self.simple_roots)
         )
+        # beta = x(alpha_i) with x = s_{j_1} ... s_{j_k} gives t_beta as the
+        # word j_1 ... j_k i j_k ... j_1, a palindrome, so its lmul rows
+        # applied in order send w to t_beta * w.  Breadth-first from the
+        # simple roots: s_j beta = (s_j x)(alpha_i) adds j at both ends.
+        todo, positive = list(self.simple_roots), set(self.positive_roots)
+        words = {a: (i,) for i, a in enumerate(todo)}
+        for beta in todo:  # breadth-first: todo grows
+            for j, s in enumerate(self._simple):
+                gamma = self.act_on_root(s, beta)
+                if gamma in positive and gamma not in words:
+                    words[gamma] = (j, *words[beta], j)
+                    todo.append(gamma)
+        rows = []
+        for beta in self.positive_roots:
+            label = self.root_form(beta)
+            rows.append((label, _line(label), tuple(self.lmul[j] for j in words[beta])))
+        self.root_rows = tuple(rows)
 
     def elements(self) -> tuple:
         return self._elements

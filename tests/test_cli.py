@@ -614,3 +614,15 @@ def test_package_import_loads_the_traced_modules():
     loaded = _modules_after("import gkmcalc")
     for name in ("polyring", "coxeter", "root_system", "moment_graph", "gkm", "repaction"):
         assert f"gkmcalc.{name}" in loaded
+
+
+def test_console_script_is_cli_main():
+    """pyproject's ``gkmcalc`` console script loads gkmcalc.cli.main."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    from importlib.metadata import EntryPoint
+
+    pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"gkmcalc": "gkmcalc.cli:main"}
+    entry = EntryPoint("gkmcalc", scripts["gkmcalc"], "console_scripts")
+    assert entry.load() is main

@@ -22,7 +22,6 @@ from gkmcalc.moment_graph import (
     PalaisSmaleResult,
     _degree_check,
     _find_cycle,
-    _form_vector,
     build_flag_moment_graph,
     build_schubert_moment_graph,
     graph_to_json,
@@ -32,7 +31,7 @@ from gkmcalc.moment_graph import (
     toric_hexagon_graph,
     validate_axioms,
 )
-from gkmcalc.polyring import Polynomial, parse_polynomial
+from gkmcalc.polyring import Polynomial, _form_vector, parse_polynomial
 from gkmcalc.root_system import root_system
 
 LABELS = ["A:2", "A:3", "A:4", "B2", "G2"]

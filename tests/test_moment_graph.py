@@ -14,7 +14,6 @@ from gkmcalc.moment_graph import (
     GraphParseError,
     MomentGraph,
     _find_cycle,
-    _form_vector,
     build_flag_moment_graph,
     build_schubert_moment_graph,
     graph_to_dot,
@@ -26,7 +25,7 @@ from gkmcalc.moment_graph import (
     toric_hexagon_json,
     validate_axioms,
 )
-from gkmcalc.polyring import MAX_DEGREE, Polynomial, to_string
+from gkmcalc.polyring import MAX_DEGREE, Polynomial, _form_vector, to_string
 from gkmcalc.root_system import root_system, type_a
 
 
