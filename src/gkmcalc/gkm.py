@@ -20,7 +20,11 @@ by name and compare with Billey's classes:
 * the solve route, which walks the vertices upward and determines each
   localization from the divisibility constraints by a remainder-theorem
   recursion over the out-edge labels; it reduces modulo a label by
-  substituting the hyperplane the graph compiles once per distinct label.
+  substituting the hyperplane the graph compiles once per distinct label,
+  and divides by one label restricted to another's hyperplane, which the
+  graph keeps once per label pair.  The vertices it pins (the base and
+  those with no path down to it) need no check: their edges satisfy the
+  divisibility condition on every acyclic graph.
 
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
@@ -197,17 +201,14 @@ class GkmReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
-def _divisible(p: Polynomial, plane: Substitution) -> bool:
-    """p lies in the ideal of the label whose hyperplane is plane."""
-    return not p or not p.substitute(plane)
-
-
 def check_gkm(c: EquivariantClass) -> GkmReport:
-    """Divisibility of localization differences across every edge."""
+    """Divisibility of localization differences across every edge: each
+    difference vanishes on the hyperplane of its label."""
     bad = []
     g = c.graph
     for e in g.edges:
-        if not _divisible(c[e.tail] - c[e.head], g.label_hyperplane(e.label)):
+        diff = c[e.tail] - c[e.head]
+        if diff and diff.substitute(g.label_hyperplane(e.label)):
             bad.append(
                 (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
             )
@@ -388,9 +389,11 @@ def _solve_vertex(
     p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
     q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
     already reduced modulo labels[j], and so is every quotient, so only
-    t_1 and a_1 need reducing, by the hyperplane of a_j that g keeps.  A q
-    exists exactly when the quotient is exact; q is unique once the degree
-    drops below zero.
+    t_1 and a_1 need reducing.  The hyperplane of a_j and a_1 reduced on
+    it depend on the label pair alone, so g keeps them
+    (``label_restriction``) for every class and level that pairs them.  A
+    q exists exactly when the quotient is exact; q is unique once the
+    degree drops below zero.
     """
     name = g.vertex_str(u)
     levels: list = []
@@ -400,11 +403,9 @@ def _solve_vertex(
         a1, t1 = labels[0], residues[0]
         nxt = []
         for aj, tj in zip(labels[1:], residues[1:]):
-            plane = g.label_hyperplane(aj)
+            plane, a1_on_plane = g.label_restriction(a1, aj)
             try:
-                nxt.append(
-                    exact_divide(tj - t1.substitute(plane), a1.substitute(plane))
-                )
+                nxt.append(exact_divide(tj - t1.substitute(plane), a1_on_plane))
             except ExactDivisionError as exc:
                 raise SolveError(
                     f"constraints at vertex {name} are inconsistent"
@@ -428,9 +429,10 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     the base is pinned to its out-label product and vertices with no path
     down to v are pinned to zero.  Every reduction modulo an edge label
     substitutes the hyperplane the graph keeps for it, compiled once per
-    graph.  Raises SolveError when a vertex system is inconsistent (no
-    class exists) or underdetermined (uniqueness fails, e.g. the graph is
-    not Palais-Smale).
+    graph, and each label restricted to another's hyperplane is computed
+    once per graph too.  Raises SolveError when a vertex system is
+    inconsistent (no class exists) or underdetermined (uniqueness fails,
+    e.g. the graph is not Palais-Smale).
     """
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
@@ -442,23 +444,18 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     d = g.out_degree(v)
     above = g.above(v)
     loc: dict = {}
-
-    def check_pinned(u) -> None:
-        for e in g.out_edges(u):
-            if not _divisible(loc[u] - loc[e.head], g.label_hyperplane(e.label)):
-                raise SolveError(
-                    f"no class: edge {g.vertex_str(u)} -> "
-                    f"{g.vertex_str(e.head)} violates divisibility"
-                )
-
+    # The pinned vertices need no divisibility check once g is acyclic.  A
+    # vertex not above v has only heads not above v (a head above v would
+    # put its tail above v), so both ends of its edges carry 0.  No head of
+    # v is above v (that would close a cycle), so each edge out of v joins
+    # the out-label product to 0, and the product is divisible by each of
+    # its factors.
     for u in g.topo_min_first():
         if u == v:
             loc[u] = g.out_label_product(v)
-            check_pinned(u)
             continue
         if u not in above:
             loc[u] = Polynomial.zero(n)
-            check_pinned(u)
             continue
         out = g.out_edges(u)
         if not out:

@@ -11,7 +11,9 @@ edges; the consumers read them off ``out_edges`` and ``in_edges``.
 External graphs (any vertex names and labels) load from JSON, each distinct
 label text parsed once.  A graph keeps, per distinct label, its text, its
 line (a root label's taken from its root row) and (on first use) its
-compiled hyperplane.
+compiled hyperplane; per ordered pair of distinct labels (a, b), again on
+first use, a restricted to the hyperplane of b, which the external-graph
+solver divides by.
 
 Validation never throws: :func:`validate_axioms` returns a report listing
 acyclicity, pairwise label independence at each vertex (by lines), and the
@@ -110,9 +112,11 @@ class MomentGraph:
 
         # one row per distinct label, which a builder or the loader shares
         # among its edges: its text, its line (a root label's from its root
-        # row), and its hyperplane once asked
+        # row), and its hyperplane once asked; per label pair (a, b) once
+        # asked, a restricted to the hyperplane of b
         text, line = self._label_text, self._label_line = {}, {}
         self._planes: dict = {}
+        self._restrictions: dict = {}
         root_lines = {} if rs is None else {f: ln for f, ln, _ in rs.root_rows}
         edges = list(edges)  # read twice below; a generator is spent by one read
         for e in edges:
@@ -167,6 +171,19 @@ class MomentGraph:
         if plane is None:
             plane = self._planes[label] = hyperplane(label)
         return plane
+
+    def label_restriction(
+        self, a: Polynomial, b: Polynomial
+    ) -> tuple[Substitution, Polynomial]:
+        """(hyperplane of edge label b, edge label a restricted to it),
+        computed on first use and kept: at most L * (L - 1) pairs for L
+        distinct labels, since the solver never pairs a label with itself."""
+        key = (a, b)
+        got = self._restrictions.get(key)
+        if got is None:
+            plane = self.label_hyperplane(b)
+            got = self._restrictions[key] = (plane, a.substitute(plane))
+        return got
 
     def vertex_by_str(self, s: str):
         try:

@@ -4,7 +4,10 @@ The reference below is the per-vertex linear system the solver used to
 build: one unknown per degree-d monomial, one row per residue coefficient
 of every out-edge, solved by Gaussian elimination over ``Fraction``
 (``solve_unique``).  Both must give the same class, or the same SolveError
-text, at every vertex.
+text, at every vertex.  The reference checks the divisibility condition on
+the edges out of the vertices it pins (the base, and those with no path
+down to it); the solver does not, and the tests here check that the
+reference's check never fails on an acyclic graph.
 """
 
 import json
@@ -91,6 +94,28 @@ def solve_unique(rows, rhs):
     return x
 
 
+def pinned(g, v):
+    """The localizations the class of v is pinned to: the out-label product
+    at v, and 0 at every vertex with no path down to v."""
+    above = g.above(v)
+    loc = {u: Polynomial.zero(g.n) for u in g.vertices if u not in above}
+    prod = Polynomial.one(g.n)
+    for e in g.out_edges(v):
+        prod = prod * e.label
+    loc[v] = prod
+    return loc
+
+
+def check_pinned(g, loc, u):
+    """Raise SolveError unless loc satisfies divisibility on u's out-edges."""
+    for e in g.out_edges(u):
+        if not divides(e.label, loc[u] - loc[e.head]):
+            raise SolveError(
+                f"no class: edge {g.vertex_str(u)} -> "
+                f"{g.vertex_str(e.head)} violates divisibility"
+            )
+
+
 def dense_solve(g, v):
     """Knutson-Tao class of v by dense Fraction elimination at each vertex."""
     axioms = validate_axioms(g)
@@ -98,31 +123,15 @@ def dense_solve(g, v):
         raise SolveError(f"moment-graph axioms violated: {axioms.to_json()}")
     n = g.n
     d = g.out_degree(v)
-    prod = Polynomial.one(n)
-    for e in g.out_edges(v):
-        prod = prod * e.label
     monos = homogeneous_exponents(n, d)
     col = {exp: k for k, exp in enumerate(monos)}
     reduced_by_label: dict = {}
+    fixed = pinned(g, v)
     loc: dict = {}
-
-    def check_pinned(u):
-        for e in g.out_edges(u):
-            if not divides(e.label, loc[u] - loc[e.head]):
-                raise SolveError(
-                    f"no class: edge {g.vertex_str(u)} -> "
-                    f"{g.vertex_str(e.head)} violates divisibility"
-                )
-
-    above = g.above(v)
     for u in g.topo_min_first():
-        if u == v:
-            loc[u] = prod
-            check_pinned(u)
-            continue
-        if u not in above:
-            loc[u] = Polynomial.zero(n)
-            check_pinned(u)
+        if u in fixed:
+            loc[u] = fixed[u]
+            check_pinned(g, loc, u)
             continue
         rows, rhs = [], []
         for e in g.out_edges(u):
@@ -215,9 +224,30 @@ def test_solver_compiles_each_label_once_per_graph(monkeypatch):
     # the graph keeps each label's hyperplane: every class reuses it
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == {e.label for e in g.edges}
-    # as many substitutions as when every reduction went through
-    # reduce_modulo and compiled its own hyperplane
-    assert substituted[0] == 3252
+    # each label pair is restricted once per graph (22 pairs of the 6
+    # labels), and otherwise only localizations are reduced: 778 out-edge
+    # residues and 1201 first residues t_1 of a recursion level
+    assert substituted[0] == 2001
+
+
+def test_label_pair_table_fills_once_per_graph():
+    g = reloaded(build_flag_moment_graph(root_system("A:4")))
+    assert g._restrictions == {}
+    labels = {e.label for e in g.edges}
+    for v in g.vertices:
+        knutson_tao_class_solve(g, v)
+    table = dict(g._restrictions)
+    assert 0 < len(table) <= len(labels) * (len(labels) - 1)
+    for (a, b), (plane, a_on_plane) in table.items():
+        assert a != b and {a, b} <= labels
+        assert plane is g.label_hyperplane(b)
+        assert a_on_plane == a.substitute(plane)
+    for v in g.vertices:
+        knutson_tao_class_solve(g, v)
+    assert g._restrictions.keys() == table.keys()
+    assert all(g._restrictions[k] is got for k, got in table.items())
+    # the table lives on the graph: a freshly loaded one starts empty
+    assert reloaded(build_flag_moment_graph(root_system("A:4")))._restrictions == {}
 
 
 def test_toric_hexagon_statuses():
@@ -225,19 +255,20 @@ def test_toric_hexagon_statuses():
     assert sorted(assert_same_everywhere(g)) == ["ok"] * 4 + ["underdetermined"] * 2
 
 
+SINGLE_VARIABLE_CHAIN = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"tail": "a", "head": "b", "label": "t1"},
+        {"tail": "b", "head": "c", "label": "2*t1"},
+    ],
+    "metadata": {"n": 1},
+}
+
+
 def test_single_variable_chain_names_the_vertex():
     # n = 1: every degree-1 monomial vanishes modulo t1, so the dense system
     # had no rows and blamed missing out-edges; the vertex has one.
-    g = load_external_graph(
-        {
-            "vertices": ["a", "b", "c"],
-            "edges": [
-                {"tail": "a", "head": "b", "label": "t1"},
-                {"tail": "b", "head": "c", "label": "2*t1"},
-            ],
-            "metadata": {"n": 1},
-        }
-    )
+    g = load_external_graph(SINGLE_VARIABLE_CHAIN)
     with pytest.raises(SolveError) as exc:
         knutson_tao_class_solve(g, "b")
     assert str(exc.value) == "constraints at vertex a are underdetermined"
@@ -280,3 +311,36 @@ def corrupted_graphs(draw):
 @given(corrupted_graphs())
 def test_corrupted_external_graphs(g):
     assert_same_everywhere(g)
+
+
+def assert_pinned_edges_divisible(g):
+    """The reference's check holds at every pinned vertex of every class,
+    whether or not the rest of the class can be solved."""
+    assert g.axioms().acyclic
+    for v in g.vertices:
+        loc = pinned(g, v)
+        for u in loc:
+            check_pinned(g, loc, u)  # a head outside loc raises KeyError
+
+
+def differential_graphs():
+    for label in ("A:3", "A:4", "B2", "G2"):
+        yield reloaded(build_flag_moment_graph(root_system(label)))
+    for label in ("A:3", "B2", "G2"):
+        rs = root_system(label)
+        for w in rs.elements():
+            yield reloaded(build_schubert_moment_graph(rs, w))
+    yield load_external_graph(toric_hexagon_json())
+    yield load_external_graph(SINGLE_VARIABLE_CHAIN)
+
+
+def test_pinned_edges_divisible_on_every_differential_graph():
+    for g in differential_graphs():
+        assert_pinned_edges_divisible(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_graphs())
+def test_pinned_edges_divisible_on_corrupted_graphs(g):
+    # a corruption changes labels or drops an edge, so g stays acyclic
+    assert_pinned_edges_divisible(g)
