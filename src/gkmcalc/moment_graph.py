@@ -15,13 +15,14 @@ compiled hyperplane; per ordered pair of distinct labels (a, b), again on
 first use, a restricted to the hyperplane of b, which the external-graph
 solver divides by.
 
-Validation never throws: :func:`validate_axioms` returns a report listing
-acyclicity, pairwise label independence at each vertex (by lines), and the
-Schubert out-degree/label facts when they apply.  The Palais-Smale check
-runs either on the stored orientation or searches the finitely many
-orientations induced by generic covectors on the label lines, fixing one
-sign at a time and testing each prefix for a covector by Fourier-Motzkin
-elimination (:func:`strict_feasible`).
+Construction refuses what is no moment graph (see :class:`MomentGraph`),
+so nothing downstream checks it again.  :func:`validate_axioms` never
+throws: it reports acyclicity, pairwise label independence at each vertex
+(by lines), and the Schubert out-degree/label facts when they apply.  The
+Palais-Smale check runs either on the stored orientation or searches the
+finitely many orientations induced by generic covectors on the label
+lines, fixing one sign at a time and testing each prefix for a covector by
+Fourier-Motzkin elimination (:func:`strict_feasible`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .polyring import (
     Substitution,
     _line,
     hyperplane,
-    is_linear_form,
     parse_polynomial,
     to_string,
 )
@@ -79,10 +79,16 @@ class Edge(NamedTuple):
 class MomentGraph:
     """Immutable labeled DAG with canonical vertex and edge order.
 
-    Vertices are sorted by (length, name), or by name on an external graph;
-    edges by the positions of their tail and head, then label text.  Each
-    vertex's out- and in-edges and the topological order are tuples, built
-    once and handed out as they are.
+    Vertices are sorted by element id (by length, then name) on a
+    root-system graph, by name on an external graph; edges by the positions
+    of their tail and head, then label text.  Each vertex's out- and
+    in-edges and the topological order are tuples, built once and handed
+    out as they are.
+
+    GraphParseError refuses repeated vertices, an edge end outside them, a
+    label that is no nonzero linear form in metadata 'n' variables, more
+    than MAX_DEGREE out-edges at a vertex (the degree of its class), and a
+    var_prefix that parse_polynomial cannot read back (not ASCII letters).
     """
 
     def __init__(
@@ -95,18 +101,20 @@ class MomentGraph:
         self.rs = rs
         self.metadata = dict(metadata)
         self.n = int(self.metadata["n"])
-        self.var_prefix = self.metadata.get("var_prefix", "t")
+        prefix = self.var_prefix = self.metadata.get("var_prefix", "t")
+        if not (isinstance(prefix, str) and prefix.isascii() and prefix.isalpha()):
+            raise GraphParseError(f"var_prefix must be ASCII letters, got {prefix!r}")
 
         vlist = list(vertices)
         if len(set(vlist)) != len(vlist):
             raise GraphParseError("duplicate vertices")
         if rs is not None:
+            vlist.sort(key=rs.element_id)
             self._vstr = {v: rs.element_str(v) for v in vlist}
-            key = lambda v: (rs.length(v), self._vstr[v])
         else:
             self._vstr = {v: str(v) for v in vlist}
-            key = lambda v: (0, self._vstr[v])
-        self.vertices = tuple(sorted(vlist, key=key))
+            vlist.sort(key=self._vstr.__getitem__)
+        self.vertices = tuple(vlist)
         pos = self._pos = {v: k for k, v in enumerate(self.vertices)}
         self._by_str = {s: v for v, s in self._vstr.items()}
 
@@ -127,9 +135,12 @@ class MomentGraph:
                     f"{self._vstr.get(e.head, e.head)}"
                 )
             if e.label not in text:
-                text[e.label] = to_string(e.label, self.var_prefix)
-                ln = root_lines.get(e.label)
-                line[e.label] = _line(e.label) if ln is None else ln
+                t = text[e.label] = to_string(e.label, prefix)
+                ln = line[e.label] = root_lines.get(e.label) or _line(e.label)
+                if ln is None or e.label.n != self.n:
+                    ring = "" if ln is None else f" in {self.n} variables"
+                    msg = f"edge label {t!r} is not a nonzero linear form{ring}"
+                    raise GraphParseError(msg)
         self.edges = tuple(
             sorted(edges, key=lambda e: (pos[e.tail], pos[e.head], text[e.label]))
         )
@@ -139,6 +150,12 @@ class MomentGraph:
             out[e.tail].append(e)
             into[e.head].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
+        for v, es in self._out.items():
+            if len(es) > MAX_DEGREE:
+                raise GraphParseError(
+                    f"vertex {self._vstr[v]} has more than {MAX_DEGREE} out-edges "
+                    f"(MAX_DEGREE, the largest degree of a class)"
+                )
         self._in = {v: tuple(es) for v, es in into.items()}
         self._topo: tuple | None = None
         self._axioms = None
@@ -160,9 +177,9 @@ class MomentGraph:
         """The text of an edge label of this graph."""
         return self._label_text[label]
 
-    def label_line(self, label: Polynomial) -> tuple[tuple[Fraction, ...], int] | None:
+    def label_line(self, label: Polynomial) -> tuple[tuple[Fraction, ...], int]:
         """(coefficients over the first nonzero one, that one's sign) of an
-        edge label; None for a label with no line (not a nonzero linear form)."""
+        edge label, so proportional labels share the coefficients."""
         return self._label_line[label]
 
     def label_hyperplane(self, label: Polynomial) -> Substitution:
@@ -399,19 +416,19 @@ def _find_cycle(vertices, successors) -> list | None:
 
 
 def validate_axioms(g: MomentGraph) -> AxiomReport:
-    """Check the combinatorial moment-graph axioms; report, never raise."""
+    """Check the axioms that construction leaves open; report, never raise."""
     heads = {v: [e.head for e in g.out_edges(v)] for v in g.vertices}
     cycle = _find_cycle(g.vertices, heads)
     if cycle is not None:
         cycle = [g.vertex_str(x) for x in cycle]
     report = AxiomReport(acyclic=cycle is None, cycle=cycle)
 
-    # two labels are dependent when they share a line, or one has none
+    # two labels are dependent when they share a line
     for v in g.vertices:
-        out = [(e.label, g.label_line(e.label)) for e in g.out_edges(v)]
+        out = [(e.label, g.label_line(e.label)[0]) for e in g.out_edges(v)]
         for i, (a, la) in enumerate(out):
             for b, lb in out[i + 1 :]:
-                if la is None or lb is None or la[0] == lb[0]:
+                if la == lb:
                     report.independence_violations.append(
                         (g.vertex_str(v), g.label_str(a), g.label_str(b))
                     )
@@ -592,9 +609,6 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
         raise ValueError(f"unknown mode {mode!r} (use 'given' or 'search')")
 
     lines = [g.label_line(e.label) for e in g.edges]
-    if None in lines:
-        label = g.label_str(g.edges[lines.index(None)].label)
-        raise ValueError(f"edge label {label!r} is not a nonzero linear form")
     dirs = list(dict.fromkeys(line for line, _ in lines))  # one per label line
     index = {d: k for k, d in enumerate(dirs)}
 
@@ -670,10 +684,10 @@ def _infer_dimension(obj: dict) -> int:
 
 
 def _dimension(raw) -> int:
-    """The ring dimension given as metadata 'n': an integer in
+    """The ring dimension given as metadata 'n': an integer (not a bool) in
     0..MAX_EXTERNAL_N, else GraphParseError."""
     try:
-        n = int(raw)
+        n = None if isinstance(raw, bool) else int(raw)
     except (ValueError, OverflowError):  # "x", NaN, infinity
         n = None
     if n is None or (n != raw and not isinstance(raw, str)) or not 0 <= n <= MAX_EXTERNAL_N:
@@ -686,14 +700,13 @@ def _dimension(raw) -> int:
 def load_external_graph(description) -> MomentGraph:
     """Load a user-described moment graph from JSON text or a dict.
 
-    Vertices are strings.  Labels parse from the polynomial string (or
-    object) form and must be nonzero linear forms.  The ring dimension is
-    metadata 'n', or else the highest variable index the labels use; either
-    way it is at most MAX_EXTERNAL_N, since every term of every polynomial
-    on the graph holds n exponents.  No vertex may have more than
-    MAX_DEGREE out-edges, since the class of a vertex has its out-degree
-    as total degree.  Structural problems raise GraphParseError; axiom
-    violations are left to validate_axioms.
+    Vertices are strings, and every edge names its tail and head.  Each
+    distinct label text is parsed once, in the ring of dimension metadata
+    'n', or else the highest variable index the labels use; either way it
+    is at most MAX_EXTERNAL_N, since every term of every polynomial on the
+    graph holds n exponents.  A malformed description raises
+    GraphParseError here, and a graph that breaks the rules of MomentGraph
+    raises it there; axiom violations are left to validate_axioms.
     """
     if isinstance(description, str):
         try:
@@ -722,32 +735,18 @@ def load_external_graph(description) -> MomentGraph:
     meta.setdefault("var_prefix", "t")
     meta["variety"] = "external"
 
-    vertices = [str(v) for v in obj["vertices"]]
-    if len(set(vertices)) != len(vertices):
-        raise GraphParseError("duplicate vertices")
-    vset = set(vertices)
     edges = []
     labels: dict[str, Polynomial] = {}  # each distinct text parsed once
-    out_degree = dict.fromkeys(vertices, 0)
     for rec in records:
-        tail, head = str(rec.get("tail")), str(rec.get("head"))
-        if tail not in vset or head not in vset:
-            raise GraphParseError(f"dangling edge endpoint: {tail} -> {head}")
-        out_degree[tail] += 1
-        if out_degree[tail] > MAX_DEGREE:
-            raise GraphParseError(
-                f"vertex {tail} has more than {MAX_DEGREE} out-edges "
-                f"(MAX_DEGREE, the largest degree of a class)"
-            )
+        if "tail" not in rec or "head" not in rec:
+            raise GraphParseError(f"edge needs a 'tail' and a 'head': {rec}")
         try:
             text = str(rec["label"])
-            label = labels.get(text) or parse_polynomial(text, n)
+            label = labels[text] = labels.get(text) or parse_polynomial(text, n)
         except (KeyError, ValueError) as exc:
             raise GraphParseError(f"bad edge label in {rec}: {exc}") from exc
-        if not is_linear_form(label):
-            raise GraphParseError(f"edge label is not a nonzero linear form: {rec}")
-        edges.append(Edge(tail, head, labels.setdefault(text, label)))
-    return MomentGraph(vertices, edges, meta, rs=None)
+        edges.append(Edge(str(rec["tail"]), str(rec["head"]), label))
+    return MomentGraph(map(str, obj["vertices"]), edges, meta, rs=None)
 
 
 _DOT_STYLES = ("solid", "dashed", "bold", "dotted")

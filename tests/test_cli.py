@@ -557,6 +557,19 @@ MALFORMED += [
     )
 ]
 
+# an edge without a tail (str() of it names the vertex "None"), prefixes
+# the output could not be read back with, and boolean ring dimensions
+_TAILLESS = {"vertices": ["None", "a"], "edges": [{"head": "a", "label": "t1"}]}
+MALFORMED += [
+    (("graph", "--load", "{g}"), {"g": _TAILLESS | {"metadata": {"n": 1}}}),
+] + [
+    (("graph", "--load", "{g}"), {"g": toric_hexagon_json() | {"metadata": meta}})
+    for meta in ({"n": 3, "var_prefix": "t1"}, {"var_prefix": 5})
+] + [
+    (("graph", "--load", "{g}"), {"g": {"vertices": ["a"], "metadata": {"n": flag}}})
+    for flag in (True, False)
+]
+
 
 @pytest.mark.parametrize(
     "argv,files",

@@ -9,6 +9,7 @@ every sign vector of the label lines in mask order.
 """
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from gkmcalc import moment_graph
 from gkmcalc.gkm import check_gkm, flag_basis
 from gkmcalc.moment_graph import (
     Edge,
+    GraphParseError,
     MomentGraph,
     PalaisSmaleResult,
     _degree_check,
@@ -247,24 +249,62 @@ def test_independence_matches_cross_multiplication_on_external_graphs(obj):
     assert validate_axioms(g).independence_violations == reference_independence(g)
 
 
-def test_label_without_a_line_is_reported_not_raised():
-    square = parse_polynomial("t1^2", 2)
-    g = MomentGraph(["a", "b"], [Edge("b", "a", square)], {"n": 2})
-    assert g.label_line(square) is None
-    assert validate_axioms(g).ok  # no second out-label to depend on
+def test_label_without_a_line_is_refused_by_construction():
+    # alone at its vertex, it has no pair for validate_axioms to report
+    two = Polynomial.constant(2, 2)
+    with pytest.raises(GraphParseError, match="^edge label '2' is not a nonzero linear form$"):
+        MomentGraph(["a", "b"], [Edge("b", "a", two)], {"n": 2})
+    # beside a good label at the same vertex, and on a root-system graph
     t1 = parse_polynomial("t1", 2)
-    edges = [Edge("c", "a", square), Edge("c", "b", t1), Edge("b", "a", Polynomial.zero(2))]
-    rep = validate_axioms(MomentGraph(["a", "b", "c"], edges, {"n": 2}))
-    assert rep.independence_violations == [("c", "t1^2", "t1")]
+    edges = [Edge("c", "a", t1), Edge("c", "b", parse_polynomial("t1^2", 2))]
+    with pytest.raises(GraphParseError, match="'t1\\^2' is not a nonzero linear form$"):
+        MomentGraph(["a", "b", "c"], edges, {"n": 2})
+    rs = root_system("A:2")
+    e, s = rs.elements()
+    with pytest.raises(GraphParseError, match="'2' is not a nonzero linear form$"):
+        MomentGraph([e, s], [Edge(s, e, two)], {"n": 2}, rs=rs)
 
 
 @pytest.mark.parametrize("text", ["t1^2", "0", "t1 + 1"])
 def test_search_refuses_a_label_without_a_line(text):
-    g = MomentGraph(["a", "b"], [Edge("b", "a", parse_polynomial(text, 2))], {"n": 2})
-    with pytest.raises(ValueError) as exc:
-        is_palais_smale(g, mode="search")
+    # no graph holds such a label, so neither search mode ever sees one
+    with pytest.raises(GraphParseError) as exc:
+        MomentGraph(["a", "b"], [Edge("b", "a", parse_polynomial(text, 2))], {"n": 2})
     assert str(exc.value) == f"edge label {text!r} is not a nonzero linear form"
-    assert is_palais_smale(g, mode="given").holds
+
+
+def test_label_from_another_ring_is_refused_by_construction():
+    # nothing after construction compares a label's ring with the graph's
+    t3 = Polynomial.variable(3, 3)
+    with pytest.raises(GraphParseError, match="'t3' is not a nonzero linear form in 2 var"):
+        MomentGraph(["a", "b"], [Edge("b", "a", t3)], {"n": 2})
+    t1 = Polynomial.variable(3, 1)
+    with pytest.raises(GraphParseError, match="'t1' is not a nonzero linear form in 2 var"):
+        MomentGraph(["a", "b"], [Edge("b", "a", t1)], {"n": 2})
+    rs = root_system("A:2")
+    e, s = rs.elements()
+    with pytest.raises(GraphParseError, match="in 2 variables"):
+        MomentGraph([e, s], [Edge(s, e, t1 - Polynomial.variable(3, 2))], {"n": 2}, rs=rs)
+
+
+_PREFIXES = ["t", "a", "xy", "T", "t1", "1", 5, "", "t_", "\u00e9", None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(external_graphs(), st.sampled_from(_PREFIXES))
+def test_every_loaded_graph_reloads_from_its_own_json(obj, prefix):
+    """What the loader accepts, graph_to_json writes in a form it reads back
+    as the same graph; a prefix parse_polynomial cannot read is refused."""
+    obj["metadata"]["var_prefix"] = prefix
+    letters = isinstance(prefix, str) and re.fullmatch("[A-Za-z]+", prefix)
+    try:
+        g = load_external_graph(obj)
+    except GraphParseError as exc:
+        assert not letters and "var_prefix must be ASCII letters" in str(exc)
+        return
+    again = load_external_graph(json.loads(json.dumps(graph_to_json(g))))
+    assert graph_to_json(again) == graph_to_json(g)  # names, edge texts, metadata
+    assert again.edges == g.edges
 
 
 # -- the pruned Palais-Smale search -------------------------------------------------

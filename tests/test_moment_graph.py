@@ -288,7 +288,8 @@ class TestExternalLoading:
         assert g.n == int(n) and graph_to_json(g)["metadata"]["n"] == int(n)
 
     @pytest.mark.parametrize(
-        "n", [3.5, -1, MAX_EXTERNAL_N + 1, 10**30, float("inf"), float("nan"), "x"]
+        "n",
+        [3.5, -1, MAX_EXTERNAL_N + 1, 10**30, float("inf"), float("nan"), "x", True, False],
     )
     def test_dimension_out_of_range_refused(self, n):
         with pytest.raises(GraphParseError, match="'n' must be an integer in 0..64"):
@@ -303,6 +304,36 @@ class TestExternalLoading:
         else:
             with pytest.raises(GraphParseError, match="more than 255 out-edges"):
                 load_external_graph(star)
+
+    @pytest.mark.parametrize("k", [MAX_DEGREE, MAX_DEGREE + 1])
+    def test_out_degree_bound_on_a_hand_built_graph(self, k):
+        t1, t2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+        names = ["top", *(f"v{i}" for i in range(k))]
+        edges = [Edge("top", f"v{i}", t1 + i * t2) for i in range(k)]
+        if k <= MAX_DEGREE:
+            assert MomentGraph(names, edges, {"n": 2}).out_degree("top") == k
+        else:
+            with pytest.raises(GraphParseError, match="vertex top has more than 255 out-"):
+                MomentGraph(names, edges, {"n": 2})
+
+    @pytest.mark.parametrize("end", ["tail", "head"])
+    def test_edge_without_an_end_refused(self, end):
+        # str() of a missing end would name the vertex "None"
+        rec = {"tail": "b", "head": "a", "label": "t1"}
+        del rec[end]
+        obj = {"vertices": ["None", "a", "b"], "edges": [rec], "metadata": {"n": 1}}
+        with pytest.raises(GraphParseError, match="edge needs a 'tail' and a 'head'"):
+            load_external_graph(obj)
+
+    @pytest.mark.parametrize("prefix", ["t1", "5", 5, "", "t-", "\u00e9"])
+    def test_prefix_that_does_not_read_back_refused(self, prefix):
+        hexagon = toric_hexagon_json()
+        hexagon["metadata"]["var_prefix"] = prefix
+        with pytest.raises(GraphParseError, match="var_prefix must be ASCII letters"):
+            load_external_graph(hexagon)
+        rs = root_system("A:2")
+        with pytest.raises(GraphParseError, match="var_prefix must be ASCII letters"):
+            MomentGraph(rs.elements(), [], {"n": 2, "var_prefix": prefix}, rs=rs)
 
     def test_vertex_by_str(self):
         for g in (toric_hexagon_graph(), build_flag_moment_graph(root_system("B2"))):

@@ -19,6 +19,7 @@ from gkmcalc import moment_graph
 from gkmcalc.coxeter import Permutation
 from gkmcalc.moment_graph import (
     Edge,
+    GraphParseError,
     MomentGraph,
     build_flag_moment_graph,
     build_schubert_moment_graph,
@@ -95,10 +96,12 @@ def test_hand_built_graph_lines_a_label_that_is_no_root_label():
         (t1 - t2, ((1, -1), 1)),  # a root label: the line of its row
         (t2 - t1, ((1, -1), -1)),
         (2 * t1 + t2, ((1, Fraction(1, 2)), 1)),
-        (t1 * t2, None),
     ]:
         g = MomentGraph([e, s], [Edge(s, e, label)], {"n": 2}, rs=rs)
         assert g.label_line(label) == want
+    # a label with no line makes no graph
+    with pytest.raises(GraphParseError, match="'t1\\*t2' is not a nonzero linear form$"):
+        MomentGraph([e, s], [Edge(s, e, t1 * t2)], {"n": 2}, rs=rs)
 
 
 @pytest.fixture
