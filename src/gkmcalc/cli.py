@@ -30,14 +30,14 @@ from .gkm import (
     kt_report,
 )
 from .moment_graph import (
+    build_schubert_moment_graph,
     graph_to_dot,
     graph_to_json,
     is_palais_smale,
     load_external_graph,
-    schubert_graph,
     validate_axioms,
 )
-from .polyring import ExactDivisionError, to_strings
+from .polyring import ExactDivisionError
 from .repaction import (
     act_word,
     decompose,
@@ -100,11 +100,11 @@ def _load_class(path: str):
 def _graph_for(args) -> "MomentGraph":
     if getattr(args, "load", None):
         return load_external_graph(_load_json_file(args.load))
-    if not args.type:
-        raise CliError("need --type (or --load)")
+    if not args.type:  # graph alone has --load
+        raise CliError("need --type (or --load)" if "load" in args else "need --type")
     rs = root_system(args.type)
-    w_text = args.w if args.w else rs.element_str(rs.longest_element())
-    return schubert_graph(args.type, w_text)
+    w = rs.parse_element(args.w) if args.w else rs.longest_element()
+    return build_schubert_moment_graph(rs, w)
 
 
 def _vertex_arg(g, text: str):
@@ -116,12 +116,9 @@ def _vertex_arg(g, text: str):
 
 
 def _class_table(cls) -> str:
-    g = cls.graph
-    names = [g.vertex_str(v) for v in g.vertices]
-    width = max(map(len, names), default=1)
-    texts = to_strings((p for _, p in cls.items()), g.var_prefix)
-    lines = [f"{name:>{width}}  {text}" for name, text in zip(names, texts)]
-    return "\n".join(lines) + "\n"
+    texts = class_to_json(cls)["localizations"]
+    width = max(map(len, texts), default=1)
+    return "\n".join(f"{name:>{width}}  {text}" for name, text in texts.items()) + "\n"
 
 
 def cmd_graph(args) -> int:
@@ -180,10 +177,10 @@ def cmd_ddiff(args) -> int:
     basis = None  # the left side expands through it on a Schubert graph
     if args.class_file:
         cls = _load_class(args.class_file)
+    elif not args.v:
+        raise CliError("need --class FILE or --type/--v")
     else:
         g = _graph_for(args)
-        if not args.v:
-            raise CliError("need --class FILE or --type/--v")
         basis = KnutsonTaoBasis(g)
         cls = basis.cls(_vertex_arg(g, args.v))
     if cls.graph.rs is None:

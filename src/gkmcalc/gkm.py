@@ -186,9 +186,8 @@ class EquivariantClass:
         )
 
     def __repr__(self) -> str:
-        g = self.graph
-        texts = to_strings((p for _, p in self.items()), g.var_prefix)
-        body = ", ".join(f"{g.vertex_str(v)}: {t}" for v, t in zip(g.vertices, texts))
+        texts = class_to_json(self)["localizations"]
+        body = ", ".join(f"{name}: {t}" for name, t in texts.items())
         return f"EquivariantClass({body})"
 
 
@@ -457,12 +456,7 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
         if u not in above:
             loc[u] = Polynomial.zero(n)
             continue
-        out = g.out_edges(u)
-        if not out:
-            raise SolveError(
-                f"vertex {g.vertex_str(u)} has no out-edges but must carry a "
-                f"degree-{d} class: underdetermined"
-            )
+        out = g.out_edges(u)  # not empty: u has a path down to v
         loc[u] = _solve_vertex(
             g,
             u,
@@ -590,7 +584,9 @@ def _json_object(value, what: str) -> dict:
 def resolve_graph_ref(ref: dict) -> MomentGraph:
     ref = _json_object(ref, "graph_ref")
     if "type" in ref:
-        return schubert_graph(str(ref["type"]), str(ref["w"]))
+        if not all(isinstance(ref.get(k, ""), str) for k in ("type", "w")):
+            raise ValueError(f"graph_ref 'type' and 'w' must be strings: {ref!r}")
+        return schubert_graph(ref["type"], ref["w"])
     if "graph" in ref:
         return load_external_graph(ref["graph"])
     raise ValueError(f"cannot resolve graph reference {ref!r}")

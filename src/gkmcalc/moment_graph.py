@@ -700,7 +700,7 @@ def _dimension(raw) -> int:
 def load_external_graph(description) -> MomentGraph:
     """Load a user-described moment graph from JSON text or a dict.
 
-    Vertices are strings, and every edge names its tail and head.  Each
+    Vertex names, edge ends and labels are JSON strings.  Each
     distinct label text is parsed once, in the ring of dimension metadata
     'n', or else the highest variable index the labels use; either way it
     is at most MAX_EXTERNAL_N, since every term of every polynomial on the
@@ -717,8 +717,9 @@ def load_external_graph(description) -> MomentGraph:
             raise GraphParseError("bad JSON: nested too deeply") from None
     else:
         obj = description
-    if not isinstance(obj, dict) or not isinstance(obj.get("vertices"), list):
-        raise GraphParseError("graph JSON needs a 'vertices' list")
+    names = obj.get("vertices") if isinstance(obj, dict) else None
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise GraphParseError("graph JSON needs a 'vertices' list of strings")
     records = obj.get("edges", [])
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise GraphParseError("graph JSON 'edges' must be a list of objects")
@@ -738,15 +739,17 @@ def load_external_graph(description) -> MomentGraph:
     edges = []
     labels: dict[str, Polynomial] = {}  # each distinct text parsed once
     for rec in records:
-        if "tail" not in rec or "head" not in rec:
-            raise GraphParseError(f"edge needs a 'tail' and a 'head': {rec}")
+        if not all(isinstance(rec.get(k), str) for k in ("tail", "head", "label")):
+            raise GraphParseError(
+                f"edge needs a 'tail' and a 'head' and a 'label', each a string: {rec}"
+            )
+        text = rec["label"]
         try:
-            text = str(rec["label"])
             label = labels[text] = labels.get(text) or parse_polynomial(text, n)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise GraphParseError(f"bad edge label in {rec}: {exc}") from exc
-        edges.append(Edge(str(rec["tail"]), str(rec["head"]), label))
-    return MomentGraph(map(str, obj["vertices"]), edges, meta, rs=None)
+        edges.append(Edge(rec["tail"], rec["head"], label))
+    return MomentGraph(names, edges, meta, rs=None)
 
 
 _DOT_STYLES = ("solid", "dashed", "bold", "dotted")

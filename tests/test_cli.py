@@ -557,8 +557,8 @@ MALFORMED += [
     )
 ]
 
-# an edge without a tail (str() of it names the vertex "None"), prefixes
-# the output could not be read back with, and boolean ring dimensions
+# an edge without a tail, prefixes the output could not be read back with,
+# and boolean ring dimensions
 _TAILLESS = {"vertices": ["None", "a"], "edges": [{"head": "a", "label": "t1"}]}
 MALFORMED += [
     (("graph", "--load", "{g}"), {"g": _TAILLESS | {"metadata": {"n": 1}}}),
@@ -569,6 +569,48 @@ MALFORMED += [
     (("graph", "--load", "{g}"), {"g": {"vertices": ["a"], "metadata": {"n": flag}}})
     for flag in (True, False)
 ]
+
+# names, edge ends, labels and graph_ref fields that are JSON but not
+# strings: each is refused as such, never turned into text such as "None"
+_NUMBERED = {
+    "vertices": [None, "a", 3],
+    "edges": [
+        {"tail": None, "head": "a", "label": "t1"},
+        {"tail": 3, "head": "a", "label": "t2"},
+    ],
+    "metadata": {"n": 2},
+}
+_AB = {"vertices": ["a", "b"], "metadata": {"n": 2}}
+NOT_STRINGS = [
+    (("graph", "--load", "{g}"), {"g": _NUMBERED}),
+    (("graph", "--load", "{g}"), {"g": _NUMBERED | {"vertices": ["None", "a", "3"]}}),
+] + [
+    (("graph", "--load", "{g}"), {"g": _AB | {"edges": [edge]}})
+    for edge in (
+        {"tail": "b", "head": "a", "label": 5},
+        {"tail": "b", "head": "a", "label": None},
+        {"tail": "b", "head": ["a"], "label": "t1"},
+    )
+] + [
+    (("expand", "--class", "{cls}"), {"cls": _A3_CLASS | {"graph_ref": ref}})
+    for ref in ({"type": "A:3", "w": None}, {"type": "A:3", "w": 321})
+]
+MALFORMED += NOT_STRINGS
+
+# the usage line names only options the subcommand has, and ddiff asks for
+# --class or --v before it builds anything (A:20 would be refused otherwise)
+USAGE_LINES = {
+    ("graph", "--format", "json"): "need --type (or --load)",
+    ("class", "--v", "12"): "need --type",
+    ("act", "--perm", "21", "--v", "12"): "need --type",
+    ("decompose",): "need --type",
+    ("ddiff", "--side", "left", "--i", "1", "--v", "12"): "need --type",
+    ("ddiff", "--side", "left", "--i", "1"): "need --class FILE or --type/--v",
+    ("ddiff", "--side", "right", "--i", "1", "--type", "A:20"): (
+        "need --class FILE or --type/--v"
+    ),
+}
+MALFORMED += [(argv, {}) for argv in USAGE_LINES]
 
 
 @pytest.mark.parametrize(
@@ -597,6 +639,10 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert "simple index" in proc.stderr
     if argv == BAD_TYPE_SELECTOR:
         assert "type selector" in proc.stderr
+    if (argv, files) in NOT_STRINGS:
+        assert "string" in proc.stderr
+    if argv in USAGE_LINES:
+        assert proc.stderr == f"error: {USAGE_LINES[argv]}\n"
 
 
 def _modules_after(statement):

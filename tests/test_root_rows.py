@@ -6,8 +6,9 @@ for the reflection t_beta.  The builder finds every edge w -> t_beta * w by
 walking w's id through the rows.  These tests compare every flag and
 Schubert graph of the small types with a pointwise reference kept here (one
 inversion set, reflection and group product per vertex and edge), check
-each row's word against ``reflection``, and guard that a graph build does
-no root arithmetic and no group product once its root system exists.
+each row's word against ``reflection`` and its length (the word is
+reduced), and guard that a graph build does no root arithmetic and no
+group product once its root system exists.
 """
 
 import importlib
@@ -85,6 +86,7 @@ def test_each_row_walks_the_identity_to_its_reflection(label):
         for row in steps:
             k = row[k]
         assert rs.elements()[k] == rs.reflection(beta)
+        assert len(steps) == rs.length(rs.reflection(beta))  # a reduced word
         assert form == rs.root_form(beta) and line == _line(form)
 
 
