@@ -61,8 +61,9 @@ to add it (Billey's step, the action's simple-reflection step, the
 decomposition's identity check, the basis expansion and reconstruction,
 the vertex solver).  ``exact_divide`` keeps its own heap loop, since
 division is a different algorithm.  ``to_strings`` forms the text of many
-polynomials of one ring and puts each distinct monomial into text once
-per call; ``to_string`` is its one-polynomial case:
+polynomials of one ring: each distinct polynomial object and each
+distinct monomial is put into text once per call; ``to_string`` is its
+one-polynomial case:
 
 >>> str(add_mul(t1, t1 - t2, t2))
 't1*t2 - t2^2 + t1'
@@ -679,14 +680,21 @@ def to_string(p: Polynomial, prefix: str = "t") -> str:
 def to_strings(polys: Iterable[Polynomial], prefix: str = "t") -> list[str]:
     """The :func:`to_string` forms of polynomials of one ring, in order.
 
-    Each distinct monomial is put into text once per call, however many
-    of the polynomials hold it: the localizations of one class repeat the
-    same few hundred monomials across all their vertices.
+    Each distinct polynomial object and each distinct monomial is put into
+    text once per call, however often it recurs: the localizations of one
+    class repeat the same few hundred monomials across all their vertices,
+    and a Billey class shares one value across each coset of its vertices.
     """
     out: list[str] = []
     n = names = None
     monos: dict[int, str] = {}  # key -> "*t1^2*t3", "" for the constant
+    # id(p) -> (p, text): holding p keeps its id from a later temporary
+    done: dict[int, tuple[Polynomial, str]] = {}
     for p in polys:
+        got = done.get(id(p))
+        if got is not None:
+            out.append(got[1])
+            continue
         if p.n != n:
             if names is not None:
                 raise ValueError(f"ring dimension mismatch: {n} vs {p.n}")
@@ -694,26 +702,28 @@ def to_strings(polys: Iterable[Polynomial], prefix: str = "t") -> list[str]:
             names = [f"{prefix}{i}" for i in range(1, n + 1)]
         terms = p._terms
         if not terms:
-            out.append("0")
-            continue
-        parts: list[str] = []
-        for key in sorted(terms, reverse=True):
-            mono = monos.get(key)
-            if mono is None:
-                mono = monos[key] = "".join(
-                    f"*{name}" if e == 1 else f"*{name}^{e}"
-                    for name, e in zip(names, key.to_bytes(n + 1, "big")[1:])
-                    if e
-                )
-            c = terms[key]
-            sign = "+ " if c > 0 else "- "
-            if c == 1 or c == -1:
-                parts.append(sign + mono[1:] if mono else sign + "1")
-            else:
-                parts.append(f"{sign}{abs(c)}{mono}")
-        text = " ".join(parts)
-        # the leading term has no "+ " and a bare "-"
-        out.append(text[2:] if text[0] == "+" else "-" + text[2:])
+            text = "0"
+        else:
+            parts: list[str] = []
+            for key in sorted(terms, reverse=True):
+                mono = monos.get(key)
+                if mono is None:
+                    mono = monos[key] = "".join(
+                        f"*{name}" if e == 1 else f"*{name}^{e}"
+                        for name, e in zip(names, key.to_bytes(n + 1, "big")[1:])
+                        if e
+                    )
+                c = terms[key]
+                sign = "+ " if c > 0 else "- "
+                if c == 1 or c == -1:
+                    parts.append(sign + mono[1:] if mono else sign + "1")
+                else:
+                    parts.append(f"{sign}{abs(c)}{mono}")
+            text = " ".join(parts)
+            # the leading term has no "+ " and a bare "-"
+            text = text[2:] if text[0] == "+" else "-" + text[2:]
+        done[id(p)] = (p, text)
+        out.append(text)
     return out
 
 

@@ -488,17 +488,14 @@ class RankTwoRootSystem(RootSystem):
             new = set()
             for beta in frontier:
                 for alpha in self.simple_roots:
-                    img = self._image(alpha, beta)
+                    c = int(self._pair(alpha, beta))
+                    img = tuple(b - c * a for a, b in zip(alpha, beta))
                     if img not in roots:
                         new.add(img)
             roots |= new
             frontier = new
         pos = [r for r in roots if all(x >= 0 for x in r)]
         return tuple(sorted(pos, key=lambda r: (sum(r), r)))
-
-    def _image(self, alpha: RootVector, beta: RootVector) -> RootVector:
-        c = int(self._pair(alpha, beta))
-        return tuple(b - c * a for a, b in zip(alpha, beta))
 
     def identity(self):
         return tuple(range(len(self._roots)))
@@ -521,7 +518,18 @@ class RankTwoRootSystem(RootSystem):
         alpha = tuple(alpha)
         if alpha not in self._root_index:
             raise ValueError(f"not a root of {self.label}: {alpha}")
-        return tuple(self._root_index[self._image(alpha, b)] for b in self._roots)
+        # B alpha and B(alpha, alpha) once, so each root's pairing is two int
+        # products; the pairing of two roots is integral
+        a1, a2 = alpha
+        (b11, b12), (b21, b22) = self._bilinear
+        ba1, ba2 = a1 * b11 + a2 * b21, a1 * b12 + a2 * b22
+        aa = ba1 * a1 + ba2 * a2
+        index = self._root_index
+        out = []
+        for r1, r2 in self._roots:
+            c = 2 * (ba1 * r1 + ba2 * r2) // aa
+            out.append(index[r1 - c * a1, r2 - c * a2])
+        return tuple(out)
 
     def act_on_root(self, w, alpha: RootVector) -> RootVector:
         k = self._root_index.get(tuple(alpha))

@@ -3,9 +3,12 @@
 ``knutson_tao_class_billey`` is the production route for flag and Schubert
 graphs.  Descent (divided differences from the top point class) and the
 remainder-theorem solver build the same classes independently, so they are
-the references here: over whole groups for A:2..A:4, B2 and G2, on two A:5
+the references here: over whole groups for A:2..A:5, B2 and G2, on two A:5
 Schubert varieties for the solver, and at the longest element of A:5 and
-A:6, where the row pruning keeps one row per column.
+A:6, where the row pruning keeps one row per column.  Billey's walk builds
+one column per coset of the right ascents of v; descent never uses that
+fact, so its classes check it, and a count of fused products pins the
+walk's size.
 """
 
 import pytest
@@ -34,7 +37,7 @@ from gkmcalc.root_system import root_system
 LABELS = ["A:2", "A:3", "A:4", "B2", "G2"]
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + ["A:5"])
 def test_flag_classes_match_descent(label):
     rs = root_system(label)
     g = build_flag_moment_graph(rs)
@@ -42,6 +45,46 @@ def test_flag_classes_match_descent(label):
         got = knutson_tao_class_billey(g, v)
         assert got == knutson_tao_class_descent(g, v), g.vertex_str(v)
         assert got.base == v
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_descent_classes_are_constant_on_ascent_cosets(label):
+    # xi^v(w) = xi^v(w s_j) for every right ascent j of v: the fact that
+    # lets Billey's walk build one column per coset
+    rs = root_system(label)
+    g = build_flag_moment_graph(rs)
+    elements, length = rs.elements(), rs.lengths
+    for v in g.vertices:
+        c = knutson_tao_class_descent(g, v)
+        k = rs.element_id(v)
+        for row in rs.rmul:
+            if length[row[k]] < length[k]:
+                continue
+            for w in g.vertices:
+                assert c[w] == c[elements[row[rs.element_id(w)]]], (
+                    g.vertex_str(v),
+                    g.vertex_str(w),
+                )
+
+
+def test_billey_walk_builds_one_column_per_coset(monkeypatch):
+    # the benchmark's twelve A:5 classes took 2334 fused products when the
+    # walk built every column
+    rs = root_system("A:5")
+    g = build_flag_moment_graph(rs)
+    calls = []
+    add_mul = gkm.add_mul
+
+    def counting(p, a, b):
+        calls.append(1)
+        return add_mul(p, a, b)
+
+    vs = rs.elements()[::10]
+    monkeypatch.setattr(gkm, "add_mul", counting)
+    got = [knutson_tao_class_billey(g, v) for v in vs]
+    assert 0 < len(calls) <= 783
+    monkeypatch.undo()
+    assert got == [knutson_tao_class_descent(g, v) for v in vs]
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmcalc.coxeter import all_permutations
 from gkmcalc.gkm import (
@@ -36,7 +37,12 @@ from gkmcalc.moment_graph import (
     toric_hexagon_graph,
     toric_hexagon_json,
 )
-from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
+from gkmcalc.polyring import (
+    ExactDivisionError,
+    Polynomial,
+    exact_divide,
+    parse_polynomial,
+)
 from gkmcalc.repaction import AveragedClass, DecompositionReport
 from gkmcalc.root_system import root_system, type_a
 from gkmcalc.verify import CheckResult
@@ -115,6 +121,39 @@ class TestCheckGkm:
         rep = check_gkm(bad)
         assert not rep.ok
         assert ("213", "123", "t1 - t2") in rep.violations
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), label=st.sampled_from(["A:3", "B2", "G2"]))
+    def test_corrupted_classes_match_the_per_edge_check(self, data, label):
+        """check_gkm skips edges whose ends hold one object; on a Knutson-Tao
+        class with one localization perturbed, or a term moved across an
+        edge, it still reports exactly the edges that fail divisibility, in
+        edge order."""
+        g = build_flag_moment_graph(root_system(label))
+        pick = st.sampled_from
+        c = KnutsonTaoBasis(g).cls(data.draw(pick(g.vertices)))
+        loc = dict(c._loc)
+        t = Polynomial.variable(g.n, data.draw(st.integers(1, g.n)))
+        if data.draw(st.booleans()):
+            x = data.draw(pick(g.vertices))
+            loc[x] = c[x] + data.draw(st.integers(-2, 2)) * t * t
+        else:
+            e = data.draw(pick(g.edges))
+            moved = data.draw(st.integers(1, 3)) * t
+            loc[e.tail] = c[e.tail] - moved
+            loc[e.head] = c[e.head] + moved
+        bad = EquivariantClass(g, loc, base=c.base)
+        want = []
+        for e in g.edges:
+            try:
+                exact_divide(bad[e.tail] - bad[e.head], e.label)
+            except ExactDivisionError:
+                want.append(
+                    (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
+                )
+        rep = check_gkm(bad)
+        assert rep.violations == want
+        assert rep.ok == (not want)
 
 
 class TestPointClassTop:

@@ -19,6 +19,7 @@ substitution, at the degree bound where a field is full.
 
 import json
 import random
+import sys
 from fractions import Fraction
 from operator import add
 
@@ -494,6 +495,37 @@ def test_to_strings_of_one_ring():
     assert to_strings([]) == []
     with pytest.raises(ValueError, match="ring dimension mismatch"):
         to_strings([v(1), Polynomial.variable(N + 1, 1)])
+
+
+def test_to_strings_forms_each_object_once():
+    # each temporary is dropped after its turn, so a later one may take its
+    # id; the text is keyed by the object, which the call holds
+    t1 = Polynomial.variable(2, 1)
+    assert to_strings(Polynomial.variable(2, 1) * k for k in (1, 2, 3)) == [
+        "t1",
+        "2*t1",
+        "3*t1",
+    ]
+    assert to_strings(t1 + k for k in range(1, 50)) == [f"t1 + {k}" for k in range(1, 50)]
+    shared = t1 - 2 * Polynomial.variable(2, 2)
+    assert to_strings([shared, t1, shared], "a") == ["a1 - 2*a2", "a1", "a1 - 2*a2"]
+
+
+def test_to_strings_holds_each_polynomial_until_it_returns():
+    # whether a freed temporary's id recurs depends on the allocator, so
+    # check the cause: two items back, the call still holds a reference
+    t1 = Polynomial.variable(2, 1)
+    made, refs = [], []
+
+    def temporaries():
+        for k in range(1, 6):
+            if k > 2:
+                refs.append(sys.getrefcount(made[k - 3]))  # made, the argument
+            made.append(t1 + k)
+            yield made[-1]
+
+    assert to_strings(temporaries()) == [f"t1 + {k}" for k in range(1, 6)]
+    assert refs and min(refs) > 2
 
 
 @pytest.mark.parametrize("label", ["A:4", "B2", "G2"])
