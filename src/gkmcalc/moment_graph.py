@@ -775,11 +775,7 @@ def graph_to_dot(g: MomentGraph) -> str:
     for v in g.vertices:
         name = g.vertex_str(v)
         show = name
-        if (
-            g.rs is not None
-            and g.rs.label.startswith("A:")
-            and g.rs.dim <= 9
-        ):
+        if g.rs is not None and g.rs.label.startswith("A:"):
             show = f"{name}\\n{v.cycle_str()}"
         lines.append(f"  {q(name)} [label={q(show)}];")
     for e in g.edges:

@@ -393,8 +393,10 @@ def decompose(g: MomentGraph) -> DecompositionReport:
 
     A row is invariant under s_i when the divided-difference identity holds
     at every x it reads.  Unitriangularity reads coefficient |W| at v and
-    support inside [e, v]; the intervals are built once per call.  The
-    mod-t identity reads each generator's -alpha_i from simple_twists.
+    support inside [e, v], which needs no interval: a clean row's keys are
+    the y of the reduced factorizations v = x y, right factors of v and so
+    below it by the subword property, and a stray term makes the row
+    unclean.  The mod-t identity reads each -alpha_i from simple_twists.
     """
     rs = g.rs
     if rs is None:
@@ -408,7 +410,6 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     order = Polynomial.constant(g.n, len(rs.elements()))
     elements = rs.elements()
     ids = [rs.index[v] for v in g.vertices]
-    below = rs.lower_intervals(ids)
     _, rows = _read_off(g, ids)
 
     for v, k in zip(g.vertices, ids):
@@ -416,7 +417,7 @@ def decompose(g: MomentGraph) -> DecompositionReport:
         row, failed, clean = rows[k]
         for i in failed:
             gen_ok[i] = False
-        unitri = clean and row.get(k) == order and row.keys() <= below[k]
+        unitri = clean and row.get(k) == order
         if not unitri:
             report.unitriangular = False
         report.rows.append(
@@ -442,10 +443,6 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     return report
 
 
-def _expansion_key(expansion: Mapping, g: MomentGraph) -> frozenset:
-    return frozenset((g.vertex_str(v), p) for v, p in expansion.items() if p)
-
-
 def divided_difference_closure(g: MomentGraph) -> list[dict]:
     """Breadth-first closure of the top class under all left D_i.
 
@@ -454,14 +451,14 @@ def divided_difference_closure(g: MomentGraph) -> list[dict]:
     including the zero expansion when it occurs.
     """
     start = _as_polynomials({g.top_vertex(): 1}, g)
-    seen = {_expansion_key(start, g): start}
+    seen = {frozenset(start.items()): start}
     frontier = [start]
     while frontier:
         new = []
         for exp in frontier:
             for i in range(1, g.rs.rank + 1):
                 img = divided_difference_expansion(i, exp, g)
-                key = _expansion_key(img, g)
+                key = frozenset(img.items())
                 if key not in seen:
                     seen[key] = img
                     new.append(img)

@@ -17,17 +17,17 @@ tables indexed by id hold the length (``lengths``), s_i * w and w * s_i
 descent (``rdescent``: i - 1 for the least i with w * s_i shorter, None
 for the identity), rank x |W| ints per product table.
 ``simple_twists[i-1]`` holds the coadjoint substitution of s_i, compiled
-once as a polyring ``Substitution``, and
--alpha_i: the two polynomial pieces of every simple-reflection step (the
-action on a basis expansion and the divided differences).
-``root_rows`` holds one row per positive root beta, in ``positive_roots``
-order: its edge label ``root_form(beta)``, that label's line and the
-``lmul`` rows along a reduced word of the reflection t_beta, so the id of
-t_beta * w is one int lookup per letter away from w's; the moment-graph
-builder reads every edge off them.  Descents,
-reduced words, Bruhat order (by the lifting property), lower intervals and
-reduced factorizations v = x y (Billey's rows, the decomposition's pairs)
-are table lookups, with no group product; element objects stay at the
+once as a polyring ``Substitution``, and -alpha_i: the two polynomial
+pieces of every simple-reflection step (the action on a basis expansion
+and the divided differences).  ``root_rows`` holds one row per positive
+root beta, in ``positive_roots`` order: its edge label ``root_form(beta)``,
+that label's line and the ``lmul`` rows along a reduced word of the
+reflection t_beta, so the id of t_beta * w is one int lookup per letter
+away from w's; the moment-graph builder reads every edge off them.
+Descents, reduced words, Bruhat order (by the lifting property), lower
+intervals (the products of the subwords of one reduced word) and reduced
+factorizations v = x y (Billey's rows, the decomposition's pairs) are
+table lookups, with no group product; element objects stay at the
 boundary (parsing, names, graph vertices).  The minimal coset
 representatives of the parabolic chain W_1 < W_12 < ... < W, one word per
 level, which the group average walks, are type data that each backend
@@ -278,28 +278,12 @@ class RootSystem:
         return word
 
     def lower_interval(self, w) -> frozenset:
-        """All v <= w in Bruhat order, via products of subwords."""
-        k = self.element_id(w)
-        return frozenset(self._elements[u] for u in self.lower_intervals([k])[k])
-
-    def lower_intervals(self, ids) -> dict[int, set[int]]:
-        """[e, w] as a set of ids for every id w in ids, in one pass.
-
-        With s_i the first left descent of w, the subwords of a reduced word
-        give [e, w] = [e, s_i w] | s_i [e, s_i w]: each interval is built
-        from the one below it, at one union each, and shared.
-        """
-        got: dict[int, set[int]] = {0: {0}}
-        for top in ids:
-            chain = []  # top, s_i top, ... down to an interval already known
-            while top not in got:
-                row = self.lmul[self._descent(top) - 1]
-                chain.append((top, row))
-                top = row[top]
-            for k, row in reversed(chain):
-                below = got[row[k]]
-                got[k] = below | {row[u] for u in below}
-        return got
+        """All v <= w in Bruhat order, the subword products of a reduced word."""
+        got = {0}
+        for i in reversed(self.reduced_word(w)):
+            row = self.lmul[i - 1]
+            got |= {row[u] for u in got}
+        return frozenset(self._elements[u] for u in got)
 
     def factorizations(self, v: int) -> dict[int, int]:
         """Every reduced factorization v = x y of the element id v, as x -> y:

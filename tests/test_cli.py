@@ -224,6 +224,20 @@ class TestDdiffAndExpand:
         )
         assert code == 0
 
+    def test_ddiff_refuses_an_external_class(self, capsys, tmp_path):
+        graph = {
+            "vertices": ["a", "b"],
+            "edges": [{"tail": "b", "head": "a", "label": "t1"}],
+            "metadata": {"n": 1},
+        }
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"graph_ref": {"graph": graph}, "localizations": {}}))
+        code, out, err = run(
+            capsys, "ddiff", "--side", "left", "--i", "1", "--class", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ddiff needs a class on a flag or Schubert graph\n"
+
     @pytest.mark.parametrize("i,want", [("1", ["3142"]), ("2", ["3142", "2143"])])
     def test_ddiff_builds_each_class_once(self, capsys, monkeypatch, i, want):
         # the class of --v and the expansion of the left side share a basis;

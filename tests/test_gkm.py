@@ -156,6 +156,45 @@ class TestCheckGkm:
         assert rep.ok == (not want)
 
 
+class TestKtReport:
+    """Each failure kt_report names, on the A:3 flag class of 213 altered."""
+
+    @pytest.fixture
+    def c213(self, basis3):
+        return basis3.cls(basis3.graph.vertex_by_str("213"))
+
+    def _altered(self, c, name, text):
+        g = c.graph
+        v = g.vertex_by_str(name)
+        loc = dict(c._loc)
+        loc[v] = c[v] + parse_polynomial(text, g.n)
+        return EquivariantClass(g, loc, base=c.base)
+
+    def test_no_base(self, c213):
+        rep = kt_report(EquivariantClass(c213.graph, c213._loc))
+        assert rep.failures == ["class has no base vertex"]
+        assert not rep.ok
+
+    def test_doubled_base_value(self, c213):
+        doubled = {v: p + p for v, p in c213._loc.items()}
+        rep = kt_report(EquivariantClass(c213.graph, doubled, base=c213.base))
+        assert rep.failures == ["localization at the base is not the out-label product"]
+
+    def test_inhomogeneous_value(self, c213):
+        rep = kt_report(self._altered(c213, "321", "1"))
+        assert rep.failures == [
+            "localization at 321 is not homogeneous of degree 1",
+            "GKM condition fails on 3 edge(s)",
+        ]
+
+    def test_value_off_the_upper_set(self, c213):
+        rep = kt_report(self._altered(c213, "132", "t1 - t2"))
+        assert rep.failures == [
+            "nonzero localization at 132 with no path to the base",
+            "GKM condition fails on 2 edge(s)",
+        ]
+
+
 class TestPointClassTop:
     def test_full_flag_top(self, flag3):
         c = point_class_top(flag3)

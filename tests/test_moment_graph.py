@@ -126,6 +126,17 @@ class TestValidation:
             rep = validate_axioms(build_flag_moment_graph(root_system(label)))
             assert rep.ok and rep.checked_schubert
 
+    def test_missing_flag_edge_reported(self):
+        # dropping 132 -> 123 leaves 132 one out-edge short of its length,
+        # and its out-labels no longer match the inversion set of 132
+        f = build_flag_moment_graph(type_a(3))
+        dropped = f.edges[0]
+        assert (f.vertex_str(dropped.tail), f.vertex_str(dropped.head)) == ("132", "123")
+        rep = validate_axioms(MomentGraph(f.vertices, f.edges[1:], f.metadata, rs=f.rs))
+        assert rep.to_json()["degree_violations"] == [["132", 0, 1]]
+        assert rep.label_set_violations == ["132"]
+        assert not rep.ok
+
     def test_two_cycle_reported(self):
         g = load_external_graph(
             {
@@ -201,6 +212,16 @@ class TestPalaisSmale:
         g = build_schubert_moment_graph(rs, rs.identity())
         assert is_palais_smale(g, mode="given").holds
         assert is_palais_smale(g, mode="search").holds
+
+    def test_search_skips_cyclic_orientations(self):
+        # one label on a 3-cycle: both chambers orient it as a cycle
+        t1 = Polynomial.variable(1, 1)
+        edges = [Edge("a", "b", t1), Edge("b", "c", t1), Edge("c", "a", t1)]
+        g = MomentGraph("abc", edges, {"n": 1})
+        res = is_palais_smale(g, mode="search")
+        assert not res.holds
+        assert res.chambers_tried == 2
+        assert res.violations == []
 
     def test_hexagon_fails_search(self):
         res = is_palais_smale(toric_hexagon_graph(), mode="search")

@@ -275,6 +275,22 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_polynomial("", 3)
 
+    def test_cancelling_terms_and_trailing_space(self):
+        assert parse_polynomial("t1 - t1", 3) == Polynomial.zero(3)
+        assert parse_polynomial("t1 ", 3) == t1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("*t1", r"misplaced '\*'"),
+            ("t1^t2", "bad exponent after 't1'"),
+            ("^2", r"unexpected token '\^'"),
+        ],
+    )
+    def test_misplaced_operators(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(text, 3)
+
     @pytest.mark.parametrize("text", ["t1**2", "t1*", "2*", "t1*+t2", "t1*^2"])
     def test_star_needs_a_factor(self, text):
         # "t1**2" once read as 2*t1, and a dangling '*' was dropped

@@ -502,6 +502,7 @@ class TestEntryChecks:
             lambda: divided_difference_expansion(1, {e: 1}, g),
             lambda: divided_difference_closure(g),
             lambda: left_divided_difference(1, EquivariantClass(g, {})),
+            lambda: decompose(g),
         ):
             with pytest.raises(ValueError, match="root-system graph"):
                 call()
