@@ -24,8 +24,9 @@ Billey's classes:
   full flag graph and applies left divided differences along a reduced
   word, and
 * the solve route, which walks the vertices upward and determines each
-  localization from the divisibility constraints by a remainder-theorem
-  recursion over the out-edge labels; it reduces modulo a label by
+  localization of degree d from the divisibility constraints: d + 1
+  out-edge labels fix it by a remainder-theorem recursion, and the rest
+  are checked by one substitution each; it reduces modulo a label by
   substituting the hyperplane the graph compiles once per distinct label,
   and divides by one label restricted to another's hyperplane, which the
   graph keeps once per label pair.  The vertices it pins (the base and
@@ -434,7 +435,8 @@ def _solve_vertex(
 ) -> Polynomial:
     """The degree-d p at vertex u with p = residues[j] modulo labels[j].
 
-    Remainder-theorem recursion over pairwise independent edge labels of g:
+    d + 1 labels fix p; the rest are checked.  Remainder-theorem recursion
+    over the first d + 1 pairwise independent edge labels of g:
     p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
     q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
     already reduced modulo labels[j], and so is every quotient, so only
@@ -443,8 +445,19 @@ def _solve_vertex(
     (``label_restriction``) for every class and level that pairs them.  A
     q exists exactly when the quotient is exact; q is unique once the
     degree drops below zero.
+
+    That p is the only one: the difference of two degree-d solutions of
+    the first d + 1 constraints is divisible by d + 1 pairwise independent,
+    hence pairwise coprime, linear forms, so it has degree at least d + 1
+    or is 0.  Each further label a is then checked by one substitution,
+    p modulo a against its residue.  Dividing by a at every level instead
+    succeeds throughout exactly when p satisfies that check, so both raise
+    the same error at the same vertex.  With d + 1 or fewer labels there is
+    nothing to check, and too few labels leave p underdetermined.
     """
     name = g.vertex_str(u)
+    checks = zip(labels[d + 1 :], residues[d + 1 :])
+    labels, residues = labels[: d + 1], residues[: d + 1]
     levels: list = []
     while d >= 0:
         if not labels:
@@ -461,11 +474,12 @@ def _solve_vertex(
                 ) from exc
         levels.append((a1, t1))
         labels, residues, d = labels[1:], nxt, d - 1
-    if any(residues):
-        raise SolveError(f"constraints at vertex {name} are inconsistent")
     p = Polynomial.zero(g.n)
     for a, t in reversed(levels):
         p = add_mul(t, a, p)
+    for a, t in checks:
+        if p.substitute(g.label_hyperplane(a)) != t:
+            raise SolveError(f"constraints at vertex {name} are inconsistent")
     return p
 
 
@@ -474,9 +488,10 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
     Walking the vertices from minimal to maximal, each localization is the
     unique homogeneous solution of the divisibility constraints along its
-    out-edges, found by the remainder-theorem recursion of _solve_vertex;
-    the base is pinned to its out-label product and vertices with no path
-    down to v are pinned to zero.  Every reduction modulo an edge label
+    out-edges: d + 1 labels fix it by the remainder-theorem recursion of
+    _solve_vertex, and the rest are checked against it.  The base is
+    pinned to its out-label product and vertices with no path down to v
+    are pinned to zero.  Every reduction modulo an edge label
     substitutes the hyperplane the graph keeps for it, compiled once per
     graph, and each label restricted to another's hyperplane is computed
     once per graph too.  Raises SolveError when a vertex system is

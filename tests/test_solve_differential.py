@@ -16,8 +16,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmcalc import moment_graph
-from gkmcalc.gkm import SolveError, knutson_tao_class_solve
+from gkmcalc import gkm, moment_graph
+from gkmcalc.gkm import (
+    SolveError,
+    class_to_json,
+    knutson_tao_class_billey,
+    knutson_tao_class_solve,
+)
 from gkmcalc.moment_graph import (
     build_flag_moment_graph,
     build_schubert_moment_graph,
@@ -206,8 +211,9 @@ def test_every_schubert_graph(label):
 
 def test_solver_compiles_each_label_once_per_graph(monkeypatch):
     g = reloaded(build_flag_moment_graph(root_system("A:4")))
-    compiled, substituted = [], [0]
+    compiled, substituted, divided = [], [0], [0]
     hyperplane, substitute = moment_graph.hyperplane, Polynomial.substitute
+    exact_divide = gkm.exact_divide
 
     def counting_hyperplane(f):
         compiled.append(f)
@@ -217,17 +223,26 @@ def test_solver_compiles_each_label_once_per_graph(monkeypatch):
         substituted[0] += 1
         return substitute(self, assignment)
 
+    def counting_divide(p, q):
+        divided[0] += 1
+        return exact_divide(p, q)
+
     monkeypatch.setattr(moment_graph, "hyperplane", counting_hyperplane)
     monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    monkeypatch.setattr(gkm, "exact_divide", counting_divide)
     for v in g.vertices:
         knutson_tao_class_solve(g, v)
     # the graph keeps each label's hyperplane: every class reuses it
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == {e.label for e in g.edges}
+    # only the first d + 1 out-labels of a vertex enter the recursion, so a
+    # vertex with k of them makes m(m - 1)/2 divisions, m = min(k, d + 1)
+    assert divided[0] == 647
     # each label pair is restricted once per graph (22 pairs of the 6
     # labels), and otherwise only localizations are reduced: 778 out-edge
-    # residues and 1201 first residues t_1 of a recursion level
-    assert substituted[0] == 2001
+    # residues, 647 first residues t_1 (one per division) and 233 checks
+    # of p against a label past the first d + 1
+    assert substituted[0] == 1680
 
 
 def test_label_pair_table_fills_once_per_graph():
@@ -272,6 +287,40 @@ def test_single_variable_chain_names_the_vertex():
     with pytest.raises(SolveError) as exc:
         knutson_tao_class_solve(g, "b")
     assert str(exc.value) == "constraints at vertex a are underdetermined"
+
+
+def test_a5_flag_graph_reloaded_matches_billey():
+    # out-degrees reach 10 here, so for a class of low degree d most labels
+    # at a vertex are past the first d + 1 and only checked
+    rs = root_system("A:5")
+    flag = build_flag_moment_graph(rs)
+    g = reloaded(flag)
+    assert max(g.out_degree(u) for u in g.vertices) == 10
+    for v in flag.vertices:
+        want = class_to_json(knutson_tao_class_billey(flag, v))
+        u = g.vertex_by_str(flag.vertex_str(v))
+        got = class_to_json(knutson_tao_class_solve(g, u))
+        assert got["localizations"] == want["localizations"], flag.vertex_str(v)
+
+
+# d = 0 at z: the first label at u (t2, head y) fixes p = 0, and the check of
+# t1 (head z, residue 1) fails
+CHECK_ROW_FAILS = {
+    "vertices": ["u", "y", "z"],
+    "edges": [
+        {"tail": "u", "head": "z", "label": "t1"},
+        {"tail": "u", "head": "y", "label": "t2"},
+    ],
+    "metadata": {"n": 2},
+}
+
+
+def test_failed_check_row_is_inconsistent():
+    g = load_external_graph(CHECK_ROW_FAILS)
+    assert [g.label_str(e.label) for e in g.out_edges("u")] == ["t2", "t1"]
+    want = ("error", "constraints at vertex u are inconsistent")
+    assert outcome(knutson_tao_class_solve, g, "z") == want
+    assert outcome(dense_solve, g, "z") == want
 
 
 _BASES = [
