@@ -199,9 +199,12 @@ class EquivariantClass:
 
 
 class GkmReport:
-    def __init__(self, ok: bool, violations: list[tuple[str, str, str]] | None = None):
-        self.ok = ok
-        self.violations = [] if violations is None else violations
+    def __init__(self, violations: list[tuple[str, str, str]]):
+        self.violations = violations
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
@@ -211,7 +214,8 @@ def check_gkm(c: EquivariantClass) -> GkmReport:
     """Divisibility of localization differences across every edge: each
     difference vanishes on the hyperplane of its label.  An edge whose ends
     hold the same object (both zero, or one shared value) passes untested,
-    since 0 is divisible by anything."""
+    since 0 is divisible by anything.  The report is ok when no edge is
+    listed."""
     bad = []
     g = c.graph
     loc = c._loc
@@ -225,22 +229,26 @@ def check_gkm(c: EquivariantClass) -> GkmReport:
             bad.append(
                 (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
             )
-    return GkmReport(ok=not bad, violations=bad)
+    return GkmReport(bad)
 
 
 class KtReport:
-    def __init__(self, ok: bool, failures: list[str] | None = None):
-        self.ok = ok
-        self.failures = [] if failures is None else failures
+    def __init__(self, failures: list[str]):
+        self.failures = failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures)}
 
 
 def kt_report(c: EquivariantClass) -> KtReport:
-    """Check the three Knutson-Tao conditions plus the GKM condition."""
+    """Check the three Knutson-Tao conditions plus the GKM condition; the
+    report is ok when it lists no failure."""
     if c.base is None:
-        return KtReport(False, ["class has no base vertex"])
+        return KtReport(["class has no base vertex"])
     g = c.graph
     failures: list[str] = []
     if c[c.base] != g.out_label_product(c.base):
@@ -259,7 +267,7 @@ def kt_report(c: EquivariantClass) -> KtReport:
     gkm = check_gkm(c)
     if not gkm.ok:
         failures.append(f"GKM condition fails on {len(gkm.violations)} edge(s)")
-    return KtReport(ok=not failures, failures=failures)
+    return KtReport(failures)
 
 
 # -- the group action kernel (full graphs only) --------------------------------

@@ -344,25 +344,13 @@ def schubert_graph(label: str, w_text: str) -> MomentGraph:
 class AxiomReport:
     """Structured result of the moment-graph axiom checks."""
 
-    def __init__(
-        self,
-        acyclic: bool,
-        cycle: list[str] | None,
-        independence_violations: list[tuple[str, str, str]] | None = None,
-        degree_violations: list[tuple[str, int, int]] | None = None,
-        label_set_violations: list[str] | None = None,
-        checked_schubert: bool = False,
-    ):
+    def __init__(self, acyclic: bool, cycle: list[str] | None):
         self.acyclic = acyclic
         self.cycle = cycle
-        self.independence_violations = (
-            [] if independence_violations is None else independence_violations
-        )
-        self.degree_violations = [] if degree_violations is None else degree_violations
-        self.label_set_violations = (
-            [] if label_set_violations is None else label_set_violations
-        )
-        self.checked_schubert = checked_schubert
+        self.independence_violations: list[tuple[str, str, str]] = []
+        self.degree_violations: list[tuple[str, int, int]] = []
+        self.label_set_violations: list[str] = []
+        self.checked_schubert = False
 
     @property
     def ok(self) -> bool:

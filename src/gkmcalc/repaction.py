@@ -271,38 +271,38 @@ class DecompositionReport:
     under every generator, and unitriangularity of its expansion.  The
     graded multiplicity of the trivial summand in degree d must equal the
     number of fixed points of length d, and the induced action modulo the
-    variable ideal must fix every basis class.
+    variable ideal must fix every basis class.  The multiplicities, the
+    Poincare coefficients and the unitriangular and ok verdicts are read
+    off the rows, so they cannot disagree with them.
     """
 
-    def __init__(
-        self,
-        type_label: str,
-        w_label: str,
-        rows: list[dict] | None = None,
-        multiplicities: dict[int, int] | None = None,
-        poincare: list[int] | None = None,
-        generator_invariance: dict[int, bool] | None = None,
-        mod_t_identity: bool = True,
-        unitriangular: bool = True,
-    ):
+    def __init__(self, type_label: str, w_label: str):
         self.type_label = type_label
         self.w_label = w_label
-        self.rows = [] if rows is None else rows
-        self.multiplicities = {} if multiplicities is None else multiplicities
-        self.poincare = [] if poincare is None else poincare
-        self.generator_invariance = (
-            {} if generator_invariance is None else generator_invariance
-        )
-        self.mod_t_identity = mod_t_identity
-        self.unitriangular = unitriangular
+        self.rows: list[dict] = []
+        self.generator_invariance: dict[int, bool] = {}
+        self.mod_t_identity = True
+
+    @property
+    def multiplicities(self) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for r in self.rows:
+            counts[r["degree"]] = counts.get(r["degree"], 0) + 1
+        return counts
+
+    @property
+    def poincare(self) -> list[int]:
+        counts = self.multiplicities
+        return [counts.get(d, 0) for d in range(max(counts, default=0) + 1)]
+
+    @property
+    def unitriangular(self) -> bool:
+        return all(r["unitriangular"] for r in self.rows)
 
     @property
     def ok(self) -> bool:
-        return (
-            all(self.generator_invariance.values())
-            and self.mod_t_identity
-            and self.unitriangular
-            and all(r["invariant"] and r["unitriangular"] for r in self.rows)
+        return self.mod_t_identity and all(
+            r["invariant"] and r["unitriangular"] for r in self.rows
         )
 
     def to_json(self) -> dict:
@@ -312,7 +312,7 @@ class DecompositionReport:
             "ok": self.ok,
             "rows": self.rows,
             "multiplicities": {str(d): m for d, m in sorted(self.multiplicities.items())},
-            "poincare": list(self.poincare),
+            "poincare": self.poincare,
             "generator_invariance": {
                 str(i): v for i, v in sorted(self.generator_invariance.items())
             },
@@ -413,26 +413,18 @@ def decompose(g: MomentGraph) -> DecompositionReport:
     _, rows = _read_off(g, ids)
 
     for v, k in zip(g.vertices, ids):
-        deg = length[k]
         row, failed, clean = rows[k]
         for i in failed:
             gen_ok[i] = False
-        unitri = clean and row.get(k) == order
-        if not unitri:
-            report.unitriangular = False
         report.rows.append(
             {
                 "v": g.vertex_str(v),
-                "degree": deg,
+                "degree": length[k],
                 "invariant": not failed,
-                "unitriangular": unitri,
+                "unitriangular": clean and row.get(k) == order,
                 "support": sorted(g.vertex_str(elements[y]) for y in row),
             }
         )
-        report.multiplicities[deg] = report.multiplicities.get(deg, 0) + 1
-
-    top = max(report.multiplicities) if report.multiplicities else 0
-    report.poincare = [report.multiplicities.get(d, 0) for d in range(top + 1)]
     report.generator_invariance = gen_ok
     # s_i fixes the class of v (a twisted 1 is 1) and moves -alpha_i times it
     # to s_i v < v: mod t, a constant term there breaks the identity

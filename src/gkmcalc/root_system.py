@@ -238,13 +238,7 @@ class RootSystem:
         alpha, beta = tuple(alpha), tuple(beta)
         if not self.is_root(alpha) or not self.is_root(beta):
             raise ValueError(f"not roots of {self.label}: {alpha}, {beta}")
-        c = self._pair(alpha, beta)
-        if c.denominator != 1:
-            raise ValueError(f"non-integral Cartan pairing for {alpha}, {beta}")
-        out = tuple(b - int(c) * a for a, b in zip(alpha, beta))
-        if not self.is_root(out):
-            raise ValueError(f"reflection left the root system: {out}")
-        return out
+        return self.act_on_root(self.reflection(alpha), beta)
 
     def cartan_matrix(self) -> list[list[int]]:
         """Entries a_ij = <alpha_j, alpha_i^vee>."""

@@ -626,6 +626,25 @@ USAGE_LINES = {
 }
 MALFORMED += [(argv, {}) for argv in USAGE_LINES]
 
+# a 2-cycle a -> b -> a loads, but expanding a class on it needs the
+# topological order that the circuit forbids
+_CIRCUIT_CLASS = {
+    "graph_ref": {
+        "graph": {
+            "vertices": ["a", "b"],
+            "edges": [
+                {"tail": "a", "head": "b", "label": "t1"},
+                {"tail": "b", "head": "a", "label": "t2"},
+            ],
+            "metadata": {"n": 2},
+        }
+    },
+    "base": None,
+    "localizations": {"a": "0", "b": "0"},
+}
+CIRCUIT = (("expand", "--class", "{cls}"), {"cls": _CIRCUIT_CLASS})
+MALFORMED += [CIRCUIT]
+
 
 @pytest.mark.parametrize(
     "argv,files",
@@ -657,6 +676,8 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert "string" in proc.stderr
     if argv in USAGE_LINES:
         assert proc.stderr == f"error: {USAGE_LINES[argv]}\n"
+    if (argv, files) == CIRCUIT:
+        assert proc.stderr == "error: graph has a directed circuit\n"
 
 
 def _modules_after(statement):

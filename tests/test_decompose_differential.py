@@ -74,8 +74,6 @@ def reference_decompose(g) -> DecompositionReport:
         unitri = avg.expansion.get(v) == one and all(
             rs.bruhat_leq(u, v) for u in avg.expansion
         )
-        if not unitri:
-            report.unitriangular = False
         for i in range(1, rs.rank + 1):
             image = simple_step(i, {v: one}, g)
             consts = {
@@ -92,9 +90,6 @@ def reference_decompose(g) -> DecompositionReport:
                 "support": sorted(g.vertex_str(u) for u in avg.expansion),
             }
         )
-        report.multiplicities[deg] = report.multiplicities.get(deg, 0) + 1
-    top = max(report.multiplicities) if report.multiplicities else 0
-    report.poincare = [report.multiplicities.get(d, 0) for d in range(top + 1)]
     report.generator_invariance = gen_ok
     report.mod_t_identity = mod_t_ok
     return report

@@ -364,6 +364,11 @@ class TestExternalLoading:
                 with pytest.raises(KeyError):
                     g.vertex_by_str(bad)
 
+    def test_deep_json_is_refused(self):
+        with pytest.raises(GraphParseError) as exc:
+            load_external_graph("[" * 100000)
+        assert exc.value.args == ("bad JSON: nested too deeply",)
+
 
 def _star_json(k):
     """A graph in two variables with k edges out of the vertex 'top'."""

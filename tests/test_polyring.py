@@ -407,3 +407,31 @@ def test_homogeneous_exponents_enumeration():
     assert homogeneous_exponents(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert homogeneous_exponents(3, 0) == [(0, 0, 0)]
     assert len(homogeneous_exponents(4, 3)) == 20
+
+
+# inputs the ring refuses, each with the exact message it gives
+REFUSALS = [
+    (lambda: Polynomial(-1), "ring dimension must be non-negative, got -1"),
+    (lambda: Polynomial.variable(2, 3), "variable index 3 outside 1..2"),
+    (lambda: Polynomial.linear_form(2, {3: 1}), "variable index 3 outside 1..2"),
+    (lambda: t1 ** -1, "negative powers are not defined"),
+    (lambda: exact_divide(t1, t1 * t2), "not a nonzero linear form: t1*t2"),
+    (lambda: exact_divide(t1, var(1, 2)), "ring dimension mismatch: 3 vs 2"),
+    (lambda: poly_divided_difference(t1, 0), "simple index 0 outside 1..2"),
+    (lambda: polynomial_from_json("t1"), "string polynomial form needs an explicit dimension"),
+    (
+        lambda: polynomial_from_json({"n": 2, "terms": []}, 3),
+        "polynomial dimension 2 != expected 3",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,message", REFUSALS)
+def test_refusals_name_the_fault(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert exc.value.args == (message,)
+
+
+def test_integer_minus_polynomial():
+    assert to_string(1 - t1) == "-t1 + 1"

@@ -6,7 +6,7 @@ import pytest
 
 from gkmcalc.coxeter import all_permutations, inversion_pairs
 from gkmcalc.polyring import Polynomial, reduce_modulo, to_string
-from gkmcalc.root_system import root_system, type_a
+from gkmcalc.root_system import RankTwoRootSystem, root_system, type_a
 
 
 class TestReflect:
@@ -326,3 +326,17 @@ def test_coset_chain_words_match_the_table_walk(label):
     rs = root_system(label)
     walked = tuple(_coset_level_by_walk(rs, k) for k in range(1, rs.rank + 1))
     assert rs.coset_chain() == walked
+
+
+def test_refusals_name_the_fault():
+    b2, a3 = root_system("B2"), type_a(3)
+    cases = [
+        (lambda: RankTwoRootSystem("F4"), "unsupported rank-two type 'F4'"),
+        (lambda: b2.reflection((5, 5)), "not a root of B2: (5, 5)"),
+        (lambda: b2.act_on_root(b2.identity(), (5, 5)), "not a root of B2: (5, 5)"),
+        (lambda: a3.reflection((1, 1, 0)), "not a type A root: (1, 1, 0)"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert exc.value.args == (message,)
