@@ -381,9 +381,8 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
             while m not in needed:
                 needed.add(m)
                 m = rmul[rdescent[m]][m]
-        if r is not None:
-            rep[k] = r
-            members.append((w, r))
+        rep[k] = r
+        members.append((w, r))
     zero = Polynomial.zero(g.n)
     loc: dict = {}  # column id -> xi^v there, when nonzero
     # (w, i, beta, column of w s_i): w's column is built when it is popped,
@@ -631,10 +630,14 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
 
 
 def expansions_equal(a: Mapping, b: Mapping) -> bool:
-    """Compare coefficient maps, ignoring explicit zeros."""
+    """Compare coefficient maps, ignoring explicit zeros; an int or Fraction
+    coefficient stands for its constant polynomial, as in expansion_to_json."""
     ca = {v: p for v, p in a.items() if p}
     cb = {v: p for v, p in b.items() if p}
-    return ca == cb
+    # a scalar minus a polynomial, or the reverse, is a polynomial of its ring
+    return ca.keys() == cb.keys() and all(
+        ca[v] == cb[v] or (type(ca[v]) is not type(cb[v]) and not ca[v] - cb[v]) for v in ca
+    )
 
 
 # -- serialization ------------------------------------------------------------------

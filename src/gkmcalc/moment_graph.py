@@ -342,15 +342,19 @@ def schubert_graph(label: str, w_text: str) -> MomentGraph:
 
 
 class AxiomReport:
-    """Structured result of the moment-graph axiom checks."""
+    """Structured result of the moment-graph axiom checks; ``acyclic``
+    (``cycle is None``) and ``ok`` are derived from the stored fields."""
 
-    def __init__(self, acyclic: bool, cycle: list[str] | None):
-        self.acyclic = acyclic
+    def __init__(self, cycle: list[str] | None):
         self.cycle = cycle
         self.independence_violations: list[tuple[str, str, str]] = []
         self.degree_violations: list[tuple[str, int, int]] = []
         self.label_set_violations: list[str] = []
         self.checked_schubert = False
+
+    @property
+    def acyclic(self) -> bool:
+        return self.cycle is None
 
     @property
     def ok(self) -> bool:
@@ -409,7 +413,7 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
     cycle = _find_cycle(g.vertices, heads)
     if cycle is not None:
         cycle = [g.vertex_str(x) for x in cycle]
-    report = AxiomReport(acyclic=cycle is None, cycle=cycle)
+    report = AxiomReport(cycle)
 
     # two labels are dependent when they share a line
     for v in g.vertices:
@@ -440,25 +444,35 @@ def validate_axioms(g: MomentGraph) -> AxiomReport:
 
 
 class PalaisSmaleResult:
-    """Outcome of the out-degree descent check."""
+    """Outcome of the out-degree descent check.  ``holds`` and ``detail``
+    are derived: from ``violations`` (none) in mode "given", from
+    ``covector`` (one was found) in mode "search"."""
 
     def __init__(
         self,
-        holds: bool,
         mode: str,
         violations: list[tuple[str, str, int, int]] | None = None,
         covector: list[Fraction] | None = None,
         orientation: list[tuple[str, str]] | None = None,
         chambers_tried: int = 0,
-        detail: str = "",
     ):
-        self.holds = holds
         self.mode = mode
         self.violations = [] if violations is None else violations
         self.covector = covector
         self.orientation = orientation
         self.chambers_tried = chambers_tried
-        self.detail = detail
+
+    @property
+    def holds(self) -> bool:
+        return self.covector is not None if self.mode == "search" else not self.violations
+
+    @property
+    def detail(self) -> str:
+        if self.mode != "search":
+            return "stored orientation" if self.holds else "out-degree descent fails"
+        if self.holds:
+            return "flow orientation found"
+        return f"no flow-induced orientation works ({self.chambers_tried} chambers tried)"
 
     def to_json(self) -> dict:
         return {
@@ -586,13 +600,7 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
     """
     if mode == "given":
         directed = [(e.tail, e.head) for e in g.edges]
-        bad = _degree_check(g, directed)
-        return PalaisSmaleResult(
-            holds=not bad,
-            mode=mode,
-            violations=bad,
-            detail="stored orientation" if not bad else "out-degree descent fails",
-        )
+        return PalaisSmaleResult(mode, violations=_degree_check(g, directed))
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r} (use 'given' or 'search')")
 
@@ -617,24 +625,14 @@ def is_palais_smale(g: MomentGraph, mode: str = "given") -> PalaisSmaleResult:
         bad = _degree_check(g, directed)
         if not bad:
             return PalaisSmaleResult(
-                holds=True,
-                mode=mode,
+                mode,
                 covector=list(xi),
-                orientation=[
-                    (g.vertex_str(a), g.vertex_str(b)) for a, b in directed
-                ],
+                orientation=[(g.vertex_str(a), g.vertex_str(b)) for a, b in directed],
                 chambers_tried=tried,
-                detail="flow orientation found",
             )
         if not first_bad:
             first_bad = bad
-    return PalaisSmaleResult(
-        holds=False,
-        mode=mode,
-        violations=first_bad,
-        chambers_tried=tried,
-        detail=f"no flow-induced orientation works ({tried} chambers tried)",
-    )
+    return PalaisSmaleResult(mode, violations=first_bad, chambers_tried=tried)
 
 
 # -- JSON and DOT ---------------------------------------------------------------

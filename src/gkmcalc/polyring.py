@@ -850,7 +850,7 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
         exp = tuple(t["exp"])
         if any(type(e) is not int for e in exp):  # bools and lists included
             raise ValueError(f"bad exponent vector {exp!r} for dimension {dim}")
-        out[exp] = _coefficient_from_json(t.get("coeff"))
+        out[exp] = out.get(exp, 0) + _coefficient_from_json(t.get("coeff"))
     return Polynomial(dim, out)
 
 

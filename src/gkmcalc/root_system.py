@@ -63,15 +63,17 @@ MAX_TYPE_A_N = 8
 class RootSystem:
     """Shared interface for the concrete backends.
 
-    Subclasses provide the group operations (identity, product, inverse,
-    reflections, the action on roots and on the coordinate ring, element
-    names) and the coset-chain words, and end their constructor with
-    :meth:`_build_group`.  This base class then answers the table questions
-    (elements, lengths, simple reflections, the longest element, the coset
-    chain) by lookup and supplies the type-independent algorithms (reduced
-    words, Bruhat order and intervals, the coadjoint divided difference).
-    Instances are lookup tables, complete once built; :func:`root_system`
-    keeps one per type.
+    Each backend defines ``identity()``, ``mul(u, v)``, ``inv(w)``,
+    ``inversions(w)``, ``reflection(alpha)`` (the reflection of a positive
+    root), ``act_on_root(w, alpha)``, ``coadjoint_substitution(w)`` (the
+    variable assignment realizing w on the coordinate ring),
+    ``element_str(w)`` and ``parse_element(text)``, sets the coset-chain
+    words, and ends its constructor with :meth:`_build_group`.  This base
+    class then answers the table questions (elements, lengths, simple
+    reflections, the longest element, the coset chain) by lookup and
+    supplies the type-independent algorithms (reduced words, Bruhat order
+    and intervals, the coadjoint divided difference).  Instances are lookup
+    tables, complete once built; :func:`root_system` keeps one per type.
     """
 
     label: str
@@ -82,37 +84,6 @@ class RootSystem:
     positive_roots: tuple[RootVector, ...]
     _bilinear: tuple[tuple[int, ...], ...]
     _coset_words: tuple[tuple[int, ...], ...]
-
-    # -- subclass surface ----------------------------------------------------
-
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, u, v):
-        raise NotImplementedError
-
-    def inv(self, w):
-        raise NotImplementedError
-
-    def inversions(self, w) -> tuple[RootVector, ...]:
-        raise NotImplementedError
-
-    def reflection(self, alpha: RootVector):
-        """The reflection attached to a positive root."""
-        raise NotImplementedError
-
-    def act_on_root(self, w, alpha: RootVector) -> RootVector:
-        raise NotImplementedError
-
-    def coadjoint_substitution(self, w) -> dict[int, Polynomial]:
-        """Variable assignment realizing w on the coordinate ring."""
-        raise NotImplementedError
-
-    def element_str(self, w) -> str:
-        raise NotImplementedError
-
-    def parse_element(self, text: str):
-        raise NotImplementedError
 
     # -- the group table -------------------------------------------------------
 

@@ -286,6 +286,18 @@ class TestDdiffAndExpand:
         else:
             assert "MAX_DEGREE" in err
 
+    def test_repeated_terms_sum_in_both_forms(self, capsys, tmp_path):
+        # the text and the object form of 3*t1 at every vertex: a GKM class
+        terms = [{"exp": [1, 0, 0], "coeff": "1"}, {"exp": [1, 0, 0], "coeff": "2"}]
+        perms = ("123", "132", "213", "231", "312", "321")
+        for loc in ("t1 + 2*t1", {"n": 3, "terms": terms}):
+            path = tmp_path / "repeated.json"
+            cls = _A3_CLASS | {"localizations": dict.fromkeys(perms, loc)}
+            path.write_text(json.dumps(cls))
+            code, out, _ = run(capsys, "expand", "--class", str(path))
+            assert code == 0
+            assert json.loads(out)["coefficients"] == {"123": "3*t1"}
+
     def test_expand_bad_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -645,6 +657,14 @@ _CIRCUIT_CLASS = {
 CIRCUIT = (("expand", "--class", "{cls}"), {"cls": _CIRCUIT_CLASS})
 MALFORMED += [CIRCUIT]
 
+# cycle notation the permutation parser refuses, each with its own line
+PERMUTATION_TEXTS = {
+    ("class", "--type", "A:3", "--v", "(12"): "bad cycle notation: '(12'",
+    ("class", "--type", "A:3", "--v", "(12)(13)"): "cycles must be disjoint: '(12)(13)'",
+    ("class", "--type", "A:3", "--v", "(14)"): "bad cycle [1, 4] for n=3",
+}
+MALFORMED += [(argv, {}) for argv in PERMUTATION_TEXTS]
+
 
 @pytest.mark.parametrize(
     "argv,files",
@@ -676,6 +696,8 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert "string" in proc.stderr
     if argv in USAGE_LINES:
         assert proc.stderr == f"error: {USAGE_LINES[argv]}\n"
+    if argv in PERMUTATION_TEXTS:
+        assert proc.stderr == f"error: {PERMUTATION_TEXTS[argv]}\n"
     if (argv, files) == CIRCUIT:
         assert proc.stderr == "error: graph has a directed circuit\n"
 

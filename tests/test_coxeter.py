@@ -210,8 +210,15 @@ class TestParsing:
 
     def test_identity_needs_n(self):
         assert parse_permutation("e", 3) == Permutation.identity(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^'e' needs an explicit n$"):
             parse_permutation("e")
+
+    def test_refusal_texts(self):
+        for text in ("", "  "):
+            with pytest.raises(ValueError, match=r"^empty permutation text$"):
+                parse_permutation(text)
+        with pytest.raises(ValueError, match=r"^need 1 <= j < k <= n, got j=2 k=2 n=3$"):
+            Permutation.transposition(3, 2, 2)
 
     def test_cycle_output(self):
         assert perm("213").cycle_str() == "(12)"

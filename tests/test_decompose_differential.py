@@ -185,6 +185,33 @@ def test_changed_coefficient_breaks_invariance(monkeypatch, label):
     assert_rows_reading_x_fail(decompose(g), g, x)
 
 
+@pytest.mark.parametrize(
+    "label,k,want",
+    [("A:3", 3, {1: True, 2: False}), ("A:4", 1, {1: False, 2: True, 3: True})],
+)
+def test_corrupted_entry_names_its_generator(monkeypatch, label, k, want):
+    """S_{w0} is the coefficient at e of the flag graph's one orbit sum, and
+    only the identity at x = w0 reads it: s_i(S_{w0}) = S_{w0} +
+    alpha_i S_{w0 s_i} for every i.  Adding t_k to it breaks that identity
+    for the generators that move t_k, and only w0's row fails."""
+    rs = root_system(label)
+
+    def add_tk(total, v, g):
+        e = g.vertices[0]
+        total[e] = total.get(e, Polynomial.zero(g.n)) + Polynomial.variable(g.n, k)
+
+    _mutate_orbit_sum(monkeypatch, add_tk)
+    g = build_flag_moment_graph(rs)
+    rep = decompose(g)
+    assert rep.generator_invariance == want
+    assert rep.to_json()["generator_invariance"] == {str(i): ok for i, ok in want.items()}
+    top = g.vertex_str(rs.longest_element())
+    assert {r["v"]: r["invariant"] for r in rep.rows} == {
+        g.vertex_str(v): g.vertex_str(v) != top for v in g.vertices
+    }
+    assert rep.unitriangular and not rep.ok
+
+
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_changed_top_coefficient_breaks_unitriangularity(monkeypatch, label):
     """The top coefficient of an orbit sum is S_e, which every row reads at v."""

@@ -528,6 +528,29 @@ class TestClassJson:
         assert expansions_equal(expansion_from_json(obj, flag3), exp)
         assert expansions_equal(expansion_from_json(obj), exp)
 
+    def test_scalar_coefficients_are_constants(self, flag3, basis3):
+        """expansion_to_json, act_word and reconstruct read an int or
+        Fraction coefficient as its constant polynomial; so does the test of
+        equal expansions."""
+        from gkmcalc.gkm import expansion_to_json
+        from gkmcalc.repaction import act_word
+
+        v, u = flag3.vertex_by_str("213"), flag3.vertex_by_str("123")
+        t1 = parse_polynomial("t1", 3)
+        s1 = flag3.rs.simple_reflection(1)
+        for c in (1, -2, Fraction(1, 2)):
+            const = Polynomial.constant(3, c)
+            for a, b in [({v: c}, {v: const}), ({v: const, u: t1}, {v: c, u: t1})]:
+                assert expansions_equal(a, b) and expansions_equal(b, a)
+                assert expansion_to_json(a, flag3) == expansion_to_json(b, flag3)
+                assert act_word(s1, a, flag3) == act_word(s1, b, flag3)
+                assert basis3.reconstruct(a) == basis3.reconstruct(b)
+            assert not expansions_equal({v: c}, {v: const + t1})
+            assert not expansions_equal({v: c + 1}, {v: const})
+            assert not expansions_equal({v: c}, {u: const})
+        assert expansions_equal({v: 2, u: 0}, {v: Fraction(2)})
+        assert not expansions_equal({v: Polynomial.one(2)}, {v: Polynomial.one(3)})
+
 
 # The result records of gkm, moment_graph, repaction and verify: constructor
 # fields in positional order, how many are required, and the to_json keys
@@ -537,8 +560,8 @@ REPORTS = [
     (KtReport, ("failures",), 1, {"ok", "failures"}),
     (
         AxiomReport,
-        ("acyclic", "cycle"),
-        2,
+        ("cycle",),
+        1,
         {
             "ok", "acyclic", "cycle", "independence_violations", "degree_violations",
             "label_set_violations", "checked_schubert",
@@ -546,11 +569,8 @@ REPORTS = [
     ),
     (
         PalaisSmaleResult,
-        (
-            "holds", "mode", "violations", "covector", "orientation",
-            "chambers_tried", "detail",
-        ),
-        2,
+        ("mode", "violations", "covector", "orientation", "chambers_tried"),
+        1,
         {
             "holds", "mode", "violations", "covector", "orientation",
             "chambers_tried", "detail",
@@ -623,9 +643,31 @@ def test_reports_derive_their_verdicts():
     rep.mod_t_identity = False
     assert not rep.ok and rep.unitriangular
 
+    axioms = AxiomReport(None)
+    assert axioms.acyclic and axioms.ok
+    axioms.cycle = ["a", "b", "a"]
+    assert not axioms.acyclic and not axioms.ok
+    assert axioms.to_json()["acyclic"] is False
+
+    # the four texts is_palais_smale reports, read off the stored fields
+    flaw = [("a", "b", 1, 1)]
+    for result, holds, detail in [
+        (PalaisSmaleResult("given"), True, "stored orientation"),
+        (PalaisSmaleResult("given", flaw), False, "out-degree descent fails"),
+        (PalaisSmaleResult("search", covector=[], chambers_tried=1), True,
+         "flow orientation found"),
+        (PalaisSmaleResult("search", flaw, chambers_tried=3), False,
+         "no flow-induced orientation works (3 chambers tried)"),
+    ]:
+        assert (result.holds, result.detail) == (holds, detail)
+        assert result.to_json()["holds"] is holds
+        assert result.to_json()["detail"] == detail
+
     derived = {
         GkmReport: ("ok",),
         KtReport: ("ok",),
+        AxiomReport: ("ok", "acyclic"),
+        PalaisSmaleResult: ("holds", "detail"),
         DecompositionReport: ("ok", "unitriangular", "multiplicities", "poincare"),
     }
     for cls, names in derived.items():
@@ -678,6 +720,17 @@ class TestRefusals:
     def test_routes_refuse_unknown_vertices(self, flag3):
         for route in (knutson_tao_class_descent, knutson_tao_class_solve):
             self.refused(ValueError, lambda: route(flag3, "x"), "unknown vertex 'x'")
+        # Billey's walk, on a vertex outside X_231 and on a non-element
+        xg = schubert_graph("A:3", "231")
+        w0 = type_a(3).longest_element()
+        self.refused(
+            ValueError,
+            lambda: knutson_tao_class_billey(xg, w0),
+            "unknown vertex Permutation(one_line=(3, 2, 1))",
+        )
+        self.refused(
+            ValueError, lambda: knutson_tao_class_billey(xg, "x"), "unknown vertex 'x'"
+        )
         self.refused(
             ValueError,
             lambda: apply_group_element(

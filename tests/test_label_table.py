@@ -127,20 +127,14 @@ def reference_search(g):
         bad = _degree_check(g, directed)
         if not bad:
             return PalaisSmaleResult(
-                True,
                 "search",
                 covector=list(xi),
                 orientation=[(g.vertex_str(a), g.vertex_str(b)) for a, b in directed],
                 chambers_tried=tried,
-                detail="flow orientation found",
             ).to_json()
         first_bad = first_bad or bad
     return PalaisSmaleResult(
-        False,
-        "search",
-        violations=first_bad,
-        chambers_tried=tried,
-        detail=f"no flow-induced orientation works ({tried} chambers tried)",
+        "search", violations=first_bad, chambers_tried=tried
     ).to_json()
 
 

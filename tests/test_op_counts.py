@@ -1,0 +1,144 @@
+"""Exact operation counts on fixed inputs: the ledger of what the kernels do.
+
+Wall time on a shared machine spreads too widely to show a change in work,
+and an answer stays right when a pruning step is lost.  The counts here
+do not depend on the machine or the hash seed: each test wraps a kernel
+binding (``add_mul`` where gkm and repaction call it,
+``Polynomial.substitute``, repaction's ``exact_divide`` or
+``MomentGraph.in_edges``), runs one computation and pins the number of
+calls with ``==``.  A count that moves, either way, is a change in the
+work done and is stated old -> new where the change is described.  The
+solver's own counts (647 divisions and 1680 substitutions on the reloaded
+A:4 flag graph) are pinned in test_solve_differential.py.
+"""
+
+import pytest
+
+from gkmcalc import gkm, repaction
+from gkmcalc.gkm import KnutsonTaoBasis, knutson_tao_class_billey, kt_report
+from gkmcalc.moment_graph import (
+    MomentGraph,
+    build_flag_moment_graph,
+    build_schubert_moment_graph,
+)
+from gkmcalc.polyring import Polynomial
+from gkmcalc.repaction import (
+    act,
+    decompose,
+    left_divided_difference,
+    right_divided_difference,
+)
+from gkmcalc.root_system import root_system
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """count(owner, name, key) wraps owner.name to add one to calls[key]
+    per call; several bindings may share a key."""
+    calls: dict[str, int] = {}
+
+    def wrap(owner, name, key):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    wrap.calls = calls
+    return wrap
+
+
+def count_add_mul(count):
+    count(gkm, "add_mul", "add_mul")
+    count(repaction, "add_mul", "add_mul")
+
+
+def a4_class(w: str, v: str):
+    """The class of v on the A:4 graph X_w (the flag graph for w = 4321)."""
+    rs = root_system("A:4")
+    g = build_schubert_moment_graph(rs, rs.parse_element(w))
+    return knutson_tao_class_billey(g, rs.parse_element(v))
+
+
+def test_a5_flag_basis_one_class_at_a_time(count):
+    g = build_flag_moment_graph(root_system("A:5"))
+    basis = KnutsonTaoBasis(g)
+    count_add_mul(count)
+    for v in g.vertices:
+        basis.cls(v)
+    assert count.calls == {"add_mul": 7245}
+
+
+def test_billey_columns_on_every_a4_schubert_graph(count):
+    """Each column Billey's walk builds reads its children off in_edges;
+    a column whose rows are all dropped ends the walk below it."""
+    rs = root_system("A:4")
+    graphs = [build_schubert_moment_graph(rs, w) for w in rs.elements()]
+    count(MomentGraph, "in_edges", "in_edges")
+    for g in graphs:
+        for v in g.vertices:
+            knutson_tao_class_billey(g, v)
+    assert count.calls == {"in_edges": 1210}
+
+
+def test_a6_decompose(count):
+    rs = root_system("A:6")
+    g = build_schubert_moment_graph(rs, rs.parse_element("462513"))
+    count_add_mul(count)
+    count(Polynomial, "substitute", "substitute")
+    decompose(g)
+    assert count.calls == {"add_mul": 3340, "substitute": 8014}
+
+
+def test_kt_report_on_an_a7_flag_class(count):
+    rs = root_system("A:7")
+    g = build_flag_moment_graph(rs)
+    c = knutson_tao_class_billey(g, rs.parse_element("2134567"))
+    count(Polynomial, "substitute", "substitute")
+    assert kt_report(c).ok
+    assert count.calls == {"substitute": 15120}
+
+
+def test_right_divided_difference(count):
+    """One division per pair v < v s_i whose values differ."""
+    c = a4_class("4321", "2143")
+    count(repaction, "exact_divide", "exact_divide")
+    for i in (1, 2, 3):
+        right_divided_difference(i, c)
+    assert count.calls == {"exact_divide": 18}
+
+
+def test_left_divided_difference(count):
+    c = a4_class("4321", "2143")
+    count(repaction, "exact_divide", "exact_divide")
+    count(Polynomial, "substitute", "substitute")
+    for i in (1, 2, 3):
+        left_divided_difference(i, c)
+    assert count.calls == {"exact_divide": 36, "substitute": 42}
+
+
+def test_action_on_a_flag_class(count):
+    """The pointwise action twists each nonzero localization once."""
+    c = a4_class("4321", "2143")
+    count(Polynomial, "substitute", "substitute")
+    act(root_system("A:4").parse_element("4321"), c)
+    assert count.calls == {"substitute": 14}
+    assert sum(1 for _, p in c.items() if p) == 14
+
+
+def test_action_on_a_schubert_class(count):
+    """On a Schubert graph the action expands in the basis, acts on the
+    coefficients and rebuilds the class from the basis classes."""
+    rs = root_system("A:4")
+    c = a4_class("4231", "2143")
+    count_add_mul(count)
+    count(Polynomial, "substitute", "substitute")
+    count(gkm, "exact_divide", "exact_divide")
+    count(MomentGraph, "in_edges", "in_edges")
+    for i in (1, 2, 3):
+        act(rs.simple_reflection(i), c)
+    assert count.calls == {
+        "add_mul": 147, "substitute": 3, "exact_divide": 6, "in_edges": 65
+    }

@@ -333,6 +333,15 @@ class TestTextForms:
         with pytest.raises(ValueError):
             polynomial_from_json(obj, None if "n" in obj else 3)
 
+    def test_json_sums_repeated_exponents(self):
+        """Both forms add the terms of one exponent, as a sum is read."""
+        twice = [{"exp": [1, 0, 0], "coeff": "1"}, {"exp": [1, 0, 0], "coeff": "2"}]
+        assert polynomial_from_json({"n": 3, "terms": twice}) == 3 * t1
+        assert polynomial_from_json("t1 + 2*t1", 3) == 3 * t1
+        cancel = [{"exp": [0, 1, 0], "coeff": "1/2"}, {"exp": [0, 1, 0], "coeff": "-1/2"}]
+        assert polynomial_from_json({"n": 3, "terms": cancel}).is_zero()
+        assert polynomial_from_json("1/2*t2 - 1/2*t2", 3).is_zero()
+
     def test_json_shape(self):
         obj = polynomial_to_json(t1 - t2)
         assert obj == {

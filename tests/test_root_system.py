@@ -340,3 +340,21 @@ def test_refusals_name_the_fault():
         with pytest.raises(ValueError) as exc:
             make()
         assert exc.value.args == (message,)
+
+
+BACKEND_METHODS = (
+    "identity", "mul", "inv", "inversions", "reflection", "act_on_root",
+    "coadjoint_substitution", "element_str", "parse_element",
+)
+
+
+def test_each_backend_defines_the_group_operations():
+    """The base class names the nine group operations in its docstring and
+    defines none of them; each backend defines all nine."""
+    from gkmcalc.root_system import RootSystem, TypeARootSystem
+
+    for name in BACKEND_METHODS:
+        assert name not in RootSystem.__dict__
+        assert f"``{name}(" in RootSystem.__doc__
+        for backend in (TypeARootSystem, RankTwoRootSystem):
+            assert callable(backend.__dict__[name])
