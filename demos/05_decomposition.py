@@ -25,7 +25,7 @@ print("== group averages of basis classes (S_3 flag graph) ==")
 for v in g.vertices:
     avg = average_class(v, g)
     shown = {g.vertex_str(u): to_string(p) for u, p in sorted(
-        avg.expansion.items(), key=lambda kv: g.vertex_str(kv[0])
+        avg.items(), key=lambda kv: g.vertex_str(kv[0])
     )}
     print(f"average of class {g.vertex_str(v)}: {shown}")
 

@@ -61,7 +61,6 @@ from .gkm import (
     restrict,
 )
 from .repaction import (
-    AveragedClass,
     DecompositionReport,
     act,
     act_on_schubert_basis,

@@ -93,7 +93,9 @@ def _load_json_file(path: str) -> dict:
 def _load_class(path: str):
     try:
         return class_from_json(_load_json_file(path))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:  # vertex_by_str's line, which str() would quote again
+        raise CliError(f"bad class file: {exc.args[0]}") from exc
+    except ValueError as exc:
         raise CliError(f"bad class file: {exc}") from exc
 
 

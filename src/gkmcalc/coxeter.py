@@ -189,12 +189,10 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 mapping[a - 1] = b
         return Permutation(tuple(mapping))
-    if "," in s:
-        values = tuple(int(x) for x in s.split(","))
-    elif s.isdigit():
-        values = tuple(int(ch) for ch in s)
-    else:
-        raise ValueError(f"cannot parse permutation {text!r}")
+    try:  # one-line text without commas has one digit per letter
+        values = tuple(int(x) for x in (s.split(",") if "," in s else s))
+    except ValueError:
+        raise ValueError(f"cannot parse permutation {text!r}") from None
     if n is not None and len(values) != n:
         raise ValueError(f"expected a permutation of 1..{n}, got {text!r}")
     return Permutation(values)

@@ -36,6 +36,10 @@ Billey's classes:
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
 graphs, where it reports failure rather than assuming a class exists.
+
+Every basis expansion taken in passes one gate, :func:`_normal_expansion`,
+so each one returned has polynomial coefficients in the graph's ring and
+no zero term.
 """
 
 from __future__ import annotations
@@ -554,6 +558,24 @@ def restrict(c: EquivariantClass, g_sub: MomentGraph) -> EquivariantClass:
 # -- the basis and expansions ------------------------------------------------------
 
 
+def _normal_expansion(expansion: Mapping, g: MomentGraph) -> dict:
+    """The nonzero terms of an expansion over g, each key a vertex of g and
+    each coefficient a polynomial of g's ring (an int or Fraction made one)."""
+    out = {}
+    for v, p in expansion.items():
+        if v not in g:
+            raise ValueError(f"vertex {v!r} not in graph")
+        if isinstance(p, (int, Fraction)):
+            p = Polynomial.constant(g.n, p)
+        elif not isinstance(p, Polynomial):
+            raise ValueError(f"coefficient {p!r} is not a polynomial, int or Fraction")
+        elif p.n != g.n:
+            raise ValueError(f"polynomial dimension {p.n} != graph dimension {g.n}")
+        if p:
+            out[v] = p
+    return out
+
+
 class KnutsonTaoBasis:
     """Lazily computed Knutson-Tao classes for every vertex of a graph.
 
@@ -580,12 +602,9 @@ class KnutsonTaoBasis:
     def reconstruct(self, expansion: Mapping) -> EquivariantClass:
         """The class sum of c_v times the class of v."""
         out: dict = {}
-        for v, cv in expansion.items():
-            if cv:
-                if not isinstance(cv, Polynomial):  # an int or Fraction scalar
-                    cv = Polynomial.constant(self.graph.n, cv)
-                for x, px in self.cls(v)._loc.items():
-                    _accumulate(out, x, px, cv)
+        for v, cv in _normal_expansion(expansion, self.graph).items():
+            for x, px in self.cls(v)._loc.items():
+                _accumulate(out, x, px, cv)
         return EquivariantClass(self.graph, out)
 
 
@@ -655,12 +674,18 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def resolve_graph_ref(ref: dict) -> MomentGraph:
     ref = _json_object(ref, "graph_ref")
     if "type" in ref:
         if not all(isinstance(ref.get(k, ""), str) for k in ("type", "w")):
             raise ValueError(f"graph_ref 'type' and 'w' must be strings: {ref!r}")
-        return schubert_graph(ref["type"], ref["w"])
+        return schubert_graph(ref["type"], _field(ref, "w", "graph_ref"))
     if "graph" in ref:
         return load_external_graph(ref["graph"])
     raise ValueError(f"cannot resolve graph reference {ref!r}")
@@ -678,9 +703,10 @@ def class_to_json(c: EquivariantClass) -> dict:
 
 def class_from_json(obj: dict, graph: MomentGraph | None = None) -> EquivariantClass:
     obj = _json_object(obj, "a class")
-    g = graph if graph is not None else resolve_graph_ref(obj["graph_ref"])
+    g = graph or resolve_graph_ref(_field(obj, "graph_ref", "a class"))
     loc = {}
-    for name, text in _json_object(obj["localizations"], "localizations").items():
+    localizations = _field(obj, "localizations", "a class")
+    for name, text in _json_object(localizations, "localizations").items():
         v = g.vertex_by_str(name)
         loc[v] = polynomial_from_json(text, g.n)
     base = obj.get("base")
@@ -690,20 +716,17 @@ def class_from_json(obj: dict, graph: MomentGraph | None = None) -> EquivariantC
 
 
 def expansion_to_json(expansion: Mapping, g: MomentGraph) -> dict:
-    terms = {}
-    for v, p in expansion.items():
-        if isinstance(p, (int, Fraction)):
-            p = Polynomial.constant(g.n, p)
-        if p:
-            terms[g.vertex_str(v)] = p
+    terms = _normal_expansion(expansion, g)
     texts = to_strings(terms.values(), g.var_prefix)
-    return {"graph_ref": graph_ref(g), "coefficients": dict(zip(terms, texts))}
+    names = map(g.vertex_str, terms)
+    return {"graph_ref": graph_ref(g), "coefficients": dict(zip(names, texts))}
 
 
 def expansion_from_json(obj: dict, graph: MomentGraph | None = None) -> dict:
     obj = _json_object(obj, "an expansion")
-    g = graph if graph is not None else resolve_graph_ref(obj["graph_ref"])
+    g = graph or resolve_graph_ref(_field(obj, "graph_ref", "an expansion"))
+    coefficients = _field(obj, "coefficients", "an expansion")
     return {
         g.vertex_by_str(name): polynomial_from_json(text, g.n)
-        for name, text in _json_object(obj["coefficients"], "coefficients").items()
+        for name, text in _json_object(coefficients, "coefficients").items()
     }

@@ -37,8 +37,9 @@ Billey's formula its rows.  Mod t, s_i moves only the constant term of
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  An expansion is
-checked once, where it enters (the graph must come from a root system and
-hold its vertices), not at every step.
+checked once, where it enters, not at every step: the graph must come from
+a root system, and gkm's gate gives every expansion returned here, a dict,
+polynomial coefficients in the graph's ring and no zero term.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .gkm import (
     EquivariantClass,
     KnutsonTaoBasis,
     _accumulate,
+    _normal_expansion,
     apply_group_element,
     expand_in_basis,
 )
@@ -63,7 +65,6 @@ __all__ = [
     "left_divided_difference",
     "right_divided_difference",
     "divided_difference_expansion",
-    "AveragedClass",
     "average_class",
     "symmetrize",
     "DecompositionReport",
@@ -87,31 +88,20 @@ def act(
 
 
 def act_on_schubert_basis(i: int, v, g: MomentGraph) -> dict:
-    """Expansion of s_i applied to the Knutson-Tao class of v.
-
-    The class is fixed when s_i v is longer; when s_i v is shorter the
-    class of s_i v enters with coefficient -alpha_i.
-    """
-    expansion = _as_polynomials({v: 1}, g)
-    g.rs._simple_index(i)  # ValueError outside 1..rank
-    return _act_simple_on_expansion(i, expansion, g)
+    """s_i applied to the Knutson-Tao class of v, as a basis expansion: the
+    class is fixed when s_i v is longer, and otherwise the class of s_i v
+    enters with coefficient -alpha_i."""
+    expansion = _as_polynomials({v: 1}, g)  # refuses g and v before i
+    return act_word(g.rs.simple_reflection(i), expansion, g)
 
 
 def _as_polynomials(expansion: Mapping, g: MomentGraph) -> dict:
-    """The nonzero terms of an expansion over g, scalars made polynomials.
-
-    Every entry point of the action passes its expansion through here, so
-    the simple-reflection steps after it need no checks of their own.
-    """
+    """gkm's normal form of an expansion over a root-system graph g.  Every
+    entry point of the action passes its expansion through here, so the
+    simple-reflection steps after it need no checks of their own."""
     if g.rs is None:
         raise ValueError("need a root-system graph")
-    out = {}
-    for v, p in expansion.items():
-        if v not in g:
-            raise ValueError(f"vertex {v!r} not in graph")
-        if p:
-            out[v] = Polynomial.constant(g.n, p) if isinstance(p, (int, Fraction)) else p
-    return out
+    return _normal_expansion(expansion, g)
 
 
 def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
@@ -225,35 +215,28 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
 
     s_i . E is the simple-reflection step of the action, so the quotient
     at v is the coadjoint divided difference of c_v plus, when s_i v is
-    longer, the twisted coefficient of s_i v moved down to v.  Both are
-    computed as such, with no product by alpha_i and no division of one.
+    longer, the twisted coefficient of s_i v moved down to v.  One twist
+    of c_v serves both, with no product by alpha_i and no division of one.
     Matches left_divided_difference after expansion.
     """
     expansion = _as_polynomials(expansion, g)
     rs = g.rs
     k = rs._simple_index(i)
-    sub = rs.simple_twists[k][0]
+    sub, minus_alpha = rs.simple_twists[k]
     row, length, index, elements = rs.lmul[k], rs.lengths, rs.index, rs.elements()
     out: dict = {}
     for v, p in expansion.items():
-        _accumulate(out, v, rs.divided_difference(p, i))
-    for v, p in expansion.items():
+        tw = p.substitute(sub)
+        if tw != p:  # over -alpha_i, tw - p gives (p - s_i . p) / alpha_i
+            _accumulate(out, v, exact_divide(tw - p, minus_alpha))
         j = index[v]
         if length[row[j]] < length[j]:
-            _accumulate(out, elements[row[j]], p.substitute(sub))
+            _accumulate(out, elements[row[j]], tw)
     return out
 
 
-class AveragedClass:
-    """Group average of a Knutson-Tao class, as a basis expansion."""
-
-    def __init__(self, base, expansion: dict):
-        self.base = base
-        self.expansion = expansion
-
-
-def average_class(v, g: MomentGraph) -> AveragedClass:
-    """Average the class of v over the whole Weyl group (exact rationals).
+def average_class(v, g: MomentGraph) -> dict:
+    """The class of v averaged over the whole Weyl group, as a basis expansion.
 
     The orbit sum comes from :func:`symmetrize`, one simple-reflection step
     per coset representative of the parabolic chain (n(n-1)/2 steps in
@@ -261,7 +244,7 @@ def average_class(v, g: MomentGraph) -> AveragedClass:
     """
     total = symmetrize({v: Polynomial.one(g.n)}, g)
     scale = Fraction(1, len(g.rs.elements()))
-    return AveragedClass(v, {x: p * scale for x, p in total.items()})
+    return {x: p * scale for x, p in total.items()}
 
 
 class DecompositionReport:

@@ -502,7 +502,7 @@ class RankTwoRootSystem(RootSystem):
         s = text.strip()
         if s == "e" or s == "":
             return self.identity()
-        if not s.isdigit():
+        if not s.isdecimal():  # str.isdigit admits '²', which int refuses
             raise ValueError(f"cannot parse {self.label} element {text!r}")
         k = 0
         for ch in s:

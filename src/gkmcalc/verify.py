@@ -670,20 +670,14 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
         for v in rs.elements():
             avg = average_class(v, g)
             for i in range(1, rs.rank + 1):
-                ok &= expansions_equal(
-                    _act_simple_on_expansion(i, avg.expansion, g), avg.expansion
-                )
+                ok &= expansions_equal(_act_simple_on_expansion(i, avg, g), avg)
             # the orbit sum, one group element at a time
             orbit: dict = {}
             for u in rs.elements():
                 for x, p in act_word(u, {v: one}, g).items():
                     orbit[x] = orbit.get(x, 0) + p
-            ok &= expansions_equal(
-                avg.expansion, {x: p * scale for x, p in orbit.items()}
-            )
-        ok &= expansions_equal(
-            average_class(rs.identity(), g).expansion, {rs.identity(): one}
-        )
+            ok &= expansions_equal(avg, {x: p * scale for x, p in orbit.items()})
+        ok &= expansions_equal(average_class(rs.identity(), g), {rs.identity(): one})
     out.append(
         CheckResult(
             "repaction",

@@ -304,6 +304,19 @@ class TestDdiffAndExpand:
         code, _, err = run(capsys, "expand", "--class", str(path))
         assert code == 2
 
+    def test_class_file_refusals_name_what_is_missing(self, capsys, tmp_path):
+        ref = {"type": "A:3", "w": "321"}
+        for cls, line in (
+            ({"graph_ref": ref}, "a class has no 'localizations' field"),
+            ({"graph_ref": {"type": "A:3"}, "localizations": {}}, "graph_ref has no 'w' field"),
+            ({"graph_ref": ref, "localizations": {"999": "0"}}, "no vertex named '999'"),
+        ):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(cls))
+            assert run(capsys, "expand", "--class", str(path)) == (
+                2, "", f"error: bad class file: {line}\n"
+            )
+
 
 class TestDecomposeCommand:
     def test_json_report(self, capsys):
@@ -657,11 +670,15 @@ _CIRCUIT_CLASS = {
 CIRCUIT = (("expand", "--class", "{cls}"), {"cls": _CIRCUIT_CLASS})
 MALFORMED += [CIRCUIT]
 
-# cycle notation the permutation parser refuses, each with its own line
+# text the element parsers refuse, each with its own line
 PERMUTATION_TEXTS = {
     ("class", "--type", "A:3", "--v", "(12"): "bad cycle notation: '(12'",
     ("class", "--type", "A:3", "--v", "(12)(13)"): "cycles must be disjoint: '(12)(13)'",
     ("class", "--type", "A:3", "--v", "(14)"): "bad cycle [1, 4] for n=3",
+    ("class", "--type", "A:3", "--v", "1,2,x"): "cannot parse permutation '1,2,x'",
+    # '²' is a digit to str.isdigit, but int refuses it
+    ("class", "--type", "A:3", "--v", "²¹"): "cannot parse permutation '²¹'",
+    ("class", "--type", "B2", "--v", "²"): "cannot parse B2 element '²'",
 }
 MALFORMED += [(argv, {}) for argv in PERMUTATION_TEXTS]
 

@@ -45,7 +45,7 @@ from gkmcalc.polyring import (
     exact_divide,
     parse_polynomial,
 )
-from gkmcalc.repaction import AveragedClass, DecompositionReport
+from gkmcalc.repaction import DecompositionReport
 from gkmcalc.root_system import root_system, type_a
 from gkmcalc.verify import CheckResult
 
@@ -576,7 +576,6 @@ REPORTS = [
             "chambers_tried", "detail",
         },
     ),
-    (AveragedClass, ("base", "expansion"), 2, None),
     (
         DecompositionReport,
         ("type_label", "w_label"),

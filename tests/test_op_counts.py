@@ -4,13 +4,15 @@ Wall time on a shared machine spreads too widely to show a change in work,
 and an answer stays right when a pruning step is lost.  The counts here
 do not depend on the machine or the hash seed: each test wraps a kernel
 binding (``add_mul`` where gkm and repaction call it,
-``Polynomial.substitute``, repaction's ``exact_divide`` or
-``MomentGraph.in_edges``), runs one computation and pins the number of
+``Polynomial.substitute``, the ``exact_divide`` of repaction or
+root_system, or ``MomentGraph.in_edges``), runs one computation and pins the number of
 calls with ``==``.  A count that moves, either way, is a change in the
 work done and is stated old -> new where the change is described.  The
 solver's own counts (647 divisions and 1680 substitutions on the reloaded
 A:4 flag graph) are pinned in test_solve_differential.py.
 """
+
+import importlib
 
 import pytest
 
@@ -25,10 +27,15 @@ from gkmcalc.polyring import Polynomial
 from gkmcalc.repaction import (
     act,
     decompose,
+    divided_difference_closure,
+    divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
 )
 from gkmcalc.root_system import root_system
+
+# the module, which the package's root_system factory shadows as an attribute
+root_system_module = importlib.import_module("gkmcalc.root_system")
 
 
 @pytest.fixture
@@ -142,3 +149,37 @@ def test_action_on_a_schubert_class(count):
     assert count.calls == {
         "add_mul": 147, "substitute": 3, "exact_divide": 6, "in_edges": 65
     }
+
+
+def count_divided_difference_work(count):
+    """Twists, and divisions where repaction or the root system divides."""
+    count(Polynomial, "substitute", "substitute")
+    count(repaction, "exact_divide", "exact_divide")
+    count(root_system_module, "exact_divide", "exact_divide")
+
+
+def test_divided_difference_closure_on_the_a4_flag_graph(count):
+    """Each expansion reached is one class with coefficient 1: one twist
+    per D_i serves both its terms, and a constant needs no division."""
+    g = build_flag_moment_graph(root_system("A:4"))
+    count_divided_difference_work(count)
+    assert len(divided_difference_closure(g)) == 25
+    assert count.calls == {"substitute": 72}  # and no exact_divide
+
+
+def test_divided_difference_expansion(count):
+    """One twist per coefficient, and one division per coefficient that
+    s_i moves."""
+    rs = root_system("A:4")
+    g = build_flag_moment_graph(rs)
+    t1, t2, t3, t4 = (Polynomial.variable(4, k) for k in range(1, 5))
+    expansion = {
+        rs.parse_element("3142"): t3 - t4,
+        rs.parse_element("2143"): t1 * t2 + 1,
+        rs.parse_element("1324"): t1,
+        rs.identity(): 2,
+    }
+    count_divided_difference_work(count)
+    for i in (1, 2, 3):
+        divided_difference_expansion(i, expansion, g)
+    assert count.calls == {"substitute": 12, "exact_divide": 4}

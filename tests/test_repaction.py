@@ -14,6 +14,7 @@ from gkmcalc.gkm import (
     apply_group_element,
     check_gkm,
     expand_in_basis,
+    expansion_to_json,
     expansions_equal,
     flag_basis,
     knutson_tao_class_descent,
@@ -315,7 +316,7 @@ class TestAveraging:
     def test_identity_average_is_identity_class(self, flag3):
         rs = flag3.rs
         avg = average_class(rs.identity(), flag3)
-        assert expansions_equal(avg.expansion, {rs.identity(): Polynomial.one(3)})
+        assert expansions_equal(avg, {rs.identity(): Polynomial.one(3)})
 
     def test_first_transposition_average_value(self, flag3):
         # orbit sum over all six group elements, divided by six, computed by
@@ -324,9 +325,7 @@ class TestAveraging:
         v = rs.parse_element("213")
         avg = average_class(v, flag3)
         q = parse_polynomial("-2/3*t1 + 1/3*t2 + 1/3*t3", 3)
-        assert expansions_equal(
-            avg.expansion, {v: Polynomial.one(3), rs.identity(): q}
-        )
+        assert expansions_equal(avg, {v: Polynomial.one(3), rs.identity(): q})
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_invariance_under_generators(self, n):
@@ -337,9 +336,7 @@ class TestAveraging:
         for v in rs.elements():
             avg = average_class(v, g)
             for i in range(1, n):
-                assert expansions_equal(
-                    _act_simple_on_expansion(i, avg.expansion, g), avg.expansion
-                )
+                assert expansions_equal(_act_simple_on_expansion(i, avg, g), avg)
 
 
 class TestDecompose:
@@ -464,9 +461,31 @@ class TestEntryChecks:
             lambda: average_class(w0, xg),
             lambda: act_on_schubert_basis(1, w0, xg),
             lambda: divided_difference_expansion(1, outside, xg),
+            lambda: expansion_to_json(outside, xg),
+            lambda: KnutsonTaoBasis(xg).reconstruct(outside),
         ):
-            with pytest.raises(ValueError, match="not in graph"):
+            with pytest.raises(ValueError) as exc:
                 call()
+            assert str(exc.value) == "vertex Permutation(one_line=(3, 2, 1)) not in graph"
+
+    def test_coefficient_outside_the_ring_is_refused(self, flag3):
+        # gkm's one gate for basis expansions, behind every entry point
+        v = flag3.vertex_by_str("213")
+        for coefficient, line in (
+            (Polynomial.variable(2, 1), "polynomial dimension 2 != graph dimension 3"),
+            (0.5, "coefficient 0.5 is not a polynomial, int or Fraction"),
+        ):
+            expansion = {v: coefficient}
+            for call in (
+                lambda: expansion_to_json(expansion, flag3),
+                lambda: KnutsonTaoBasis(flag3).reconstruct(expansion),
+                lambda: act_word(flag3.rs.simple_reflection(1), expansion, flag3),
+                lambda: symmetrize(expansion, flag3),
+                lambda: divided_difference_expansion(1, expansion, flag3),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == line
 
     def test_foreign_vertex_is_refused_without_steps(self):
         # A:1 has no simple reflection, so no step would notice the vertex

@@ -49,7 +49,7 @@ def test_average_class_every_schubert_variety(label):
     for w in rs.elements():
         xg = build_schubert_moment_graph(rs, w)
         for v in xg.vertices:
-            assert average_class(v, xg).expansion == want[v], (label, w, v)
+            assert average_class(v, xg) == want[v], (label, w, v)
 
 
 @pytest.mark.parametrize("w", A5_POOL)
@@ -57,7 +57,7 @@ def test_average_class_a5_decompose_pool(w):
     rs = root_system("A:5")
     xg = build_schubert_moment_graph(rs, rs.parse_element(w))
     for v in xg.vertices:
-        assert average_class(v, xg).expansion == orbit_average(v, xg), (w, v)
+        assert average_class(v, xg) == orbit_average(v, xg), (w, v)
 
 
 @st.composite
