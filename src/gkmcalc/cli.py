@@ -84,7 +84,7 @@ def _load_json_file(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"bad JSON in {path}: {exc}") from exc
     except RecursionError:
         raise CliError(f"bad JSON in {path}: nested too deeply") from None
@@ -105,7 +105,7 @@ def _graph_for(args) -> "MomentGraph":
     if not args.type:  # graph alone has --load
         raise CliError("need --type (or --load)" if "load" in args else "need --type")
     rs = root_system(args.type)
-    w = rs.parse_element(args.w) if args.w else rs.longest_element()
+    w = rs.parse_element(args.w) if args.w is not None else rs.longest_element()
     return build_schubert_moment_graph(rs, w)
 
 

@@ -16,22 +16,25 @@ class of v is constant on each coset w W_J of the right ascents J of v
 the recursion builds only the column of each coset's minimal
 representative and the columns on its tree path from e, and the coset's
 vertices share that one value.  The GKM check passes an edge whose ends
-hold one object without testing it.  Two independent routes stay as
-checks, which the verify suites and tests call by name and compare with
-Billey's classes:
+hold one object without testing it, and restricts each value object once
+per label.  Two independent routes stay as checks, which the verify
+suites and tests call by name and compare with Billey's classes:
 
 * the descent route, which starts from the point class at the top of the
   full flag graph and applies left divided differences along a reduced
   word, and
 * the solve route, which walks the vertices upward and determines each
-  localization of degree d from the divisibility constraints: d + 1
-  out-edge labels fix it by a remainder-theorem recursion, and the rest
-  are checked by one substitution each; it reduces modulo a label by
-  substituting the hyperplane the graph compiles once per distinct label,
-  and divides by one label restricted to another's hyperplane, which the
-  graph keeps once per label pair.  The vertices it pins (the base and
-  those with no path down to it) need no check: their edges satisfy the
-  divisibility condition on every acyclic graph.
+  localization of degree d from the divisibility constraints: a head's
+  value that meets every constraint is the unique solution and is kept
+  as the same object; otherwise d + 1 out-edge labels fix it by a
+  remainder-theorem recursion, and the rest are checked by one
+  substitution each.  It restricts each value object once per label per
+  call, reduces modulo a label by substituting the hyperplane the graph
+  compiles once per distinct label, and divides by one label restricted
+  to another's hyperplane, which the graph keeps once per label pair.
+  The vertices it pins (the base and those with no path down to it) need
+  no check: their edges satisfy the divisibility condition on every
+  acyclic graph.
 
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
@@ -214,22 +217,40 @@ class GkmReport:
         return {"ok": self.ok, "violations": [list(v) for v in self.violations]}
 
 
+def _restrictor(g: MomentGraph):
+    """restricted(p, label): p on the hyperplane of an edge label of g.
+
+    Each (value object, label) pair is substituted once for as long as the
+    returned function lives; callers keep one per call, never on the graph.
+    The memo holds p, so its id cannot pass to a later temporary.
+    """
+    memo: dict = {}  # (id(p), label) -> (p, p restricted)
+
+    def restricted(p: Polynomial, label: Polynomial) -> Polynomial:
+        key = (id(p), label)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (p, p.substitute(g.label_hyperplane(label)))
+        return got[1]
+
+    return restricted
+
+
 def check_gkm(c: EquivariantClass) -> GkmReport:
-    """Divisibility of localization differences across every edge: each
-    difference vanishes on the hyperplane of its label.  An edge whose ends
-    hold the same object (both zero, or one shared value) passes untested,
+    """Divisibility of localization differences across every edge: both
+    ends agree on the hyperplane of its label.  Each value is restricted
+    once per label, however many edges share it.  An edge whose ends hold
+    the same object (both zero, or one shared value) passes untested,
     since 0 is divisible by anything.  The report is ok when no edge is
     listed."""
     bad = []
     g = c.graph
     loc = c._loc
     zero = Polynomial.zero(g.n)
+    restricted = _restrictor(g)
     for e in g.edges:
         a, b = loc.get(e.tail, zero), loc.get(e.head, zero)
-        if a is b:
-            continue
-        diff = a - b
-        if diff and diff.substitute(g.label_hyperplane(e.label)):
+        if a is not b and restricted(a, e.label) != restricted(b, e.label):
             bad.append(
                 (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
             )
@@ -441,6 +462,19 @@ def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
     return EquivariantClass(g, cls._loc, base=v)
 
 
+def _head_value(out, heads: list, residues: list, restricted):
+    """The first distinct head value, in out-edge order, that meets every
+    out-edge's residue, or None.  An edge whose head holds the value itself
+    passes untested."""
+    for p in {id(h): h for h in heads}.values():
+        if all(
+            h is p or restricted(p, e.label) == t
+            for e, h, t in zip(out, heads, residues)
+        ):
+            return p
+    return None
+
+
 def _solve_vertex(
     g: MomentGraph, u, d: int, labels: list, residues: list
 ) -> Polynomial:
@@ -464,7 +498,9 @@ def _solve_vertex(
     p modulo a against its residue.  Dividing by a at every level instead
     succeeds throughout exactly when p satisfies that check, so both raise
     the same error at the same vertex.  With d + 1 or fewer labels there is
-    nothing to check, and too few labels leave p underdetermined.
+    nothing to check, and too few labels leave p underdetermined.  The
+    solver calls this only at a vertex where no head's value already meets
+    every constraint.
     """
     name = g.vertex_str(u)
     checks = zip(labels[d + 1 :], residues[d + 1 :])
@@ -499,15 +535,34 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
 
     Walking the vertices from minimal to maximal, each localization is the
     unique homogeneous solution of the divisibility constraints along its
-    out-edges: d + 1 labels fix it by the remainder-theorem recursion of
-    _solve_vertex, and the rest are checked against it.  The base is
-    pinned to its out-label product and vertices with no path down to v
-    are pinned to zero.  Every reduction modulo an edge label
-    substitutes the hyperplane the graph keeps for it, compiled once per
-    graph, and each label restricted to another's hyperplane is computed
-    once per graph too.  Raises SolveError when a vertex system is
-    inconsistent (no class exists) or underdetermined (uniqueness fails,
-    e.g. the graph is not Palais-Smale).
+    out-edges.  The base is pinned to its out-label product and vertices
+    with no path down to v are pinned to zero, all of them to one zero
+    object.  At a vertex u with at least d + 1 out-edges the heads' values
+    are tried first, each distinct object once, in out-edge order: the
+    first whose restriction to every out-label's hyperplane equals that
+    edge's residue becomes the localization at u, as the same object.
+    Otherwise d + 1 labels fix it by the remainder-theorem recursion of
+    _solve_vertex, and the rest are checked against it.
+
+    A head's value that passes is the recursion's answer.  Every stored
+    localization is 0, v's out-label product or a solved value, so it is
+    0 or homogeneous of degree d.  Two degree-d solutions differ by a
+    multiple of the product of d + 1 pairwise independent, hence pairwise
+    coprime, linear forms, a product of degree d + 1, so they are equal:
+    the value that passes is the only solution at u.  A
+    solution exists there, so the recursion would not have raised at u:
+    with d + 1 labels its divisions are exact and its checks hold.  Every
+    error is therefore raised at the same first vertex with the same text.
+    With d or fewer out-edges no value is tried and the recursion raises.
+
+    Each call keeps one memo of restrictions (``_restrictor``): every
+    out-edge residue and every trial substitutes a value object into a
+    label's hyperplane once per label, however many vertices share the
+    value.  The memo lives for the call only.  The hyperplanes themselves
+    are compiled once per graph, and each label restricted to another's
+    hyperplane is computed once per graph too.  Raises SolveError when a
+    vertex system is inconsistent (no class exists) or underdetermined
+    (uniqueness fails, e.g. the graph is not Palais-Smale).
     """
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
@@ -515,9 +570,10 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     if not axioms.acyclic or axioms.independence_violations:
         raise SolveError(f"moment-graph axioms violated: {axioms.to_json()}")
 
-    n = g.n
     d = g.out_degree(v)
     above = g.above(v)
+    zero = Polynomial.zero(g.n)
+    restricted = _restrictor(g)
     loc: dict = {}
     # The pinned vertices need no divisibility check once g is acyclic.  A
     # vertex not above v has only heads not above v (a head above v would
@@ -530,16 +586,15 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
             loc[u] = g.out_label_product(v)
             continue
         if u not in above:
-            loc[u] = Polynomial.zero(n)
+            loc[u] = zero
             continue
         out = g.out_edges(u)  # not empty: u has a path down to v
-        loc[u] = _solve_vertex(
-            g,
-            u,
-            d,
-            [e.label for e in out],
-            [loc[e.head].substitute(g.label_hyperplane(e.label)) for e in out],
-        )
+        heads = [loc[e.head] for e in out]
+        residues = [restricted(h, e.label) for e, h in zip(out, heads)]
+        p = _head_value(out, heads, residues, restricted) if len(out) > d else None
+        if p is None:
+            p = _solve_vertex(g, u, d, [e.label for e in out], residues)
+        loc[u] = p
     return EquivariantClass(g, loc, base=v)
 
 

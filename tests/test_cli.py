@@ -334,6 +334,16 @@ class TestDecomposeCommand:
         assert code == 0
         assert "poincare coefficients: [1, 2, 1]" in out
 
+    def test_empty_w_is_parsed_not_unset(self, capsys):
+        # B2 reads "" as the identity, as a class file's graph_ref does
+        code, out, _ = run(capsys, "decompose", "--type", "B2", "--w", "")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["w"] == "e" and obj["poincare"] == [1]
+        assert run(capsys, "decompose", "--type", "A:3", "--w", "") == (
+            2, "", "error: empty permutation text\n"
+        )
+
 
 class TestVerifyCommand:
     def test_single_suite_ledger(self, capsys):
@@ -682,6 +692,10 @@ PERMUTATION_TEXTS = {
 }
 MALFORMED += [(argv, {}) for argv in PERMUTATION_TEXTS]
 
+# a file that is not UTF-8 is bad JSON, and its line names the file
+NOT_UTF8 = (("graph", "--load", "{bad}"), {"bad": b"\xff\xfe{"})
+MALFORMED += [NOT_UTF8]
+
 
 @pytest.mark.parametrize(
     "argv,files",
@@ -693,7 +707,10 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
     paths = {}
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(obj if isinstance(obj, _Raw) else json.dumps(obj))
+        if isinstance(obj, bytes):
+            paths[name].write_bytes(obj)
+        else:
+            paths[name].write_text(obj if isinstance(obj, _Raw) else json.dumps(obj))
     proc = subprocess.run(
         [sys.executable, "-m", "gkmcalc.cli", *(a.format(**paths) for a in argv)],
         capture_output=True,
@@ -717,6 +734,11 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert proc.stderr == f"error: {PERMUTATION_TEXTS[argv]}\n"
     if (argv, files) == CIRCUIT:
         assert proc.stderr == "error: graph has a directed circuit\n"
+    if (argv, files) == NOT_UTF8:
+        assert proc.stderr == (
+            f"error: bad JSON in {paths['bad']}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
 
 
 def _modules_after(statement):

@@ -235,14 +235,17 @@ def test_solver_compiles_each_label_once_per_graph(monkeypatch):
     # the graph keeps each label's hyperplane: every class reuses it
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == {e.label for e in g.edges}
-    # only the first d + 1 out-labels of a vertex enter the recursion, so a
-    # vertex with k of them makes m(m - 1)/2 divisions, m = min(k, d + 1)
-    assert divided[0] == 647
+    # the recursion runs only where no head's value meets every constraint,
+    # at 34 of the 189 vertices the classes do not pin; only the first d + 1
+    # out-labels of a vertex enter it, so a vertex with k of them makes
+    # m(m - 1)/2 divisions, m = min(k, d + 1)
+    assert divided[0] == 144
     # each label pair is restricted once per graph (22 pairs of the 6
-    # labels), and otherwise only localizations are reduced: 778 out-edge
-    # residues, 647 first residues t_1 (one per division) and 233 checks
-    # of p against a label past the first d + 1
-    assert substituted[0] == 1680
+    # labels), and each value object once per label and class: 473 for the
+    # out-edge residues and the head-value trials, 144 first residues t_1
+    # (one per division) and 14 checks of p against a label past the
+    # first d + 1
+    assert substituted[0] == 653
 
 
 def test_label_pair_table_fills_once_per_graph():
@@ -301,6 +304,37 @@ def test_a5_flag_graph_reloaded_matches_billey():
         u = g.vertex_by_str(flag.vertex_str(v))
         got = class_to_json(knutson_tao_class_solve(g, u))
         assert got["localizations"] == want["localizations"], flag.vertex_str(v)
+
+
+def test_a_head_value_that_fails_one_edge_leaves_the_vertex_to_the_recursion(
+    monkeypatch,
+):
+    # the B2 class of 12 has degree 2; at 212 the value at the head 12 meets
+    # the edge to 21 as well as its own, but not the edge to e
+    g = reloaded(build_flag_moment_graph(root_system("B2")))
+    v, u = g.vertex_by_str("12"), g.vertex_by_str("212")
+    solved = []
+    solve_vertex = gkm._solve_vertex
+
+    def recording(graph, w, *args):
+        solved.append(graph.vertex_str(w))
+        return solve_vertex(graph, w, *args)
+
+    monkeypatch.setattr(gkm, "_solve_vertex", recording)
+    c = knutson_tao_class_solve(g, v)
+    out = g.out_edges(u)
+    p = c[out[0].head]
+    assert [g.vertex_str(e.head) for e in out] == ["12", "21", "e"]
+    assert p != c[out[1].head]
+    meets = [
+        p.substitute(g.label_hyperplane(e.label))
+        == c[e.head].substitute(g.label_hyperplane(e.label))
+        for e in out
+    ]
+    assert meets == [True, True, False]
+    assert "212" in solved
+    assert all(c[u] != c[e.head] for e in out)
+    assert outcome(knutson_tao_class_solve, g, v) == outcome(dense_solve, g, v)
 
 
 # d = 0 at z: the first label at u (t2, head y) fixes p = 0, and the check of
