@@ -15,26 +15,28 @@ class of v is constant on each coset w W_J of the right ascents J of v
 (Kostant-Kumar, Adv. Math. 62, 1986; Billey, Duke Math. J. 96, 1999), so
 the recursion builds only the column of each coset's minimal
 representative and the columns on its tree path from e, and the coset's
-vertices share that one value.  The GKM check passes an edge whose ends
-hold one object without testing it, and restricts each value object once
-per label.  Two independent routes stay as checks, which the verify
-suites and tests call by name and compare with Billey's classes:
+vertices share that one value.
+
+One helper, :func:`_agree`, decides the GKM condition on an edge: the
+values at its ends are one object, or agree on the hyperplane of its
+label.  The graph keeps each label's hyperplane (``label_hyperplane``)
+and each label restricted to another's (``label_restriction``); values
+are restricted through a memo kept for one call (``_restrictor``), so
+each value object is restricted once per label.  Two independent routes
+stay as checks, which the verify suites and tests call by name and
+compare with Billey's classes:
 
 * the descent route, which starts from the point class at the top of the
   full flag graph and applies left divided differences along a reduced
   word, and
 * the solve route, which walks the vertices upward and determines each
   localization of degree d from the divisibility constraints: a head's
-  value that meets every constraint is the unique solution and is kept
-  as the same object; otherwise d + 1 out-edge labels fix it by a
-  remainder-theorem recursion, and the rest are checked by one
-  substitution each.  It restricts each value object once per label per
-  call, reduces modulo a label by substituting the hyperplane the graph
-  compiles once per distinct label, and divides by one label restricted
-  to another's hyperplane, which the graph keeps once per label pair.
-  The vertices it pins (the base and those with no path down to it) need
-  no check: their edges satisfy the divisibility condition on every
-  acyclic graph.
+  value that meets the condition on every out-edge is the unique
+  solution and is kept as the same object; otherwise d + 1 out-edge
+  labels fix it by a remainder-theorem recursion, and the other out-edges
+  are checked by ``_agree``.  The vertices it pins (the base and those
+  with no path down to it) need no check: their edges satisfy the
+  divisibility condition on every acyclic graph.
 
 The graph alone picks the construction: :class:`KnutsonTaoBasis` uses
 Billey's formula on flag and Schubert graphs and the solver on external
@@ -97,8 +99,6 @@ def _accumulate(
 ) -> None:
     """Add p, or p * factor when a factor is given, to out[v], dropping the
     entry when the sum vanishes."""
-    if not p:
-        return
     cur = out.get(v)
     if factor is not None:
         cur = add_mul(Polynomial.zero(p.n) if cur is None else cur, p, factor)
@@ -222,27 +222,34 @@ def _restrictor(g: MomentGraph):
 
     Each (value object, label) pair is substituted once for as long as the
     returned function lives; callers keep one per call, never on the graph.
-    The memo holds p, so its id cannot pass to a later temporary.
+    The memo holds p, so its id cannot pass to a later temporary.  With
+    keep=False it stores nothing: for a p that cannot come up again.
     """
     memo: dict = {}  # (id(p), label) -> (p, p restricted)
 
-    def restricted(p: Polynomial, label: Polynomial) -> Polynomial:
+    def restricted(p: Polynomial, label: Polynomial, keep: bool = True) -> Polynomial:
         key = (id(p), label)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = (p, p.substitute(g.label_hyperplane(label)))
+            got = (p, p.substitute(g.label_hyperplane(label)))
+            if keep:
+                memo[key] = got
         return got[1]
 
     return restricted
 
 
+def _agree(a: Polynomial, b: Polynomial, label: Polynomial, restricted) -> bool:
+    """The GKM condition on an edge: its label divides a - b, the values at
+    its ends, exactly when they agree on the label's hyperplane; ends that
+    hold one object (both zero, or one shared value) pass untested."""
+    return a is b or restricted(a, label) == restricted(b, label)
+
+
 def check_gkm(c: EquivariantClass) -> GkmReport:
-    """Divisibility of localization differences across every edge: both
-    ends agree on the hyperplane of its label.  Each value is restricted
-    once per label, however many edges share it.  An edge whose ends hold
-    the same object (both zero, or one shared value) passes untested,
-    since 0 is divisible by anything.  The report is ok when no edge is
-    listed."""
+    """The edges where the GKM condition (:func:`_agree`) fails, listed in
+    edge order; each value is restricted once per label, however many edges
+    share it.  The report is ok when no edge is listed."""
     bad = []
     g = c.graph
     loc = c._loc
@@ -250,7 +257,7 @@ def check_gkm(c: EquivariantClass) -> GkmReport:
     restricted = _restrictor(g)
     for e in g.edges:
         a, b = loc.get(e.tail, zero), loc.get(e.head, zero)
-        if a is not b and restricted(a, e.label) != restricted(b, e.label):
+        if not _agree(a, b, e.label, restricted):
             bad.append(
                 (g.vertex_str(e.tail), g.vertex_str(e.head), g.label_str(e.label))
             )
@@ -462,31 +469,21 @@ def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
     return EquivariantClass(g, cls._loc, base=v)
 
 
-def _head_value(out, heads: list, residues: list, restricted):
-    """The first distinct head value, in out-edge order, that meets every
-    out-edge's residue, or None.  An edge whose head holds the value itself
-    passes untested."""
-    for p in {id(h): h for h in heads}.values():
-        if all(
-            h is p or restricted(p, e.label) == t
-            for e, h, t in zip(out, heads, residues)
-        ):
-            return p
-    return None
-
-
 def _solve_vertex(
-    g: MomentGraph, u, d: int, labels: list, residues: list
+    g: MomentGraph, u, d: int, out: tuple, heads: list, restricted
 ) -> Polynomial:
-    """The degree-d p at vertex u with p = residues[j] modulo labels[j].
+    """The degree-d p at vertex u that meets the GKM condition on every
+    out-edge of u, each edge's head holding the value in heads.
 
     d + 1 labels fix p; the rest are checked.  Remainder-theorem recursion
-    over the first d + 1 pairwise independent edge labels of g:
+    over the first d + 1 pairwise independent edge labels of g: with t_j
+    the residue of edge j (its head's value modulo a_j),
     p = t_1 + a_1 * q, where q has degree d - 1 and must satisfy
-    q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each residues[j] is
-    already reduced modulo labels[j], and so is every quotient, so only
-    t_1 and a_1 need reducing.  The hyperplane of a_j and a_1 reduced on
-    it depend on the label pair alone, so g keeps them
+    q = (t_j - t_1) / a_1 modulo a_j for j >= 2.  Each t_j is already
+    reduced modulo a_j, and so is every quotient, so only t_1 and a_1 need
+    reducing.  Every value, residue and t_1 is restricted through the
+    call's memo, which keeps no quotient t_1.  a_1 restricted to the
+    hyperplane of a_j depends on the label pair alone, so g keeps it
     (``label_restriction``) for every class and level that pairs them.  A
     q exists exactly when the quotient is exact; q is unique once the
     degree drops below zero.
@@ -494,17 +491,17 @@ def _solve_vertex(
     That p is the only one: the difference of two degree-d solutions of
     the first d + 1 constraints is divisible by d + 1 pairwise independent,
     hence pairwise coprime, linear forms, so it has degree at least d + 1
-    or is 0.  Each further label a is then checked by one substitution,
-    p modulo a against its residue.  Dividing by a at every level instead
-    succeeds throughout exactly when p satisfies that check, so both raise
-    the same error at the same vertex.  With d + 1 or fewer labels there is
-    nothing to check, and too few labels leave p underdetermined.  The
-    solver calls this only at a vertex where no head's value already meets
-    every constraint.
+    or is 0.  Each further out-edge is then checked by :func:`_agree`.
+    Dividing by its label at every level instead succeeds throughout
+    exactly when p passes that check, so both raise the same error at the
+    same vertex.  With d + 1 or fewer labels there is nothing to check, and
+    too few labels leave p underdetermined.  The solver calls this only at
+    a vertex where no head's value already meets every constraint.
     """
     name = g.vertex_str(u)
-    checks = zip(labels[d + 1 :], residues[d + 1 :])
-    labels, residues = labels[: d + 1], residues[: d + 1]
+    checks = zip(out[d + 1 :], heads[d + 1 :])
+    labels = [e.label for e in out[: d + 1]]
+    residues = [restricted(h, a) for h, a in zip(heads, labels)]
     levels: list = []
     while d >= 0:
         if not labels:
@@ -512,9 +509,9 @@ def _solve_vertex(
         a1, t1 = labels[0], residues[0]
         nxt = []
         for aj, tj in zip(labels[1:], residues[1:]):
-            plane, a1_on_plane = g.label_restriction(a1, aj)
+            t1_on_aj = restricted(t1, aj, keep=not levels)
             try:
-                nxt.append(exact_divide(tj - t1.substitute(plane), a1_on_plane))
+                nxt.append(exact_divide(tj - t1_on_aj, g.label_restriction(a1, aj)))
             except ExactDivisionError as exc:
                 raise SolveError(
                     f"constraints at vertex {name} are inconsistent"
@@ -524,8 +521,8 @@ def _solve_vertex(
     p = Polynomial.zero(g.n)
     for a, t in reversed(levels):
         p = add_mul(t, a, p)
-    for a, t in checks:
-        if p.substitute(g.label_hyperplane(a)) != t:
+    for e, h in checks:
+        if not _agree(p, h, e.label, restricted):
             raise SolveError(f"constraints at vertex {name} are inconsistent")
     return p
 
@@ -534,35 +531,35 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
     """Knutson-Tao class by upward induction over the reachability order.
 
     Walking the vertices from minimal to maximal, each localization is the
-    unique homogeneous solution of the divisibility constraints along its
-    out-edges.  The base is pinned to its out-label product and vertices
-    with no path down to v are pinned to zero, all of them to one zero
-    object.  At a vertex u with at least d + 1 out-edges the heads' values
-    are tried first, each distinct object once, in out-edge order: the
-    first whose restriction to every out-label's hyperplane equals that
-    edge's residue becomes the localization at u, as the same object.
-    Otherwise d + 1 labels fix it by the remainder-theorem recursion of
-    _solve_vertex, and the rest are checked against it.
+    unique homogeneous value that meets the GKM condition (:func:`_agree`)
+    on every out-edge.  The base is pinned to its out-label product and
+    vertices with no path down to v are pinned to zero, all of them to one
+    zero object.  At a vertex u with at least d + 1 out-edges the heads'
+    values are tried first, each distinct object once, in out-edge order:
+    the first that meets the condition on every out-edge becomes the
+    localization at u, as the same object.  Otherwise d + 1 labels fix it
+    by the remainder-theorem recursion of _solve_vertex, and the rest are
+    checked against it.
 
     A head's value that passes is the recursion's answer.  Every stored
     localization is 0, v's out-label product or a solved value, so it is
     0 or homogeneous of degree d.  Two degree-d solutions differ by a
     multiple of the product of d + 1 pairwise independent, hence pairwise
     coprime, linear forms, a product of degree d + 1, so they are equal:
-    the value that passes is the only solution at u.  A
-    solution exists there, so the recursion would not have raised at u:
-    with d + 1 labels its divisions are exact and its checks hold.  Every
-    error is therefore raised at the same first vertex with the same text.
+    the value that passes is the only solution at u.  A solution exists
+    there, so the recursion would not have raised at u: with d + 1 labels
+    its divisions are exact and its checks hold.  Every error is therefore
+    raised at the same first vertex with the same text.
     With d or fewer out-edges no value is tried and the recursion raises.
 
-    Each call keeps one memo of restrictions (``_restrictor``): every
-    out-edge residue and every trial substitutes a value object into a
-    label's hyperplane once per label, however many vertices share the
-    value.  The memo lives for the call only.  The hyperplanes themselves
-    are compiled once per graph, and each label restricted to another's
-    hyperplane is computed once per graph too.  Raises SolveError when a
-    vertex system is inconsistent (no class exists) or underdetermined
-    (uniqueness fails, e.g. the graph is not Palais-Smale).
+    Labels are restricted on the graph and values through the call's memo
+    (``_restrictor``): every trial, residue and t_1 substitutes a value
+    object into a label's hyperplane once per label, however many vertices
+    share the value, and only when it is read.  The graph compiles each
+    label's hyperplane once and keeps each label restricted to another's
+    hyperplane.  Raises SolveError when a vertex system is inconsistent (no
+    class exists) or underdetermined (uniqueness fails, e.g. the graph is
+    not Palais-Smale).
     """
     if v not in g:
         raise ValueError(f"unknown vertex {v!r}")
@@ -590,10 +587,12 @@ def knutson_tao_class_solve(g: MomentGraph, v) -> EquivariantClass:
             continue
         out = g.out_edges(u)  # not empty: u has a path down to v
         heads = [loc[e.head] for e in out]
-        residues = [restricted(h, e.label) for e, h in zip(out, heads)]
-        p = _head_value(out, heads, residues, restricted) if len(out) > d else None
-        if p is None:
-            p = _solve_vertex(g, u, d, [e.label for e in out], residues)
+        trials = {id(h): h for h in heads}.values() if len(out) > d else ()
+        for p in trials:
+            if all(_agree(p, h, e.label, restricted) for e, h in zip(out, heads)):
+                break
+        else:
+            p = _solve_vertex(g, u, d, out, heads, restricted)
         loc[u] = p
     return EquivariantClass(g, loc, base=v)
 

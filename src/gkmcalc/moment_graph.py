@@ -12,8 +12,9 @@ External graphs (any vertex names and labels) load from JSON, each distinct
 label text parsed once.  A graph keeps, per distinct label, its text, its
 line (a root label's taken from its root row) and (on first use) its
 compiled hyperplane; per ordered pair of distinct labels (a, b), again on
-first use, a restricted to the hyperplane of b, which the external-graph
-solver divides by.
+first use, the polynomial a restricted to the hyperplane of b, which the
+external-graph solver divides by.  The graph restricts labels only; gkm
+restricts values in a memo of its own per call.
 
 Construction refuses what is no moment graph (see :class:`MomentGraph`),
 so nothing downstream checks it again.  :func:`validate_axioms` never
@@ -189,17 +190,16 @@ class MomentGraph:
             plane = self._planes[label] = hyperplane(label)
         return plane
 
-    def label_restriction(
-        self, a: Polynomial, b: Polynomial
-    ) -> tuple[Substitution, Polynomial]:
-        """(hyperplane of edge label b, edge label a restricted to it),
+    def label_restriction(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """Edge label a restricted to the hyperplane of edge label b,
         computed on first use and kept: at most L * (L - 1) pairs for L
-        distinct labels, since the solver never pairs a label with itself."""
+        distinct labels, since the solver never pairs a label with itself.
+        The graph restricts only labels; values are restricted by their
+        caller (gkm's per-call memo)."""
         key = (a, b)
         got = self._restrictions.get(key)
         if got is None:
-            plane = self.label_hyperplane(b)
-            got = self._restrictions[key] = (plane, a.substitute(plane))
+            got = self._restrictions[key] = a.substitute(self.label_hyperplane(b))
         return got
 
     def vertex_by_str(self, s: str):

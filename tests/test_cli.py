@@ -563,7 +563,9 @@ _BIG_LABEL = {
 MALFORMED += [
     (("graph", "--load", "{g}"), {"g": _Raw(_HEX_TEXT.replace('"n": 3', f'"n": {n}'))})
     for n in (10**30, "1e400", 10**18, 3.5, -1, 65)
-] + [(("graph", "--load", "{g}"), {"g": _BIG_LABEL})]
+]
+BIG_LABEL = (("graph", "--load", "{g}"), {"g": _BIG_LABEL})
+MALFORMED += [BIG_LABEL]
 
 # a valid GKM class on the toric hexagon, t1 - t2 on the path (12), (123),
 # (13): the graph has no Knutson-Tao basis to expand it in, since the
@@ -738,6 +740,11 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, argv, files):
         assert proc.stderr == (
             f"error: bad JSON in {paths['bad']}: 'utf-8' codec can't decode "
             "byte 0xff in position 0: invalid start byte\n"
+        )
+    if (argv, files) == BIG_LABEL:
+        assert proc.stderr == (
+            "error: edge labels use variable index 99999999999; "
+            "at most 64 are allowed\n"
         )
 
 

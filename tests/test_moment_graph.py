@@ -316,6 +316,18 @@ class TestExternalLoading:
         with pytest.raises(GraphParseError, match="'n' must be an integer in 0..64"):
             load_external_graph(toric_hexagon_json() | {"metadata": {"n": n}})
 
+    @pytest.mark.parametrize("k", [MAX_EXTERNAL_N, MAX_EXTERNAL_N + 1])
+    def test_inferred_dimension_bound(self, k):
+        # no metadata 'n': the highest variable index a label uses sets it
+        edge = {"tail": "b", "head": "a", "label": f"t{k} - t1"}
+        g = {"vertices": ["a", "b"], "edges": [edge]}
+        if k <= MAX_EXTERNAL_N:
+            assert load_external_graph(g).n == k
+        else:
+            msg = "edge labels use variable index 65; at most 64 are allowed"
+            with pytest.raises(GraphParseError, match=f"^{msg}$"):
+                load_external_graph(g)
+
     @pytest.mark.parametrize("k", [MAX_DEGREE, MAX_DEGREE + 1])
     def test_out_degree_bound(self, k):
         # the class of the centre of a k-edge star has total degree k

