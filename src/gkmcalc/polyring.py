@@ -50,20 +50,20 @@ elimination of f's pivot variable on f = 0, which reduces modulo f:
 >>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
 ['2*t2', '0']
 
-Every sum, product and substitution runs through one multiply-accumulate
+Every product and substitution runs through one multiply-accumulate
 loop, which adds the product of two term maps into a third (S. C.
 Johnson's one-target accumulation): a product accumulates into an empty
-map, a sum is a product by the constant 1 or -1, and an expansion adds
-each term's last factor straight into its result.  ``add_mul(p, a, b)``
-exposes it as p + a * b accumulated into one copy of p's terms, with no
-product built, for the loops that would otherwise build a product only
-to add it (Billey's step, the action's simple-reflection step, the
-decomposition's identity check, the basis expansion and reconstruction,
-the vertex solver).  ``exact_divide`` keeps its own heap loop, since
-division is a different algorithm.  ``to_strings`` forms the text of many
-polynomials of one ring: each distinct polynomial object and each
-distinct monomial is put into text once per call; ``to_string`` is its
-one-polynomial case:
+map and an expansion adds each term's last factor straight into its
+result.  A sum runs through a plain add loop.  ``add_mul(p, a, b)``
+exposes the first as p + a * b accumulated into one copy of p's terms,
+for the loops that would otherwise build a product only to add it
+(Billey's step, the decomposition's identity check, the basis expansion
+and reconstruction, the vertex solver); the action's simple-reflection
+step runs both loops in place.  ``exact_divide`` keeps its own heap
+loop, since division is a different algorithm.  ``to_strings`` forms the
+text of many polynomials of one ring: each distinct polynomial object
+and each distinct monomial is put into text once per call;
+``to_string`` is its one-polynomial case:
 
 >>> str(add_mul(t1, t1 - t2, t2))
 't1*t2 - t2^2 + t1'
@@ -76,6 +76,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -183,6 +184,26 @@ def _add_mul_terms(out: dict, a: dict, b: dict, n: int) -> dict:
                     out[e] = c.numerator
                 else:
                     out[e] = c
+    return out
+
+
+def _add_terms(out: dict, items: Iterable[tuple[int, Coefficient]]) -> dict:
+    """Add the terms items, distinct keys with nonzero stored coefficients,
+    into out, which stays canonical as in _add_mul_terms; a sum needs no
+    degree check.  Returns out."""
+    get = out.get
+    for e, ca in items:
+        c = get(e)
+        if c is None:
+            out[e] = ca
+            continue
+        c += ca
+        if not c:
+            del out[e]
+        elif c.__class__ is Fraction and c.denominator == 1:
+            out[e] = c.numerator
+        else:
+            out[e] = c
     return out
 
 
@@ -307,18 +328,19 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"ring dimension mismatch: {self.n} vs {other.n}")
 
-    def _combine(self, other, sign: int):
-        # self + sign * other, for sign 1 or -1: other times a constant
+    def _combine(self, other, negate: bool):
+        # self + other, or self - other when negate
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out = _add_mul_terms(dict(self._terms), other._terms, {0: sign}, self.n)
-        return Polynomial._make(self.n, out)
+        b = other._terms
+        terms = zip(b, map(neg, b.values())) if negate else b.items()
+        return Polynomial._make(self.n, _add_terms(dict(self._terms), terms))
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -326,7 +348,7 @@ class Polynomial:
         return Polynomial._make(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -390,18 +412,17 @@ class Polynomial:
         """
         if assignment.__class__ is not Substitution:
             assignment = Substitution(self.n, assignment)
-        return Polynomial._make(self.n, assignment._apply(self))
+        elif assignment.n != self.n:
+            raise ValueError(f"ring dimension mismatch: {self.n} vs {assignment.n}")
+        return Polynomial._make(self.n, assignment._apply(self._terms))
 
 
 def add_mul(p: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
     """p + a * b, accumulated into one copy of p's terms in one pass.
 
-    The product is never built: the ring's one multiply-accumulate loop,
-    which also forms every product and sum, adds each term product into
-    the copy.  The degree of a * b is checked up front, as a product
-    checks it.  Billey's step, the action's simple-reflection step, the
-    decomposition's identity check, the basis expansion and reconstruction
-    and the vertex solver's remainder-theorem step are all of this form.
+    The product is never built: the ring's one multiply-accumulate loop
+    adds each term product into the copy, after the degree check a
+    product makes.
     """
     p._check_dim(a)
     p._check_dim(b)
@@ -464,11 +485,9 @@ class Substitution:
                 for p, t in moved
             ]
 
-    def _apply(self, p: Polynomial) -> dict:
-        """The term map of p with the assignment substituted, canonical."""
-        if p.n != self.n:
-            raise ValueError(f"ring dimension mismatch: {p.n} vs {self.n}")
-        terms = p._terms
+    def _apply(self, terms: dict) -> dict:
+        """A canonical term map in n variables with the assignment
+        substituted: a new map, or terms itself for the identity."""
         if self._swap is not None:
             # the xor of the two fields, at the lower one, then spread to both
             d, low, spread = self._swap

@@ -36,10 +36,14 @@ Billey's formula its rows.  Mod t, s_i moves only the constant term of
 
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
-substitution of s_i with -alpha_i from ``simple_twists``.  An expansion is
-checked once, where it enters, not at every step: the graph must come from
-a root system, and gkm's gate gives every expansion returned here, a dict,
-polynomial coefficients in the graph's ring and no zero term.
+substitution of s_i with -alpha_i from ``simple_twists``.  It runs on
+element ids and term maps: every twist, -alpha_i product and level image
+of :func:`symmetrize` is added in place into maps the step or the running
+sum owns, and a coefficient becomes a polynomial once, when the expansion
+leaves.  An expansion is checked once, where it enters, not at every
+step: the graph must come from a root system, and gkm's gate gives every
+expansion returned here, a dict, polynomial coefficients in the graph's
+ring and no zero term.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .gkm import (
 )
 from .moment_graph import MomentGraph
 from .polyring import ExactDivisionError, Polynomial, add_mul, exact_divide
+from .polyring import _add_mul_terms, _add_terms
 
 __all__ = [
     "act",
@@ -104,26 +109,44 @@ def _as_polynomials(expansion: Mapping, g: MomentGraph) -> dict:
     return _normal_expansion(expansion, g)
 
 
-def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
-    """s_i applied to a basis expansion: each coefficient is twisted by s_i,
-    and the class of v also sends -alpha_i times it to s_i v when s_i v is
-    shorter.
+def _by_id(expansion: Mapping, g: MomentGraph) -> dict:
+    """The term maps of an expansion's checked coefficients, by element id."""
+    expansion = _as_polynomials(expansion, g)
+    return {g.rs.index[v]: p._terms for v, p in expansion.items()}
 
-    The expansion comes from _as_polynomials and i lies in 1..rank.  The
-    twist and -alpha_i are the root system's simple_twists entry, and s_i v
-    and its length are lookups in its lmul and lengths tables.
-    """
-    rs = g.rs
+
+def _by_element(terms: dict, g: MomentGraph) -> dict:
+    """The expansion of nonempty term maps by element id, as polynomials."""
+    elements, n = g.rs.elements(), g.n
+    return {elements[k]: Polynomial._make(n, c) for k, c in terms.items()}
+
+
+def _step(i: int, terms: dict, rs) -> dict:
+    """s_i on term maps by element id: each map is twisted by s_i, and the
+    class of k also sends -alpha_i times its twist to s_i k < k.  A simple
+    twist is never the identity, so the result's maps are all new and
+    terms is only read.  Each twist and product is added in place into
+    out's map for its key, or becomes it; a key whose sum cancels leaves
+    out, as in gkm._accumulate, so the keys keep that order."""
     sub, minus_alpha = rs.simple_twists[i - 1]
-    row, length, index, elements = rs.lmul[i - 1], rs.lengths, rs.index, rs.elements()
+    twist, factor, n = sub._apply, minus_alpha._terms, minus_alpha.n
+    row, length = rs.lmul[i - 1], rs.lengths
     out: dict = {}
-    for v, cv in expansion.items():
-        tw = cv.substitute(sub)
-        _accumulate(out, v, tw)
-        k = index[v]
-        if length[row[k]] < length[k]:
-            _accumulate(out, elements[row[k]], tw, minus_alpha)
+    for k, c in terms.items():
+        tw = twist(c)
+        cur = out.setdefault(k, tw)
+        if cur is not tw and not _add_terms(cur, tw.items()):
+            del out[k]
+        j = row[k]
+        if length[j] < length[k]:
+            if not _add_mul_terms(out.setdefault(j, {}), tw, factor, n):
+                del out[j]
     return out
+
+
+def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
+    """s_i applied to a basis expansion, i in 1..rank."""
+    return _by_element(_step(i, _by_id(expansion, g), g.rs), g)
 
 
 def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
@@ -133,10 +156,10 @@ def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     right-to-left, twisting coefficients as it goes; the result does not
     depend on the chosen word.
     """
-    out = _as_polynomials(expansion, g)
+    out = _by_id(expansion, g)
     for i in reversed(g.rs.reduced_word(u)):
-        out = _act_simple_on_expansion(i, out, g)
-    return out
+        out = _step(i, out, g.rs)
+    return _by_element(out, g)
 
 
 def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
@@ -146,16 +169,19 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
     over W_{1..k-1} into the sum over W_{1..k} by adding its image under
     each minimal left coset representative.  The representatives of a
     level are the prefixes of one word, so each costs a single
-    simple-reflection step on the image before it.
+    simple-reflection step on the image before it, added in place into
+    the term maps of the running sum, which starts from copies of E's.
     """
-    total = _as_polynomials(expansion, g)
+    total = {k: dict(c) for k, c in _by_id(expansion, g).items()}
     for word in g.rs.coset_chain():
-        img, total = total, dict(total)
+        img = total
         for i in word:
-            img = _act_simple_on_expansion(i, img, g)
-            for x, p in img.items():
-                _accumulate(total, x, p)
-    return total
+            img = _step(i, img, g.rs)
+            for k, c in img.items():  # total may adopt c: steps only read it
+                cur = total.setdefault(k, c)
+                if cur is not c and not _add_terms(cur, c.items()):
+                    del total[k]
+    return _by_element(total, g)
 
 
 def left_divided_difference(

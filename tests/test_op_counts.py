@@ -3,9 +3,11 @@
 Wall time on a shared machine spreads too widely to show a change in work,
 and an answer stays right when a pruning step is lost.  The counts here
 do not depend on the machine or the hash seed: each test wraps a kernel
-binding (``add_mul`` where gkm and repaction call it,
-``Polynomial.substitute``, the ``exact_divide`` of repaction or
-root_system, or ``MomentGraph.in_edges``), runs one computation and pins the number of
+binding (``add_mul`` where gkm and repaction call it, with the product
+loop ``_add_mul_terms`` of repaction's simple-reflection step,
+``Substitution._apply``, which makes every substitution, the
+``exact_divide`` of repaction or root_system, or
+``MomentGraph.in_edges``), runs one computation and pins the number of
 calls with ``==``.  A count that moves, either way, is a change in the
 work done and is stated old -> new where the change is described.
 """
@@ -29,7 +31,7 @@ from gkmcalc.moment_graph import (
     graph_to_json,
     load_external_graph,
 )
-from gkmcalc.polyring import Polynomial
+from gkmcalc.polyring import Polynomial, Substitution
 from gkmcalc.repaction import (
     act,
     decompose,
@@ -37,6 +39,7 @@ from gkmcalc.repaction import (
     divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
+    symmetrize,
 )
 from gkmcalc.root_system import root_system
 
@@ -64,8 +67,10 @@ def count(monkeypatch):
 
 
 def count_add_mul(count):
+    """Every multiply-add: add_mul, and the step's in-place product loop."""
     count(gkm, "add_mul", "add_mul")
     count(repaction, "add_mul", "add_mul")
+    count(repaction, "_add_mul_terms", "add_mul")
 
 
 def a4_class(w: str, v: str):
@@ -100,9 +105,20 @@ def test_a6_decompose(count):
     rs = root_system("A:6")
     g = build_schubert_moment_graph(rs, rs.parse_element("462513"))
     count_add_mul(count)
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     decompose(g)
     assert count.calls == {"add_mul": 3340, "substitute": 8014}
+
+
+def test_symmetrize_on_the_a5_flag_graph(count):
+    """The orbit sum of w0's class: one twist per coefficient and one
+    multiply-add per descent, along the 10 steps of the coset chain."""
+    rs = root_system("A:5")
+    g = build_flag_moment_graph(rs)
+    count_add_mul(count)
+    count(Substitution, "_apply", "substitute")
+    assert len(symmetrize({rs.longest_element(): 1}, g)) == 120
+    assert count.calls == {"add_mul": 201, "substitute": 283}
 
 
 def test_solve_on_the_reloaded_a4_flag_graph(count):
@@ -111,7 +127,7 @@ def test_solve_on_the_reloaded_a4_flag_graph(count):
     flag = build_flag_moment_graph(root_system("A:4"))
     g = load_external_graph(json.loads(json.dumps(graph_to_json(flag))))
     count(gkm, "exact_divide", "exact_divide")
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     classes = [knutson_tao_class_solve(g, v) for v in g.vertices]
     # the recursion runs only where no head's value meets every constraint,
     # at 34 of the 189 vertices the classes do not pin; only the first d + 1
@@ -132,7 +148,7 @@ def test_kt_report_on_an_a7_flag_class(count):
     rs = root_system("A:7")
     g = build_flag_moment_graph(rs)
     c = knutson_tao_class_billey(g, rs.parse_element("2134567"))
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     assert kt_report(c).ok
     assert count.calls == {"substitute": 42}
 
@@ -149,7 +165,7 @@ def test_right_divided_difference(count):
 def test_left_divided_difference(count):
     c = a4_class("4321", "2143")
     count(repaction, "exact_divide", "exact_divide")
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     for i in (1, 2, 3):
         left_divided_difference(i, c)
     assert count.calls == {"exact_divide": 36, "substitute": 42}
@@ -158,7 +174,7 @@ def test_left_divided_difference(count):
 def test_action_on_a_flag_class(count):
     """The pointwise action twists each nonzero localization once."""
     c = a4_class("4321", "2143")
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     act(root_system("A:4").parse_element("4321"), c)
     assert count.calls == {"substitute": 14}
     assert sum(1 for _, p in c.items() if p) == 14
@@ -170,7 +186,7 @@ def test_action_on_a_schubert_class(count):
     rs = root_system("A:4")
     c = a4_class("4231", "2143")
     count_add_mul(count)
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     count(gkm, "exact_divide", "exact_divide")
     count(MomentGraph, "in_edges", "in_edges")
     for i in (1, 2, 3):
@@ -182,7 +198,7 @@ def test_action_on_a_schubert_class(count):
 
 def count_divided_difference_work(count):
     """Twists, and divisions where repaction or the root system divides."""
-    count(Polynomial, "substitute", "substitute")
+    count(Substitution, "_apply", "substitute")
     count(repaction, "exact_divide", "exact_divide")
     count(root_system_module, "exact_divide", "exact_divide")
 

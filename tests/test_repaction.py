@@ -581,3 +581,33 @@ def test_descent_route_never_calls_billey(label, monkeypatch):
     assert calls == []
     KnutsonTaoBasis(g).cls(rs.identity())  # the counters do see those calls
     assert calls == ["cls", "billey"]
+
+
+@pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
+def test_the_action_writes_no_input(label):
+    """The simple-reflection step adds in place, into term maps it owns: no
+    coefficient of an input expansion, no -alpha_i of the root system and
+    no edge label changes, and a second identical call gives an equal
+    result."""
+    rs = root_system(label)
+    g = build_flag_moment_graph(rs)
+    t1 = Polynomial.variable(g.n, 1)
+    elements = rs.elements()
+    expansion = {
+        rs.longest_element(): Polynomial.constant(g.n, Fraction(1, 2)),
+        elements[len(elements) // 2]: t1 - 3,
+        rs.simple_reflection(1): 2 * t1,
+        rs.identity(): Polynomial.one(g.n),
+    }
+    shared = [*expansion.values(), *(a for _, a in rs.simple_twists)]
+    shared += [e.label for e in g.edges]
+    before = [dict(p._terms) for p in shared]
+    for call in (
+        lambda: symmetrize(expansion, g),
+        lambda: act_word(rs.longest_element(), expansion, g),
+        lambda: _act_simple_on_expansion(1, expansion, g),
+        lambda: decompose(g).to_json(),
+    ):
+        first = call()
+        assert [p._terms for p in shared] == before
+        assert call() == first

@@ -2,8 +2,12 @@
 
 The reference below is the averaging loop ``average_class`` used to run:
 every element u of W applied to the expansion on its own, letter by letter
-through ``act_word``, and the |W| images added up.  ``symmetrize`` and
-``average_class`` must give exactly the same expansions.
+along its reduced word, and the |W| images added up.  Its simple-reflection
+step is its own, term by term: s_i v and both lengths from ``rs.mul`` and
+``rs.length``, the twist by ``coadjoint_substitution`` and every sum by
+immutable ``+``, so it shares no code with the step ``symmetrize`` and
+``act_word`` run.  ``symmetrize``, ``act_word`` and ``average_class`` must
+give exactly the same expansions.
 """
 
 from fractions import Fraction
@@ -20,17 +24,44 @@ from gkmcalc.root_system import root_system
 A5_POOL = ("23451", "23514", "25134", "41253")
 
 
+def add(total: dict, v, p) -> None:
+    s = total.get(v)
+    s = p if s is None else s + p
+    if s:
+        total[v] = s
+    else:
+        total.pop(v, None)
+
+
+def simple_step(i, expansion, g) -> dict:
+    """s_i on an expansion: each coefficient twisted, and -alpha_i times the
+    twist moved to s_i v when s_i v is shorter."""
+    rs = g.rs
+    s = rs.simple_reflection(i)
+    sub = rs.coadjoint_substitution(s)
+    minus_alpha = -rs.simple_root_form(i)
+    out: dict = {}
+    for v, cv in expansion.items():
+        tw = cv.substitute(sub)
+        add(out, v, tw)
+        sv = rs.mul(s, v)
+        if rs.length(sv) < rs.length(v):
+            add(out, sv, tw * minus_alpha)
+    return out
+
+
+def act(u, expansion, g) -> dict:
+    for i in reversed(g.rs.reduced_word(u)):
+        expansion = simple_step(i, expansion, g)
+    return expansion
+
+
 def orbit_sum(expansion, g) -> dict:
-    """Sum of u . E over every u in W, one act_word call per element."""
+    """Sum of u . E over every u in W, one element at a time."""
     total: dict = {}
     for u in g.rs.elements():
-        for x, p in act_word(u, expansion, g).items():
-            s = total.get(x)
-            s = p if s is None else s + p
-            if s:
-                total[x] = s
-            else:
-                total.pop(x, None)
+        for x, p in act(u, expansion, g).items():
+            add(total, x, p)
     return total
 
 
@@ -61,16 +92,32 @@ def test_average_class_a5_decompose_pool(w):
 
 
 @st.composite
-def expansions(draw, rs):
-    """A few flag vertices with integer coefficients of degree at most one."""
+def expansions(draw, g):
+    """A few flag vertices with int or Fraction coefficients of degree at
+    most one, and terms that cancel: a pair s_1 v < v with coefficients
+    -alpha_1 c and c, which the chain's first step (s_1) cancels at s_1 v,
+    in either order, and E - u . E, whose orbit sum is zero."""
+    rs = g.rs
+    small = st.fractions(-3, 3, max_denominator=2)
     vs = draw(
         st.lists(st.sampled_from(rs.elements()), min_size=1, max_size=3, unique=True)
     )
-    small = st.integers(-3, 3)
     out = {}
     for v in vs:
         linear = {i: draw(small) for i in range(1, rs.dim + 1)}
         out[v] = Polynomial.linear_form(rs.dim, linear) + draw(small)
+    if draw(st.booleans()):
+        s1 = rs.simple_reflection(1)
+        above = [v for v in rs.elements() if rs.length(rs.mul(s1, v)) < rs.length(v)]
+        v = draw(st.sampled_from(above))
+        c = Polynomial.constant(rs.dim, draw(small))
+        pair = {rs.mul(s1, v): -rs.simple_root_form(1) * c, v: c}
+        for x in draw(st.permutations(list(pair))):
+            out.pop(x, None)
+            out[x] = pair[x]
+    if draw(st.booleans()):
+        for x, p in act(draw(st.sampled_from(rs.elements())), dict(out), g).items():
+            out[x] = out.get(x, 0) - p
     return out
 
 
@@ -80,5 +127,7 @@ def expansions(draw, rs):
 def test_symmetrize_random_expansions(label, data):
     rs = root_system(label)
     g = build_flag_moment_graph(rs)
-    exp = data.draw(expansions(rs))
+    exp = data.draw(expansions(g))
     assert symmetrize(exp, g) == orbit_sum(exp, g)
+    u = data.draw(st.sampled_from(rs.elements()))
+    assert act_word(u, exp, g) == act(u, {v: p for v, p in exp.items() if p}, g)
