@@ -63,6 +63,8 @@ from .polyring import (
     ExactDivisionError,
     Polynomial,
     Substitution,
+    _add_mul_terms,
+    _add_terms,
     add_mul,
     exact_divide,
     polynomial_from_json,
@@ -94,20 +96,21 @@ __all__ = [
 ]
 
 
-def _accumulate(
-    out: dict, v, p: Polynomial, factor: Polynomial | None = None
-) -> None:
-    """Add p, or p * factor when a factor is given, to out[v], dropping the
-    entry when the sum vanishes."""
-    cur = out.get(v)
-    if factor is not None:
-        cur = add_mul(Polynomial.zero(p.n) if cur is None else cur, p, factor)
+def _add_into(out: dict, k, a: dict, b: dict | None = None, n: int = 0) -> None:
+    """Add the term map a, or a times b in n variables, into out[k]: a map
+    out owns, new on first use and dropped when its sum cancels (polyring)."""
+    cur = out.setdefault(k, {})
+    if b is None:
+        _add_terms(cur, a.items())
     else:
-        cur = p if cur is None else cur + p
-    if cur:
-        out[v] = cur
-    else:
-        out.pop(v, None)
+        _add_mul_terms(cur, a, b, n)
+    if not cur:
+        del out[k]
+
+
+def _polynomials(terms: dict, n: int) -> dict:
+    """Owned term maps by key as polynomials in n variables, made once."""
+    return {k: Polynomial._make(n, c) for k, c in terms.items()}
 
 
 class SolveError(RuntimeError):
@@ -171,8 +174,8 @@ class EquivariantClass:
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":
         self._check_compat(other)
         out = dict(self._loc)
-        for v, p in other._loc.items():
-            _accumulate(out, v, p)
+        for v, p in other._loc.items():  # the constructor drops a sum that cancels
+            out[v] = out[v] + p if v in out else p
         return EquivariantClass(self.graph, out)
 
     def __sub__(self, other: "EquivariantClass") -> "EquivariantClass":
@@ -655,11 +658,11 @@ class KnutsonTaoBasis:
 
     def reconstruct(self, expansion: Mapping) -> EquivariantClass:
         """The class sum of c_v times the class of v."""
-        out: dict = {}
-        for v, cv in _normal_expansion(expansion, self.graph).items():
+        g, out = self.graph, {}
+        for v, cv in _normal_expansion(expansion, g).items():
             for x, px in self.cls(v)._loc.items():
-                _accumulate(out, x, px, cv)
-        return EquivariantClass(self.graph, out)
+                _add_into(out, x, px._terms, cv._terms, g.n)
+        return EquivariantClass(g, _polynomials(out, g.n))
 
 
 def flag_basis(rs) -> KnutsonTaoBasis:
@@ -680,13 +683,12 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
     if basis.graph.vertices != c.graph.vertices:
         raise ValueError("basis and class live on different vertex sets")
     g = c.graph
-    work = dict(c._loc)
+    work = {v: dict(p._terms) for v, p in c._loc.items()}  # maps work owns
     coeffs: dict = {}
     for u in g.topo_min_first():
-        p = work.get(u)
-        if not p:
+        if u not in work:
             continue
-        q = p
+        q = Polynomial._make(g.n, dict(work[u]))  # work[u] is written below
         for e in g.out_edges(u):
             try:
                 q = exact_divide(q, e.label)
@@ -696,9 +698,9 @@ def expand_in_basis(c: EquivariantClass, basis: KnutsonTaoBasis | None = None) -
                     f"{g.vertex_str(u)} is not divisible by its out-labels"
                 ) from exc
         coeffs[u] = q
-        minus_q = -q
+        minus_q = (-q)._terms
         for x, px in basis.cls(u)._loc.items():
-            _accumulate(work, x, px, minus_q)
+            _add_into(work, x, px._terms, minus_q, g.n)
     return coeffs
 
 

@@ -50,20 +50,21 @@ elimination of f's pivot variable on f = 0, which reduces modulo f:
 >>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
 ['2*t2', '0']
 
-Every product and substitution runs through one multiply-accumulate
-loop, which adds the product of two term maps into a third (S. C.
-Johnson's one-target accumulation): a product accumulates into an empty
-map and an expansion adds each term's last factor straight into its
-result.  A sum runs through a plain add loop.  ``add_mul(p, a, b)``
-exposes the first as p + a * b accumulated into one copy of p's terms,
-for the loops that would otherwise build a product only to add it
-(Billey's step, the decomposition's identity check, the basis expansion
-and reconstruction, the vertex solver); the action's simple-reflection
-step runs both loops in place.  ``exact_divide`` keeps its own heap
-loop, since division is a different algorithm.  ``to_strings`` forms the
-text of many polynomials of one ring: each distinct polynomial object
-and each distinct monomial is put into text once per call;
-``to_string`` is its one-polynomial case:
+Every product of two polynomials and every substitution runs through one
+multiply-accumulate loop, which adds the product of two term maps into a
+third (S. C. Johnson's one-target accumulation): a product accumulates
+into an empty map and an expansion adds each term's last factor straight
+into its result.  A sum runs through a plain add loop.  Code that sums
+many terms runs the two loops in place into term maps it owns, never a
+given polynomial's, drops an entry whose sum cancels and makes each
+polynomial once, as the result leaves (basis expansion and
+reconstruction, the divided difference of an expansion, the action's
+step).  ``add_mul(p, a, b)`` is p + a * b, the first loop run into one
+copy of p's terms (Billey's step, the decomposition's identity check,
+the vertex solver).  ``exact_divide`` keeps its own heap loop.
+``to_strings`` forms the text of many polynomials of one ring: each
+distinct polynomial object and each distinct monomial is put into text
+once per call; ``to_string`` is its one-polynomial case:
 
 >>> str(add_mul(t1, t1 - t2, t2))
 't1*t2 - t2^2 + t1'
@@ -354,15 +355,16 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # one scale loop, in stored form
             c = _coeff(other)
-            b = {0: c} if c else {}
-        elif isinstance(other, Polynomial):
-            self._check_dim(other)
-            b = other._terms
-        else:
+            return Polynomial._make(self.n, {
+                e: q.numerator if (q := ca * c).__class__ is Fraction and q.denominator == 1 else q
+                for e, ca in self._terms.items()
+            } if c else {})
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial._make(self.n, _add_mul_terms({}, self._terms, b, self.n))
+        self._check_dim(other)
+        return Polynomial._make(self.n, _add_mul_terms({}, self._terms, other._terms, self.n))
 
     __rmul__ = __mul__
 
@@ -781,14 +783,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
     def flush():
         nonlocal coeff, exp, seen_factor, sign
-        c = sign * (coeff if coeff is not None else _ONE)
         e = tuple(exp)
-        if c:
-            c0 = terms.get(e, _ZERO) + c
-            if c0:
-                terms[e] = c0
-            else:
-                terms.pop(e, None)
+        terms[e] = terms.get(e, _ZERO) + sign * (coeff if coeff is not None else _ONE)
         coeff, exp, seen_factor, sign = None, [0] * n, False, _ONE
 
     i = 0
@@ -832,7 +828,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     if pending or not seen_factor:
         raise ValueError(f"incomplete polynomial text {text!r}")
     flush()
-    return Polynomial(n, terms)
+    return Polynomial(n, {e: c for e, c in terms.items() if c})
 
 
 def polynomial_to_json(p: Polynomial) -> dict:

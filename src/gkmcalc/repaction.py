@@ -37,13 +37,12 @@ Billey's formula its rows.  Mod t, s_i moves only the constant term of
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  It runs on
-element ids and term maps: every twist, -alpha_i product and level image
-of :func:`symmetrize` is added in place into maps the step or the running
-sum owns, and a coefficient becomes a polynomial once, when the expansion
-leaves.  An expansion is checked once, where it enters, not at every
-step: the graph must come from a root system, and gkm's gate gives every
-expansion returned here, a dict, polynomial coefficients in the graph's
-ring and no zero term.
+element ids and sums by polyring's one idiom: each twist, -alpha_i
+product and level image of :func:`symmetrize` goes in place into term
+maps it owns, made polynomials as the expansion leaves.  An expansion is
+checked once, where it enters, not at every step: the graph must come
+from a root system, and gkm's gate gives every expansion returned here,
+a dict, polynomial coefficients in the graph's ring and no zero term.
 """
 
 from __future__ import annotations
@@ -54,8 +53,9 @@ from typing import Mapping
 from .gkm import (
     EquivariantClass,
     KnutsonTaoBasis,
-    _accumulate,
+    _add_into,
     _normal_expansion,
+    _polynomials,
     apply_group_element,
     expand_in_basis,
 )
@@ -127,7 +127,7 @@ def _step(i: int, terms: dict, rs) -> dict:
     twist is never the identity, so the result's maps are all new and
     terms is only read.  Each twist and product is added in place into
     out's map for its key, or becomes it; a key whose sum cancels leaves
-    out, as in gkm._accumulate, so the keys keep that order."""
+    out, as in gkm._add_into, so the keys keep that order."""
     sub, minus_alpha = rs.simple_twists[i - 1]
     twist, factor, n = sub._apply, minus_alpha._terms, minus_alpha.n
     row, length = rs.lmul[i - 1], rs.lengths
@@ -145,8 +145,9 @@ def _step(i: int, terms: dict, rs) -> dict:
 
 
 def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
-    """s_i applied to a basis expansion, i in 1..rank."""
-    return _by_element(_step(i, _by_id(expansion, g), g.rs), g)
+    """s_i applied to a basis expansion; ValueError unless i is in 1..rank."""
+    terms = _by_id(expansion, g)
+    return _by_element(_step(g.rs._simple_index(i) + 1, terms, g.rs), g)
 
 
 def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
@@ -254,11 +255,11 @@ def divided_difference_expansion(i: int, expansion: Mapping, g: MomentGraph) -> 
     for v, p in expansion.items():
         tw = p.substitute(sub)
         if tw != p:  # over -alpha_i, tw - p gives (p - s_i . p) / alpha_i
-            _accumulate(out, v, exact_divide(tw - p, minus_alpha))
+            _add_into(out, v, exact_divide(tw - p, minus_alpha)._terms)
         j = index[v]
         if length[row[j]] < length[j]:
-            _accumulate(out, elements[row[j]], tw)
-    return out
+            _add_into(out, elements[row[j]], tw._terms)
+    return _polynomials(out, g.n)
 
 
 def average_class(v, g: MomentGraph) -> dict:

@@ -369,6 +369,19 @@ def test_add_and_scale_match_reference(p, q, c):
     assert_matches(p * c, ref_mul(p.terms(), {(0,) * N: Fraction(c)} if c else {}), N)
 
 
+@pytest.mark.parametrize("c", [3, -1, Fraction(2, 3), Fraction(-3, 2), Fraction(6), 0])
+def test_scale_matches_reference(c):
+    """A scalar product scales each term once, on either side: by an int, a
+    Fraction, a Fraction whose products are integral (3/2 and 6 times
+    multiples of 2/3) and 0."""
+    rng = random.Random(7)
+    ints = random_poly(rng, N, terms=12, fractional=False)
+    for p in (ints, random_poly(rng, N, terms=12), ints * Fraction(2, 3)):
+        want = ref_mul(p.terms(), {(0,) * N: Fraction(c)} if c else {})
+        assert_matches(p * c, want, N)
+        assert_matches(c * p, want, N)
+
+
 @settings(max_examples=80, deadline=None)
 @given(p=polys(), f=linear_forms(), r=polys(max_deg=1, max_terms=2), g=linear_forms())
 def test_exact_divide_matches_reference(p, f, r, g):

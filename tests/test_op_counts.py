@@ -4,7 +4,7 @@ Wall time on a shared machine spreads too widely to show a change in work,
 and an answer stays right when a pruning step is lost.  The counts here
 do not depend on the machine or the hash seed: each test wraps a kernel
 binding (``add_mul`` where gkm and repaction call it, with the product
-loop ``_add_mul_terms`` of repaction's simple-reflection step,
+loop ``_add_mul_terms`` where they add into term maps they own,
 ``Substitution._apply``, which makes every substitution, the
 ``exact_divide`` of repaction or root_system, or
 ``MomentGraph.in_edges``), runs one computation and pins the number of
@@ -20,6 +20,7 @@ import pytest
 from gkmcalc import gkm, repaction
 from gkmcalc.gkm import (
     KnutsonTaoBasis,
+    expand_in_basis,
     knutson_tao_class_billey,
     knutson_tao_class_solve,
     kt_report,
@@ -67,8 +68,10 @@ def count(monkeypatch):
 
 
 def count_add_mul(count):
-    """Every multiply-add: add_mul, and the step's in-place product loop."""
+    """Every multiply-add: add_mul, and the in-place product loop of the
+    basis expansion, reconstruction and simple-reflection step."""
     count(gkm, "add_mul", "add_mul")
+    count(gkm, "_add_mul_terms", "add_mul")
     count(repaction, "add_mul", "add_mul")
     count(repaction, "_add_mul_terms", "add_mul")
 
@@ -87,6 +90,20 @@ def test_a5_flag_basis_one_class_at_a_time(count):
     for v in g.vertices:
         basis.cls(v)
     assert count.calls == {"add_mul": 7245}
+
+
+def test_a5_all_ones_reconstruct_and_expand(count):
+    """One multiply-add per nonzero localization of each basis class in
+    the sum, both ways: the expansion peels what reconstruction added."""
+    g = build_flag_moment_graph(root_system("A:5"))
+    basis = KnutsonTaoBasis(g)
+    for v in g.vertices:
+        basis.cls(v)
+    count_add_mul(count)
+    c = basis.reconstruct({v: 1 for v in g.vertices})
+    assert count.calls == {"add_mul": 3781}
+    assert expand_in_basis(c, basis) == {v: Polynomial.one(g.n) for v in g.vertices}
+    assert count.calls == {"add_mul": 7562}
 
 
 def test_billey_columns_on_every_a4_schubert_graph(count):

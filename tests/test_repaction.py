@@ -26,7 +26,6 @@ from gkmcalc.moment_graph import (
     build_schubert_moment_graph,
     toric_hexagon_graph,
 )
-from gkmcalc.gkm import _accumulate
 from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
 from gkmcalc.repaction import (
     _act_simple_on_expansion,
@@ -381,12 +380,14 @@ class TestDecompose:
 
 
 def _ddiff_through_the_action(i, expansion, g):
-    """(E - s_i . E) / alpha_i, with s_i . E formed by the action step."""
+    """(E - s_i . E) / alpha_i, with s_i . E formed by the action step and
+    the difference by immutable polynomial arithmetic."""
     out = _as_polynomials(expansion, g)
+    zero = Polynomial.zero(g.n)
     for v, p in _act_simple_on_expansion(i, out, g).items():
-        _accumulate(out, v, -p)
+        out[v] = out.get(v, zero) - p
     alpha = g.rs.simple_root_form(i)
-    return {v: exact_divide(p, alpha) for v, p in out.items()}
+    return {v: exact_divide(p, alpha) for v, p in out.items() if p}
 
 
 class TestClosure:
@@ -585,12 +586,15 @@ def test_descent_route_never_calls_billey(label, monkeypatch):
 
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_the_action_writes_no_input(label):
-    """The simple-reflection step adds in place, into term maps it owns: no
-    coefficient of an input expansion, no -alpha_i of the root system and
-    no edge label changes, and a second identical call gives an equal
-    result."""
+    """The action, the basis expansion and reconstruction, class sums and
+    the divided difference add in place, into term maps they own: no
+    coefficient of an input expansion, no localization of an input or
+    basis class, no -alpha_i of the root system and no edge label changes,
+    and a second identical call gives an equal result.  The identity has
+    no out-edge, so the expansion's quotient there is its whole residue."""
     rs = root_system(label)
     g = build_flag_moment_graph(rs)
+    basis = KnutsonTaoBasis(g)
     t1 = Polynomial.variable(g.n, 1)
     elements = rs.elements()
     expansion = {
@@ -599,15 +603,34 @@ def test_the_action_writes_no_input(label):
         rs.simple_reflection(1): 2 * t1,
         rs.identity(): Polynomial.one(g.n),
     }
+    c = basis.reconstruct(expansion)
+    other = basis.cls(rs.simple_reflection(1))
+    classes = [c, *(basis.cls(v) for v in g.vertices)]
     shared = [*expansion.values(), *(a for _, a in rs.simple_twists)]
     shared += [e.label for e in g.edges]
+    shared += [p for cls in classes for p in cls._loc.values()]
     before = [dict(p._terms) for p in shared]
+    inputs = [dict(expansion), *(dict(cls._loc) for cls in classes)]
+    assert expand_in_basis(c, basis) == expansion
     for call in (
         lambda: symmetrize(expansion, g),
         lambda: act_word(rs.longest_element(), expansion, g),
         lambda: _act_simple_on_expansion(1, expansion, g),
         lambda: decompose(g).to_json(),
+        lambda: basis.reconstruct(expansion),
+        lambda: expand_in_basis(c, basis),
+        lambda: c + other,
+        lambda: other - c,
+        lambda: divided_difference_expansion(1, expansion, g),
     ):
         first = call()
         assert [p._terms for p in shared] == before
+        assert [dict(expansion), *(dict(cls._loc) for cls in classes)] == inputs
         assert call() == first
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_act_simple_on_expansion_refuses_an_index_outside_the_rank(flag3, i):
+    """i = 0 would otherwise read the last row of the tables: s_rank."""
+    with pytest.raises(ValueError, match=f"simple index {i} outside 1..2"):
+        _act_simple_on_expansion(i, {flag3.rs.longest_element(): 1}, flag3)
