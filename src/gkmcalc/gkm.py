@@ -757,9 +757,9 @@ def class_to_json(c: EquivariantClass) -> dict:
     }
 
 
-def class_from_json(obj: dict, graph: MomentGraph | None = None) -> EquivariantClass:
+def class_from_json(obj: dict) -> EquivariantClass:
     obj = _json_object(obj, "a class")
-    g = graph or resolve_graph_ref(_field(obj, "graph_ref", "a class"))
+    g = resolve_graph_ref(_field(obj, "graph_ref", "a class"))
     loc = {}
     localizations = _field(obj, "localizations", "a class")
     for name, text in _json_object(localizations, "localizations").items():
@@ -778,9 +778,9 @@ def expansion_to_json(expansion: Mapping, g: MomentGraph) -> dict:
     return {"graph_ref": graph_ref(g), "coefficients": dict(zip(names, texts))}
 
 
-def expansion_from_json(obj: dict, graph: MomentGraph | None = None) -> dict:
+def expansion_from_json(obj: dict) -> dict:
     obj = _json_object(obj, "an expansion")
-    g = graph or resolve_graph_ref(_field(obj, "graph_ref", "an expansion"))
+    g = resolve_graph_ref(_field(obj, "graph_ref", "an expansion"))
     coefficients = _field(obj, "coefficients", "an expansion")
     return {
         g.vertex_by_str(name): polynomial_from_json(text, g.n)

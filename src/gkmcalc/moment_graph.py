@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,6 +37,7 @@ from .polyring import (
     MAX_DEGREE,
     Polynomial,
     Substitution,
+    _VARIABLE,
     _line,
     hyperplane,
     parse_polynomial,
@@ -664,8 +664,8 @@ def graph_to_json(g: MomentGraph) -> dict:
 def _infer_dimension(obj: dict) -> int:
     best = 0
     for e in obj.get("edges", []):
-        for m in re.finditer(r"[A-Za-z]+(\d+)", str(e.get("label", ""))):
-            best = max(best, int(m.group(1)))
+        for m in _VARIABLE.finditer(str(e.get("label", ""))):
+            best = max(best, int(m["index"]))
     return best
 
 

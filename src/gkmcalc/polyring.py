@@ -7,11 +7,14 @@ top field, then e1, ..., en, with e1 the most significant.  Graded-lex
 order is then plain int order, a product of monomials is a sum of keys
 and the quotient by a variable a difference.  Every field must fit in
 eight bits, so the total degree of a polynomial is at most
-``MAX_DEGREE`` (255); a constructor, parser, power or product whose result
-would pass it raises ``ValueError`` instead of letting a field overflow.
-Exponent tuples appear only at the boundary: the ``Polynomial(n, terms)``
-constructor, ``terms()``, ``coefficient()``, the text form and the JSON
-``exp`` lists.
+``MAX_DEGREE`` (255); a reader, power or product whose result would pass
+it raises ``ValueError`` instead of letting a field overflow.  Exponent
+tuples appear only at the boundary: ``terms()``, ``coefficient()`` and
+the three readers, the ``Polynomial(n, terms)`` constructor, the text
+form and the JSON ``exp`` lists.  The readers share one path: it sums
+the terms of one exponent, drops a zero sum and only then refuses a term
+above the bound, so a term that cancels or has coefficient 0 is never
+refused.
 
 An integral coefficient is stored as an ``int`` and any other as a
 ``Fraction``, so the integer classes that dominate the package never pay
@@ -110,7 +113,6 @@ MAX_DEGREE = (1 << _BITS) - 1  # the largest total degree a field holds: 255
 _FIELD = MAX_DEGREE  # mask of one field
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _UNIT = {0: 1}  # the term map of the constant 1; read, never written
 
 
@@ -189,9 +191,9 @@ def _add_mul_terms(out: dict, a: dict, b: dict, n: int) -> dict:
 
 
 def _add_terms(out: dict, items: Iterable[tuple[int, Coefficient]]) -> dict:
-    """Add the terms items, distinct keys with nonzero stored coefficients,
-    into out, which stays canonical as in _add_mul_terms; a sum needs no
-    degree check.  Returns out."""
+    """Add the terms items, keys with nonzero stored coefficients, into
+    out, which stays canonical as in _add_mul_terms; a sum needs no degree
+    check.  Returns out."""
     get = out.get
     for e, ca in items:
         c = get(e)
@@ -205,6 +207,37 @@ def _add_terms(out: dict, items: Iterable[tuple[int, Coefficient]]) -> dict:
             out[e] = c.numerator
         else:
             out[e] = c
+    return out
+
+
+def _read_terms(n: int, items: Iterable[tuple[Iterable[int], object]]) -> dict:
+    """The canonical term map of (exponent, coefficient) items in n
+    variables: the one reader behind the constructor, text and JSON forms.
+
+    Each exponent must be n ints >= 0, not bools.  A term within MAX_DEGREE
+    is packed and summed into the map by _add_terms; one above it cannot be
+    packed, so it is summed aside and only a nonzero sum is refused.
+    """
+    if n < 0:
+        raise ValueError(f"ring dimension must be non-negative, got {n}")
+    over: dict[Exponent, Coefficient] = {}
+
+    def packed():
+        for exp, c in items:
+            exp = tuple(exp)
+            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
+                raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
+            c = _coeff(c)
+            d = sum(exp)
+            if d > MAX_DEGREE:
+                over[exp] = over.get(exp, 0) + c
+            elif c:
+                yield _pack(exp), c
+
+    out = _add_terms({}, packed())
+    for exp, c in over.items():
+        if c:
+            raise _degree_error(sum(exp))
     return out
 
 
@@ -233,21 +266,8 @@ class Polynomial:
     __slots__ = ("n", "_terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Exponent, object] | None = None):
-        if n < 0:
-            raise ValueError(f"ring dimension must be non-negative, got {n}")
-        clean: dict[int, Coefficient] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                exp = tuple(exp)
-                if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp!r} for dimension {n}")
-                if sum(exp) > MAX_DEGREE:
-                    raise _degree_error(sum(exp))
-                c = _coeff(coeff)
-                if c:
-                    _add_mul_terms(clean, {_pack(exp): c}, _UNIT, n)
         self.n = n
-        self._terms = clean
+        self._terms = _read_terms(n, terms.items() if terms else ())
         self._hash = None
 
     @classmethod
@@ -748,8 +768,10 @@ def to_strings(polys: Iterable[Polynomial], prefix: str = "t") -> list[str]:
     return out
 
 
+# a variable: letters, then its 1-based index; "t1" and "a1" both mean t1
+_VARIABLE = re.compile(r"[A-Za-z]+(?P<index>\d+)")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z]+\d+)|(?P<op>[-+*^]))"
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>{_VARIABLE.pattern})|(?P<op>[-+*^])|(?P<bad>\S))"
 )
 
 
@@ -758,44 +780,32 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
     Accepts any alphabetic variable prefix (``t1`` and ``a1`` both mean the
     first variable), optional ``*`` between factors, and ``^`` powers.
+    The whole text is split into tokens before any is read, so a stray
+    character is reported before a misplaced operator.
     """
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("num", "var", "op"):
-            if m.group(kind):
-                tokens.append((kind, m.group(kind)))
-                break
+    tokens: list[tuple[str, str, str | None]] = []  # (kind, text, variable index)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ValueError(f"cannot parse polynomial near {text[m.start():]!r}")
+        tokens.append((kind, m[kind], m["index"]))
 
-    terms: dict[Exponent, Fraction] = {}
-    sign = _ONE
-    coeff: Fraction | None = None
-    exp = [0] * n
+    items: list[tuple[list[int], Coefficient]] = []  # (exponent, coefficient) per term
+    sign, coeff, exp = 1, None, [0] * n
     seen_factor = False
     pending = False  # an operator awaits its term
     star = False  # a '*' awaits its factor
-
-    def flush():
-        nonlocal coeff, exp, seen_factor, sign
-        e = tuple(exp)
-        terms[e] = terms.get(e, _ZERO) + sign * (coeff if coeff is not None else _ONE)
-        coeff, exp, seen_factor, sign = None, [0] * n, False, _ONE
-
     i = 0
     while i < len(tokens):
-        kind, val = tokens[i]
+        kind, val, index = tokens[i]
         if star and kind not in ("num", "var"):
             raise ValueError(f"'*' must be followed by a factor in {text!r}")
         if kind == "op" and val in "+-":
             if seen_factor:
-                flush()
-            sign = sign * (-1 if val == "-" else 1)
+                items.append((exp, sign if coeff is None else sign * coeff))
+                sign, coeff, exp, seen_factor = 1, None, [0] * n, False
+            if val == "-":
+                sign = -sign
             pending = True
         elif kind == "op" and val == "*":
             if not seen_factor:
@@ -809,11 +819,11 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
             coeff = c if coeff is None else coeff * c
             seen_factor, pending, star = True, False, False
         elif kind == "var":
-            idx = int(re.search(r"\d+$", val).group())
+            idx = int(index)
             if not 1 <= idx <= n:
                 raise ValueError(f"variable {val!r} outside ring of dimension {n}")
             power = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == ("op", "^"):
+            if i + 2 < len(tokens) and tokens[i + 1][1] == "^":
                 if tokens[i + 2][0] != "num" or "/" in tokens[i + 2][1]:
                     raise ValueError(f"bad exponent after {val!r}")
                 power = int(tokens[i + 2][1])
@@ -827,8 +837,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         raise ValueError(f"'*' must be followed by a factor in {text!r}")
     if pending or not seen_factor:
         raise ValueError(f"incomplete polynomial text {text!r}")
-    flush()
-    return Polynomial(n, {e: c for e, c in terms.items() if c})
+    items.append((exp, sign if coeff is None else sign * coeff))
+    return Polynomial._make(n, _read_terms(n, items))
 
 
 def polynomial_to_json(p: Polynomial) -> dict:
@@ -858,15 +868,12 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
     terms = obj.get("terms")
     if not isinstance(terms, list):
         raise ValueError(f"polynomial terms must be a list, not {terms!r}")
-    out = {}
+    items = []
     for t in terms:
         if not isinstance(t, dict) or not isinstance(t.get("exp"), list):
             raise ValueError(f"a polynomial term needs an exp list, not {t!r}")
-        exp = tuple(t["exp"])
-        if any(type(e) is not int for e in exp):  # bools and lists included
-            raise ValueError(f"bad exponent vector {exp!r} for dimension {dim}")
-        out[exp] = out.get(exp, 0) + _coefficient_from_json(t.get("coeff"))
-    return Polynomial(dim, out)
+        items.append((t["exp"], _coefficient_from_json(t.get("coeff"))))
+    return Polynomial._make(dim, _read_terms(dim, items))
 
 
 def _coefficient_from_json(c) -> Fraction:

@@ -144,12 +144,6 @@ def _step(i: int, terms: dict, rs) -> dict:
     return out
 
 
-def _act_simple_on_expansion(i: int, expansion: Mapping, g: MomentGraph) -> dict:
-    """s_i applied to a basis expansion; ValueError unless i is in 1..rank."""
-    terms = _by_id(expansion, g)
-    return _by_element(_step(g.rs._simple_index(i) + 1, terms, g.rs), g)
-
-
 def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     """Apply a group element to a basis expansion, letter by letter.
 

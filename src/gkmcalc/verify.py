@@ -42,7 +42,6 @@ from .polyring import (
     reduce_modulo,
 )
 from .repaction import (
-    _act_simple_on_expansion,
     _read_off,
     act_on_schubert_basis,
     act_word,
@@ -595,7 +594,7 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
             for word in words:
                 exp = {v: Polynomial.one(n)}
                 for i in reversed(word):
-                    exp = _act_simple_on_expansion(i, exp, g)
+                    exp = act_word(rs.simple_reflection(i), exp, g)
                 results.append(exp)
             ok &= all(expansions_equal(r, results[0]) for r in results)
             ok &= expansions_equal(
@@ -670,7 +669,7 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
         for v in rs.elements():
             avg = average_class(v, g)
             for i in range(1, rs.rank + 1):
-                ok &= expansions_equal(_act_simple_on_expansion(i, avg, g), avg)
+                ok &= expansions_equal(act_word(rs.simple_reflection(i), avg, g), avg)
             # the orbit sum, one group element at a time
             orbit: dict = {}
             for u in rs.elements():

@@ -43,7 +43,6 @@ from gkmcalc.repaction import (
     divided_difference_expansion,
     left_divided_difference,
     right_divided_difference,
-    _act_simple_on_expansion,
 )
 from gkmcalc.root_system import root_system, type_a
 from gkmcalc.verify import SUITES, run_suites

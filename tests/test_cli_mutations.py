@@ -171,9 +171,9 @@ def _read_back(args, out: str) -> None:
     elif args.command in ("class", "ddiff"):
         class_from_json(obj)
     elif args.command == "act":
-        cls = class_from_json(obj["class"])
+        class_from_json(obj["class"])
         expansion_from_json({"graph_ref": obj["class"]["graph_ref"],
-                             "coefficients": obj["expansion"]}, cls.graph)
+                             "coefficients": obj["expansion"]})
     elif args.command == "expand":
         expansion_from_json(obj)
     else:  # decompose: no reader in the package, the JSON itself

@@ -525,7 +525,6 @@ class TestClassJson:
             flag3.vertex_by_str("123"): parse_polynomial("-t1 + t2", 3),
         }
         obj = expansion_to_json(exp, flag3)
-        assert expansions_equal(expansion_from_json(obj, flag3), exp)
         assert expansions_equal(expansion_from_json(obj), exp)
 
     def test_scalar_coefficients_are_constants(self, flag3, basis3):

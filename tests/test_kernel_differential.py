@@ -37,6 +37,7 @@ from gkmcalc.polyring import (
     add_mul,
     exact_divide,
     hyperplane,
+    parse_polynomial,
     polynomial_to_json,
     reduce_modulo,
     swap_substitution,
@@ -355,6 +356,16 @@ def test_collisions_cancel():
     assert (t1 * t1 - t1 * t2).substitute({1: t2, 2: t2}).is_zero()
 
 
+def test_collisions_that_sum_to_an_integer_are_stored_as_int():
+    """t1 -> t2 relabels 1/2*t1 onto 1/2*t2; their sum 1 is stored as int."""
+    t1, t2 = v(1), v(2)
+    half = Fraction(1, 2) * t1 + Fraction(1, 2) * t2
+    sub = {1: t2}
+    want = ref_substitute(half.terms(), N, {1: t2.terms()})
+    assert_matches(half.substitute(sub), want, N)
+    assert_matches(half.substitute(Substitution(N, sub)), want, N)
+
+
 @settings(max_examples=80, deadline=None)
 @given(p=polys(), q=polys())
 def test_mul_matches_reference(p, q):
@@ -541,13 +552,16 @@ def test_to_strings_holds_each_polynomial_until_it_returns():
     assert refs and min(refs) > 2
 
 
-@pytest.mark.parametrize("label", ["A:4", "B2", "G2"])
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
 def test_to_strings_of_every_class_of_a_flag_graph(label):
+    """Every class's text is the reference's, and parses back to the class."""
     g = build_flag_moment_graph(root_system(label))
     basis = KnutsonTaoBasis(g)
     localizations = [p for v in g.vertices for _, p in basis.cls(v).items()]
     want = [ref_to_string(p.terms(), g.var_prefix) for p in localizations]
-    assert to_strings(localizations, g.var_prefix) == want
+    texts = to_strings(localizations, g.var_prefix)
+    assert texts == want
+    assert [parse_polynomial(text, g.n) for text in texts] == localizations
 
 
 def test_fractions_that_become_integral_are_stored_as_int():

@@ -28,7 +28,6 @@ from gkmcalc.moment_graph import (
 )
 from gkmcalc.polyring import Polynomial, exact_divide, parse_polynomial
 from gkmcalc.repaction import (
-    _act_simple_on_expansion,
     _as_polynomials,
     act,
     act_on_schubert_basis,
@@ -328,14 +327,13 @@ class TestAveraging:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_invariance_under_generators(self, n):
-        from gkmcalc.repaction import _act_simple_on_expansion
-
         rs = type_a(n)
         g = build_flag_moment_graph(rs)
         for v in rs.elements():
             avg = average_class(v, g)
             for i in range(1, n):
-                assert expansions_equal(_act_simple_on_expansion(i, avg, g), avg)
+                s_i = rs.simple_reflection(i)
+                assert expansions_equal(act_word(s_i, avg, g), avg)
 
 
 class TestDecompose:
@@ -384,7 +382,7 @@ def _ddiff_through_the_action(i, expansion, g):
     the difference by immutable polynomial arithmetic."""
     out = _as_polynomials(expansion, g)
     zero = Polynomial.zero(g.n)
-    for v, p in _act_simple_on_expansion(i, out, g).items():
+    for v, p in act_word(g.rs.simple_reflection(i), out, g).items():
         out[v] = out.get(v, zero) - p
     alpha = g.rs.simple_root_form(i)
     return {v: exact_divide(p, alpha) for v, p in out.items() if p}
@@ -615,7 +613,7 @@ def test_the_action_writes_no_input(label):
     for call in (
         lambda: symmetrize(expansion, g),
         lambda: act_word(rs.longest_element(), expansion, g),
-        lambda: _act_simple_on_expansion(1, expansion, g),
+        lambda: act_word(rs.simple_reflection(1), expansion, g),
         lambda: decompose(g).to_json(),
         lambda: basis.reconstruct(expansion),
         lambda: expand_in_basis(c, basis),
@@ -633,4 +631,4 @@ def test_the_action_writes_no_input(label):
 def test_act_simple_on_expansion_refuses_an_index_outside_the_rank(flag3, i):
     """i = 0 would otherwise read the last row of the tables: s_rank."""
     with pytest.raises(ValueError, match=f"simple index {i} outside 1..2"):
-        _act_simple_on_expansion(i, {flag3.rs.longest_element(): 1}, flag3)
+        act_word(flag3.rs.simple_reflection(i), {flag3.rs.longest_element(): 1}, flag3)
