@@ -141,6 +141,10 @@ class EquivariantClass:
         for v, p in localizations.items():
             if v not in graph:
                 raise ValueError(f"localization at unknown vertex {v!r}")
+            if not isinstance(p, Polynomial):
+                raise ValueError(
+                    f"localization at {graph.vertex_str(v)} is {p!r}, not a polynomial"
+                )
             if p.n != graph.n:
                 raise ValueError(
                     f"polynomial dimension {p.n} != graph dimension {graph.n}"

@@ -53,17 +53,20 @@ elimination of f's pivot variable on f = 0, which reduces modulo f:
 >>> [str(p.substitute(on_line)) for p in (t1, t1 * t1 - 4 * t2 * t2)]
 ['2*t2', '0']
 
-Every product of two polynomials and every substitution runs through one
-multiply-accumulate loop, which adds the product of two term maps into a
-third (S. C. Johnson's one-target accumulation): a product accumulates
-into an empty map and an expansion adds each term's last factor straight
-into its result.  A sum runs through a plain add loop.  Code that sums
-many terms runs the two loops in place into term maps it owns, never a
-given polynomial's, drops an entry whose sum cancels and makes each
-polynomial once, as the result leaves (basis expansion and
+Every product of two polynomials runs through one multiply-accumulate
+loop, which adds the product of two term maps into a third (S. C.
+Johnson's one-target accumulation); a product accumulates into an empty
+map.  A substitution that is not a relabelling adds each term's image
+into its result in one pass: the term times the kept powers of the
+images, added straight in with that loop's order and stored-form rules;
+powers are multiplied together first only for a term in which three or
+more variables move.  A sum runs through a plain add loop.  Code that
+sums many terms runs the two loops in place into term maps it owns,
+never a given polynomial's, drops an entry whose sum cancels and makes
+each polynomial once, as the result leaves (basis expansion and
 reconstruction, the divided difference of an expansion, the action's
-step).  ``add_mul(p, a, b)`` is p + a * b, the first loop run into one
-copy of p's terms (Billey's step, the decomposition's identity check,
+step, the decomposition's identity check).  ``add_mul(p, a, b)`` is
+p + a * b, the first loop run into one copy of p's terms (Billey's step,
 the vertex solver).  ``exact_divide`` keeps its own heap loop.
 ``to_strings`` forms the text of many polynomials of one ring: each
 distinct polynomial object and each distinct monomial is put into text
@@ -151,10 +154,18 @@ def _position(n: int, key: int) -> int:
 
 
 def _coeff(c) -> Coefficient:
-    """Any rational scalar in stored form: int when integral."""
-    if type(c) is int:
+    """A scalar in stored form, int when integral: the one rule of every
+    reader.  A scalar is an int (not a bool), a Fraction or a rational
+    string; a float is refused, not read at its binary value."""
+    if c.__class__ is int:
         return c
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        if not isinstance(c, str):
+            raise ValueError(f"a coefficient is a rational string or an integer, not {c!r}")
+        try:
+            c = Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad coefficient {c!r}") from None
     return c.numerator if c.denominator == 1 else c
 
 
@@ -463,8 +474,8 @@ class Substitution:
     unit of p) to the key for each exponent e that moves from position p
     to t (when images collide, terms that land on the same monomial are
     summed), or not at all for the identity.  Otherwise the substituted
-    fields, and their share of the degree, are stripped from each key and
-    the rest is multiplied by the powers of the images, into one result
+    fields, and their share of the degree, are stripped from each key, and
+    the rest times the powers of the images is added into one result
     dict.  Those powers are kept for later calls, at most one per image
     and exponent.  The caller's mapping is not kept: changing it after
     compiling changes no result.
@@ -492,9 +503,11 @@ class Substitution:
         self._powers: dict[tuple[int, int], dict] = {}
         moved = [(p, t) for p, t in enumerate(target) if p != t]
         if not relabel:
-            # (position, field offset, key of the variable, image)
+            # (position, field offset, key of the variable, image, its degree)
             self._images = [
-                (p, _shift(n, p), _variable_key(n, p), q) for p, q in images.items()
+                (p, _shift(n, p), _variable_key(n, p), q,
+                 max(q) >> _BITS * n if q else MAX_DEGREE + 1)
+                for p, q in images.items()
             ]
         elif len(moved) == 2 and moved[0] == moved[1][::-1]:
             # a transposition of the fields at offsets sq + d and sq
@@ -546,9 +559,17 @@ def _relabel(terms: dict, moves: list[tuple[int, int]]) -> dict:
 def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
     """Substitute the image of each variable in images for it.
 
-    images lists (position, field offset, variable key, image terms);
-    powers maps (position, e) to the e-th power of that image; missing
-    powers are computed and added to it.
+    images lists (position, field offset, variable key, image terms, image
+    degree); powers maps (position, e) to the e-th power of that image;
+    missing powers are computed and added to it.  Each term takes one
+    pass: its image, c * plain * f1 * ... * fm over its untouched part
+    plain and the powers fi of the variables that move, is added straight
+    into the result, in the order in which that chain's last product would
+    add it.  No term map is built for the term, and powers are multiplied
+    together only when three or more variables of it move.  A term whose
+    image passes MAX_DEGREE takes the chain's degree checks, so the error
+    names the degree the chain would; a zero image has degree
+    MAX_DEGREE + 1 to send its terms there too.
     """
 
     def power(pos: int, image: dict, e: int) -> dict:
@@ -561,21 +582,60 @@ def _expand(terms: dict, n: int, images: list, powers: dict) -> dict:
             )
         return powers[key]
 
+    top = _BITS * n
     out: dict = {}
+    get = out.get
     for k, c in terms.items():
         plain = k  # untouched part of the monomial
         factors = []
-        for pos, s, var, image in images:
+        d = 0  # the degree of the term's image
+        for pos, s, var, image, deg in images:
             e = (k >> s) & _FIELD
             if e:
                 plain -= e * var
-                factors.append(power(pos, image, e))
-        *rest, last = factors or (_UNIT,)
-        term = {plain: c}
-        for f in rest:
-            term = _add_mul_terms({}, term, f, n)
-        _add_mul_terms(out, term, last, n)  # the last factor goes straight in
+                f = powers.get((pos, e))
+                factors.append(power(pos, image, e) if f is None else f)
+                d += e * deg
+        d += plain >> top
+        if d > MAX_DEGREE and not _chain_degree(plain >> top, factors, top):
+            continue  # a zero image
+        head = last = _UNIT
+        if factors:
+            last = factors.pop()
+            if factors:
+                head = factors[0]
+                for f in factors[1:]:
+                    head = _add_mul_terms({}, head, f, n)
+        # the chain's last product, head * last, loops over the smaller map
+        outer, inner = (head, last) if len(head) < len(last) else (last, head)
+        for eo, co in outer.items():
+            eo += plain
+            co *= c
+            for ei, ci in inner.items():
+                e = eo + ei
+                cur = get(e)  # a new term skips a Fraction's costly 0 + c
+                cur = co * ci if cur is None else cur + co * ci
+                if not cur:
+                    del out[e]
+                elif cur.__class__ is Fraction and cur.denominator == 1:
+                    out[e] = cur.numerator
+                else:
+                    out[e] = cur
     return out
+
+
+def _chain_degree(d: int, factors: list, top: int) -> bool:
+    """The degree checks of a product chain from degree d through the
+    factors, in order, as the multiply loop makes them: raises at the
+    first partial degree above MAX_DEGREE.  False when a factor is zero,
+    which ends the chain and its checks; True otherwise."""
+    for f in factors:
+        if not f:
+            return False
+        d += max(f) >> top
+        if d > MAX_DEGREE:
+            raise _degree_error(d)
+    return True
 
 
 # -- module-level operations (the public contract) --------------------------
@@ -872,14 +932,5 @@ def polynomial_from_json(obj, n: int | None = None) -> Polynomial:
     for t in terms:
         if not isinstance(t, dict) or not isinstance(t.get("exp"), list):
             raise ValueError(f"a polynomial term needs an exp list, not {t!r}")
-        items.append((t["exp"], _coefficient_from_json(t.get("coeff"))))
+        items.append((t["exp"], _coeff(t.get("coeff"))))
     return Polynomial._make(dim, _read_terms(dim, items))
-
-
-def _coefficient_from_json(c) -> Fraction:
-    if type(c) is not int and not isinstance(c, str):
-        raise ValueError(f"a coefficient is a rational string or an integer, not {c!r}")
-    try:
-        return Fraction(c)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad coefficient {c!r}") from None

@@ -39,10 +39,13 @@ s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  It runs on
 element ids and sums by polyring's one idiom: each twist, -alpha_i
 product and level image of :func:`symmetrize` goes in place into term
-maps it owns, made polynomials as the expansion leaves.  An expansion is
-checked once, where it enters, not at every step: the graph must come
-from a root system, and gkm's gate gives every expansion returned here,
-a dict, polynomial coefficients in the graph's ring and no zero term.
+maps it owns, made polynomials as the expansion leaves.  The identity
+check of :func:`decompose` reads the same tables and builds no
+polynomial: it adds into the new map of a twist and compares maps.  An
+expansion is checked once, where it enters, not at every step: the graph
+must come from a root system, and gkm's gate gives every expansion
+returned here, a dict, polynomial coefficients in the graph's ring and
+no zero term.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .gkm import (
     expand_in_basis,
 )
 from .moment_graph import MomentGraph
-from .polyring import ExactDivisionError, Polynomial, add_mul, exact_divide
+from .polyring import ExactDivisionError, Polynomial, exact_divide
 from .polyring import _add_mul_terms, _add_terms
 
 __all__ = [
@@ -352,6 +355,11 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
     failed holds each i at which the identity fails at an x it reads;
     clean is false when v's own orbit sum has a term S does not give,
     which then joins the row.
+
+    The identity runs on term maps, once per x and i.  The twist of S_x
+    is a new map; when x s_i < x, -alpha_i S_{x s_i} (-alpha_i as
+    simple_twists holds it) is added into it in place.  The map must then
+    equal S_x's.  No polynomial is built and S_x is not copied.
     """
     rs = g.rs
     length, elements, index = rs.lengths, rs.elements(), rs.index
@@ -370,17 +378,23 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
                 total[y] = p
         if total:
             stray[v] = total
-    # the identity: s_i(S_x) is S_x + alpha_i S_{x s_i} when x s_i < x, else S_x
+    # the identity: s_i(S_x) is S_x + alpha_i S_{x s_i} when x s_i < x, else
+    # S_x; on term maps, s_i(S_x) + (-alpha_i) S_{x s_i} is formed in the
+    # twist's new map and must equal S_x's map
     steps = [
-        (sub, -minus_alpha, row)
+        (sub._apply, minus_alpha._terms, row)
         for (sub, minus_alpha), row in zip(rs.simple_twists, rs.rmul)
     ]
+    n = g.n
     broken: dict[int, list[int]] = {x: [] for x in table}
     for x, p in table.items():
-        for i, (sub, alpha, row) in enumerate(steps, 1):
+        terms = p._terms
+        for i, (twist, factor, row) in enumerate(steps, 1):
             xs = row[x]
-            want = add_mul(p, table[xs], alpha) if length[xs] < length[x] else p
-            if p.substitute(sub) != want:
+            tw = twist(terms)
+            if length[xs] < length[x]:
+                _add_mul_terms(tw, table[xs]._terms, factor, n)
+            if tw != terms:
                 broken[x].append(i)
     rows = {}
     for v, pairs in walks.items():

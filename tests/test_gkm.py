@@ -698,6 +698,11 @@ class TestRefusals:
         )
         self.refused(
             ValueError,
+            lambda: EquivariantClass(flag3, {v: 1}),
+            "localization at 213 is 1, not a polynomial",
+        )
+        self.refused(
+            ValueError,
             lambda: EquivariantClass(flag3, {v: one}, base="x"),
             "base vertex 'x' not in graph",
         )

@@ -324,6 +324,11 @@ SPECIAL_ASSIGNMENTS = {
     "t1->2*t2": {1: 2 * v(2)},
     "t1->t2/2, t3->t1": {1: v(2) * Fraction(1, 2), 3: v(1)},
     "cycle": {1: v(2), 2: v(3), 3: v(1)},
+    "t1->0": {1: Polynomial.zero(N)},
+    # t1 + t2 goes to t2 + t3/2: halves that sum to an int
+    "t1->(t2 + t3)/2, t2->t2/2": {
+        1: (v(2) + v(3)) * Fraction(1, 2), 2: v(2) * Fraction(1, 2)
+    },
 }
 
 
@@ -364,6 +369,18 @@ def test_collisions_that_sum_to_an_integer_are_stored_as_int():
     want = ref_substitute(half.terms(), N, {1: t2.terms()})
     assert_matches(half.substitute(sub), want, N)
     assert_matches(half.substitute(Substitution(N, sub)), want, N)
+
+
+def test_expansions_that_sum_to_an_integer_are_stored_as_int():
+    """Each term's image is added into the result as it is formed: the
+    images of t1 and t2 put 1/2*t2 twice on t2, whose sum 1 is an int."""
+    name = "t1->(t2 + t3)/2, t2->t2/2"
+    sub = SPECIAL_ASSIGNMENTS[name]
+    p = v(1) + v(2) + 2 * v(1) * v(2)
+    want = ref_substitute(p.terms(), N, {i: q.terms() for i, q in sub.items()})
+    assert want[(0, 1, 0)] == 1
+    assert_matches(p.substitute(sub), want, N)
+    assert_matches(p.substitute(COMPILED[name]), want, N)
 
 
 @settings(max_examples=80, deadline=None)
@@ -473,15 +490,17 @@ def test_add_mul_checks_the_ring():
 
 
 def test_a_perturbed_table_entry_flips_invariant(monkeypatch):
-    """decompose's identity check, run through add_mul, still sees a broken
-    table: one orbit sum that the read-off turns into S_x is perturbed."""
+    """decompose's identity check, run through the fused product loop, still
+    sees a broken table: one orbit sum that the read-off turns into S_x is
+    perturbed."""
     g = build_flag_moment_graph(root_system("A:3"))
     assert decompose(g).ok
     calls = []
+    add_mul_terms = repaction._add_mul_terms
 
-    def counting(p, a, b):
+    def counting(out, a, b, n):
         calls.append(1)
-        return add_mul(p, a, b)
+        return add_mul_terms(out, a, b, n)
 
     symmetrize = repaction.symmetrize
 
@@ -491,7 +510,7 @@ def test_a_perturbed_table_entry_flips_invariant(monkeypatch):
         total[y] = total[y] + Polynomial.variable(graph.n, 1)
         return total
 
-    monkeypatch.setattr(repaction, "add_mul", counting)
+    monkeypatch.setattr(repaction, "_add_mul_terms", counting)
     monkeypatch.setattr(repaction, "symmetrize", perturbed)
     report = decompose(g)
     assert calls  # the identity check went through the fused kernel
@@ -665,6 +684,24 @@ def test_substitution_paths_at_the_degree_bound(name, data):
     got = p.substitute(sub)
     assert_matches(got, want, N)
     assert got.total_degree() <= MAX_DEGREE
+
+
+def test_expansion_checks_the_degree_in_the_chain_order():
+    """The degree of a term's image is checked as the chain t3^50 * t1^200 *
+    t2^180 forms it: 250, then 430.  The two powers alone (380) or the
+    term's own degree (210) would name another degree."""
+    t1, t2 = v(1), v(2)
+    p = Polynomial(N, {(100, 60, 50): 1})
+    sub = {1: t1 * t1, 2: t2 * t2 * t2}
+    message = f"^total degree 430 is above MAX_DEGREE = {MAX_DEGREE}$"
+    for assignment in (sub, Substitution(N, sub)):
+        with pytest.raises(ValueError, match=message):
+            p.substitute(assignment)
+    # a zero image ends the chain, after the checks of the factors before it
+    zero = {1: v(3) * v(3), 2: Polynomial.zero(N)}
+    assert Polynomial(N, {(120, 5, 0): 1}).substitute(zero).is_zero()
+    with pytest.raises(ValueError, match="^total degree 260 is above"):
+        Polynomial(N, {(120, 1, 20): 1}).substitute(zero)
 
 
 @settings(max_examples=30, deadline=None)

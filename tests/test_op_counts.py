@@ -3,8 +3,8 @@
 Wall time on a shared machine spreads too widely to show a change in work,
 and an answer stays right when a pruning step is lost.  The counts here
 do not depend on the machine or the hash seed: each test wraps a kernel
-binding (``add_mul`` where gkm and repaction call it, with the product
-loop ``_add_mul_terms`` where they add into term maps they own,
+binding (``add_mul`` where gkm calls it, with the product loop
+``_add_mul_terms`` where gkm and repaction add into term maps they own,
 ``Substitution._apply``, which makes every substitution, the
 ``exact_divide`` of repaction or root_system, or
 ``MomentGraph.in_edges``), runs one computation and pins the number of
@@ -69,10 +69,10 @@ def count(monkeypatch):
 
 def count_add_mul(count):
     """Every multiply-add: add_mul, and the in-place product loop of the
-    basis expansion, reconstruction and simple-reflection step."""
+    basis expansion, reconstruction, simple-reflection step and
+    decompose's identity check."""
     count(gkm, "add_mul", "add_mul")
     count(gkm, "_add_mul_terms", "add_mul")
-    count(repaction, "add_mul", "add_mul")
     count(repaction, "_add_mul_terms", "add_mul")
 
 
@@ -125,6 +125,20 @@ def test_a6_decompose(count):
     count(Substitution, "_apply", "substitute")
     decompose(g)
     assert count.calls == {"add_mul": 3340, "substitute": 8014}
+
+
+@pytest.mark.parametrize("label,calls", [
+    ("B2", {"add_mul": 18, "substitute": 29}),
+    ("G2", {"add_mul": 33, "substitute": 55}),
+])
+def test_rank_two_flag_decompose(count, label, calls):
+    """The twists of B2 and G2 expand products: one substitution per
+    symmetrize step and identity check, one multiply-add per descent."""
+    g = build_flag_moment_graph(root_system(label))
+    count_add_mul(count)
+    count(Substitution, "_apply", "substitute")
+    assert decompose(g).ok
+    assert count.calls == calls
 
 
 def test_symmetrize_on_the_a5_flag_graph(count):

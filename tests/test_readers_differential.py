@@ -11,7 +11,9 @@ intended change: a term above ``MAX_DEGREE`` whose coefficients sum to 0
 is dropped, where the earlier JSON reader and constructor refused it (the
 earlier parser already dropped it).  So the new reader on a term list is
 compared with the earlier one on the list without such terms, and the
-change itself is pinned in each form by the last tests.
+change itself is pinned in each form by the last tests.  The constructor
+also takes a coefficient by the JSON reader's rule now: a float, a bool or
+a string that is not rational is refused with the JSON reader's text.
 """
 
 import random
@@ -261,7 +263,9 @@ def _json(*terms):
 FIELDS = [0, 0, 0, 1, 2, 100, 255, 256, 300]
 JSON_COEFFICIENTS = ["0", "1", "-1", "1/2", "-1/2", "2", "0/5", "1.5", 0, 1, -3]
 JSON_FAULTS = ["1/0", "x", None, 0.5, True]
-COEFFICIENTS = [0, 1, -1, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(4, 2), "1/2", 0.5]
+COEFFICIENTS = [0, 1, -1, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(4, 2), "1/2"]
+# the earlier constructor read 0.5 at its binary value and True as 1
+CONSTRUCTOR_FAULTS = [0.5, True, None, "1/0", "x"]
 
 
 def random_items(rng, coefficients, faults=()):
@@ -311,16 +315,49 @@ def test_json_objects_read_as_before_but_for_cancelled_terms():
     assert changed > 500, changed
 
 
+def coefficient_fault(c):
+    """The JSON reader's refusal of c, or None for an int, a Fraction or a
+    rational string: the one rule of every reader."""
+    if type(c) in (int, Fraction):
+        return None
+    if type(c) is not str:
+        return f"a coefficient is a rational string or an integer, not {c!r}"
+    try:
+        Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        return f"bad coefficient {c!r}"
+    return None
+
+
 def test_constructor_builds_as_before_but_for_cancelled_terms():
+    """A term map whose exponents are well formed is refused at its first
+    faulty coefficient, with the JSON reader's text, before any sum is
+    bounded; any other is built as before but for cancelled terms."""
     rng = random.Random(11)
-    changed = 0
+    changed = refused = 0
     for _ in range(20_000):
-        terms = {tuple(e): c for e, c in random_items(rng, COEFFICIENTS)}
+        terms = {tuple(e): c for e, c in random_items(rng, COEFFICIENTS, CONSTRUCTOR_FAULTS)}
+        fault = next(filter(None, map(coefficient_fault, terms.values())), None)
+        if fault is not None:
+            refused += 1
+            assert outcome(Polynomial, 3, terms) == (ValueError, fault), terms
+            continue
         kept = {e: c for e, c in terms.items() if sum(e) <= MAX_DEGREE or c}
         changed += kept != terms
         want = outcome(ref_polynomial, 3, kept)
         assert_same(outcome(Polynomial, 3, terms), want, terms)
     assert changed > 500, changed
+    assert refused > 500, refused
+
+
+@pytest.mark.parametrize("c", [0.5, 0.1, True, None, "1/0", "x", [1]])
+def test_every_reader_refuses_a_coefficient_by_one_rule(c):
+    want = (ValueError, coefficient_fault(c))
+    assert outcome(Polynomial, 2, {(1, 0): c}) == want
+    assert outcome(Polynomial.constant, 2, c) == want
+    assert outcome(Polynomial.linear_form, 2, {1: c}) == want
+    obj = {"n": 2, "terms": [{"exp": [1, 0], "coeff": c}]}
+    assert outcome(polynomial_from_json, obj) == want
 
 
 @pytest.mark.parametrize(
