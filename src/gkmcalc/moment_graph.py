@@ -751,25 +751,24 @@ def graph_to_dot(g: MomentGraph) -> str:
         color = _DOT_COLORS[(k // len(_DOT_STYLES)) % len(_DOT_COLORS)]
         style_of[text] = (style, color)
 
-    def q(s: str) -> str:
-        return '"' + s.replace('"', '\\"') + '"'
+    def esc(s: str) -> str:  # a backslash first, then a quote
+        return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph moment_graph {"]
     for text in labels:
         style, color = style_of[text]
         lines.append(f"  // label {text}: style={style} color={color}")
     for v in g.vertices:
-        name = g.vertex_str(v)
-        show = name
+        name = show = esc(g.vertex_str(v))
         if g.rs is not None and g.rs.label.startswith("A:"):
-            show = f"{name}\\n{v.cycle_str()}"
-        lines.append(f"  {q(name)} [label={q(show)}];")
+            show = f"{name}\\n{esc(v.cycle_str())}"  # DOT's line break
+        lines.append(f'  "{name}" [label="{show}"];')
     for e in g.edges:
         text = g.label_str(e.label)
         style, color = style_of[text]
         lines.append(
-            f"  {q(g.vertex_str(e.tail))} -> {q(g.vertex_str(e.head))} "
-            f'[label={q(text)}, style={style}, color={color}];'
+            f'  "{esc(g.vertex_str(e.tail))}" -> "{esc(g.vertex_str(e.head))}" '
+            f'[label="{esc(text)}", style={style}, color={color}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,25 +27,25 @@ one step per letter of every one of the |W| elements.
 
 When v = x y is reduced, the class of y has one coefficient S_x in the
 orbit sum of the class of v, whatever v is (Billey, Duke Math. J. 96,
-1999).  So :func:`decompose` symmetrizes only the vertices with no right
-ascent in the graph, reads every orbit sum off S, and checks invariance
-by the divided-difference identity once per x, in int arithmetic.  The
-pairs come from ``RootSystem.factorizations``, the walk that also gives
-Billey's formula its rows.  Mod t, s_i moves only the constant term of
--alpha_i, so the induced action is decided once per generator.
+1999).  So :func:`decompose` sums the orbits of only the vertices with
+no right ascent in the graph, holds S as term maps, reads every orbit sum
+off S, and checks invariance by the divided-difference identity once per
+x, in int arithmetic.  The pairs come from ``RootSystem.factorizations``,
+the walk that also gives Billey's formula its rows.  Mod t, s_i moves
+only the constant term of -alpha_i, so the induced action is decided
+once per generator.
 
 Every simple-reflection step reads the root system's per-type tables:
 s_i v and its length from ``lmul`` and ``lengths``, and the coadjoint
 substitution of s_i with -alpha_i from ``simple_twists``.  It runs on
 element ids and sums by polyring's one idiom: each twist, -alpha_i
-product and level image of :func:`symmetrize` goes in place into term
-maps it owns, made polynomials as the expansion leaves.  The identity
-check of :func:`decompose` reads the same tables and builds no
-polynomial: it adds into the new map of a twist and compares maps.  An
-expansion is checked once, where it enters, not at every step: the graph
-must come from a root system, and gkm's gate gives every expansion
-returned here, a dict, polynomial coefficients in the graph's ring and
-no zero term.
+product and level image of the orbit sum goes in place into term maps
+it owns, made polynomials only as an expansion leaves the module.
+:func:`decompose` builds no polynomial: its identity check adds into
+the new map of a twist and compares maps.  An expansion is checked
+once, where it enters, not at every step: the graph must come from a
+root system, and gkm's gate gives every expansion returned here, a
+dict, polynomial coefficients in the graph's ring and no zero term.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def act_word(u, expansion: Mapping, g: MomentGraph) -> dict:
     return _by_element(out, g)
 
 
-def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
-    """The orbit sum of u . E over every u in W, for a basis expansion E.
+def _orbit_sum(terms: dict, g: MomentGraph) -> dict:
+    """:func:`symmetrize` on term maps by element id, into new maps.
 
     Level k of the parabolic chain (RootSystem.coset_chain) turns the sum
     over W_{1..k-1} into the sum over W_{1..k} by adding its image under
@@ -169,8 +169,8 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
     level are the prefixes of one word, so each costs a single
     simple-reflection step on the image before it, added in place into
     the term maps of the running sum, which starts from copies of E's.
-    """
-    total = {k: dict(c) for k, c in _by_id(expansion, g).items()}
+    Only g.rs is read."""
+    total = {k: dict(c) for k, c in terms.items()}
     for word in g.rs.coset_chain():
         img = total
         for i in word:
@@ -179,7 +179,12 @@ def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
                 cur = total.setdefault(k, c)
                 if cur is not c and not _add_terms(cur, c.items()):
                     del total[k]
-    return _by_element(total, g)
+    return total
+
+
+def symmetrize(expansion: Mapping, g: MomentGraph) -> dict:
+    """The orbit sum of u . E over every u in W, for a basis expansion E."""
+    return _by_element(_orbit_sum(_by_id(expansion, g), g), g)
 
 
 def left_divided_difference(
@@ -349,51 +354,47 @@ class DecompositionReport:
 def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
     """The table S (vertex id x -> S_x) of g, and each vertex's orbit sum.
 
-    S comes from the vertices with no right ascent in g, which lie above
-    every vertex in right weak order; each vertex is walked once.  rows[v]
-    is (row, failed, clean): row maps the id of y to S_x over v = x y;
-    failed holds each i at which the identity fails at an x it reads;
-    clean is false when v's own orbit sum has a term S does not give,
-    which then joins the row.
+    Both are term maps, read off the orbit sums (:func:`_orbit_sum`) of
+    the vertices with no right ascent in g, which lie above every vertex
+    in right weak order; each vertex is walked once.  rows[v] is (row,
+    failed, clean): row maps the id of y to S_x over v = x y; failed holds
+    each i at which the identity fails at an x it reads; clean is false
+    when v's own orbit sum has a term S does not give; it joins the row.
 
-    The identity runs on term maps, once per x and i.  The twist of S_x
-    is a new map; when x s_i < x, -alpha_i S_{x s_i} (-alpha_i as
-    simple_twists holds it) is added into it in place.  The map must then
-    equal S_x's.  No polynomial is built and S_x is not copied.
+    The identity s_i(S_x) = S_x + alpha_i S_{x s_i}, whose last term is
+    there only when x s_i < x, runs once per x and i.  The twist of S_x is
+    a new map, -alpha_i S_{x s_i} (-alpha_i as simple_twists holds it) is
+    added into it in place, and it must then equal S_x's map.  No
+    polynomial is built and S_x is not copied.
     """
     rs = g.rs
-    length, elements, index = rs.lengths, rs.elements(), rs.index
+    length = rs.lengths
     inside = set(ids)
     walks = {v: rs.factorizations(v) for v in ids}
-    one, zero = Polynomial.one(g.n), Polynomial.zero(g.n)
-    table: dict[int, Polynomial] = {}
+    table: dict[int, dict] = {}
     stray: dict[int, dict] = {}
     for v in ids:
         if any(length[row[v]] > length[v] and row[v] in inside for row in rs.rmul):
             continue
-        total = {index[u]: p for u, p in symmetrize({elements[v]: one}, g).items()}
+        total = _orbit_sum({v: {0: 1}}, g)  # the class of v, coefficient 1
         for x, y in walks[v].items():
-            p = total.pop(y, zero)
-            if table.setdefault(x, p) != p:
-                total[y] = p
+            c = total.pop(y, {})
+            if table.setdefault(x, c) != c:
+                total[y] = c
         if total:
             stray[v] = total
-    # the identity: s_i(S_x) is S_x + alpha_i S_{x s_i} when x s_i < x, else
-    # S_x; on term maps, s_i(S_x) + (-alpha_i) S_{x s_i} is formed in the
-    # twist's new map and must equal S_x's map
     steps = [
         (sub._apply, minus_alpha._terms, row)
         for (sub, minus_alpha), row in zip(rs.simple_twists, rs.rmul)
     ]
     n = g.n
     broken: dict[int, list[int]] = {x: [] for x in table}
-    for x, p in table.items():
-        terms = p._terms
+    for x, terms in table.items():
         for i, (twist, factor, row) in enumerate(steps, 1):
             xs = row[x]
             tw = twist(terms)
             if length[xs] < length[x]:
-                _add_mul_terms(tw, table[xs]._terms, factor, n)
+                _add_mul_terms(tw, table[xs], factor, n)
             if tw != terms:
                 broken[x].append(i)
     rows = {}
@@ -401,7 +402,7 @@ def _read_off(g: MomentGraph, ids: list[int]) -> tuple[dict, dict]:
         row = {y: table[x] for x, y in pairs.items()}
         row.update(stray.get(v, {}))
         failed = {i for x in pairs for i in broken[x]}
-        rows[v] = ({y: p for y, p in row.items() if p}, failed, v not in stray)
+        rows[v] = ({y: c for y, c in row.items() if c}, failed, v not in stray)
     return table, rows
 
 
@@ -424,9 +425,8 @@ def decompose(g: MomentGraph) -> DecompositionReport:
         w_label=g.metadata.get("w", ""),
     )
     gen_ok = {i: True for i in range(1, rs.rank + 1)}
-    length = rs.lengths
-    order = Polynomial.constant(g.n, len(rs.elements()))
-    elements = rs.elements()
+    length, elements = rs.lengths, rs.elements()
+    order = {0: len(elements)}  # the constant |W|
     ids = [rs.index[v] for v in g.vertices]
     _, rows = _read_off(g, ids)
 

@@ -17,6 +17,7 @@ from itertools import combinations
 from .coxeter import Permutation, all_permutations, inversion_pairs
 from .gkm import (
     KnutsonTaoBasis,
+    _polynomials,
     apply_group_element,
     check_gkm,
     expand_in_basis,
@@ -42,6 +43,7 @@ from .polyring import (
     reduce_modulo,
 )
 from .repaction import (
+    _by_element,
     _read_off,
     act_on_schubert_basis,
     act_word,
@@ -690,16 +692,15 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
     for label in labels:
         rs = root_system(label)
         g = build_flag_moment_graph(rs)
-        one, elements = Polynomial.one(g.n), rs.elements()
-        ids = [rs.index[v] for v in g.vertices]
+        one, ids = Polynomial.one(g.n), [rs.index[v] for v in g.vertices]
         table, rows = _read_off(g, ids)
         # every row decompose reads off is the orbit sum of its vertex alone
         for v, k in zip(g.vertices, ids):
             row, _, clean = rows[k]
-            row = {elements[y]: p for y, p in row.items()}
+            row = _by_element(row, g)
             ok &= clean and expansions_equal(row, symmetrize({v: one}, g))
         # d_i S_x = -S_{x s_i} when x s_i < x and 0 otherwise, by exact division
-        zero = Polynomial.zero(g.n)
+        table, zero = _polynomials(table, g.n), Polynomial.zero(g.n)
         for x, p in table.items():
             for i in range(1, rs.rank + 1):
                 xs = rs.rmul[i - 1][x]

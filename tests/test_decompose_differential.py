@@ -11,7 +11,9 @@ sums of the vertices with no right ascent in the graph; the mutation tests
 corrupt those orbit sums and show that the checks catch it, computing the
 rows each corruption must fail from ``rs.mul`` and ``rs.length``.  A
 constant term put into one generator's -alpha_i must make the mod-t
-identity fail wherever some vertex descends by that generator.
+identity fail wherever some vertex descends by that generator.  The
+table S itself is anchored by the BGG divided differences of the product
+of the positive roots, formed without the simple twists the steps read.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ import pytest
 from gkmcalc import repaction
 from gkmcalc.gkm import expansions_equal
 from gkmcalc.moment_graph import build_flag_moment_graph, build_schubert_moment_graph
-from gkmcalc.polyring import Polynomial
+from gkmcalc.polyring import Polynomial, exact_divide
 from gkmcalc.repaction import DecompositionReport, average_class, decompose
 from gkmcalc.root_system import root_system
 
@@ -132,16 +134,29 @@ def right_maximal(g) -> set:
 
 
 def _mutate_orbit_sum(monkeypatch, corrupt):
-    """Corrupt every orbit sum decompose reads its table S from."""
-    real = repaction.symmetrize
+    """Corrupt every orbit sum decompose reads its table S from.  The sums
+    are term maps by element id; corrupt sees them as polynomials by
+    element, and its changes are read back by id."""
+    real = repaction._orbit_sum
 
-    def mutant(expansion, g):
-        total = real(expansion, g)
-        (v,) = expansion
-        corrupt(total, v, g)
-        return total
+    def mutant(terms, g):
+        total = repaction._by_element(real(terms, g), g)
+        (k,) = terms
+        corrupt(total, g.rs.elements()[k], g)
+        return repaction._by_id(total, g)
 
-    monkeypatch.setattr(repaction, "symmetrize", mutant)
+    monkeypatch.setattr(repaction, "_orbit_sum", mutant)
+
+
+def _count_orbit_sums(monkeypatch, calls):
+    """Record the elements of the expansion of every orbit sum taken."""
+    real = repaction._orbit_sum
+
+    def counting(terms, g):
+        calls.append(tuple(g.rs.elements()[k] for k in terms))
+        return real(terms, g)
+
+    monkeypatch.setattr(repaction, "_orbit_sum", counting)
 
 
 def _corrupt_coefficient(monkeypatch, label, change):
@@ -287,10 +302,7 @@ def test_disagreeing_second_reading_breaks_unitriangularity(monkeypatch):
 @pytest.mark.parametrize("label", ["A:3", "B2", "G2"])
 def test_flag_graph_symmetrizes_w0_alone(monkeypatch, label):
     calls = []
-    real = repaction.symmetrize
-    monkeypatch.setattr(
-        repaction, "symmetrize", lambda e, g: calls.append(tuple(e)) or real(e, g)
-    )
+    _count_orbit_sums(monkeypatch, calls)
     rs = root_system(label)
     assert decompose(build_flag_moment_graph(rs)).ok
     assert calls == [(rs.longest_element(),)]
@@ -298,10 +310,7 @@ def test_flag_graph_symmetrizes_w0_alone(monkeypatch, label):
 
 def test_schubert_graphs_symmetrize_each_right_maximal_vertex_once(monkeypatch):
     calls = []
-    real = repaction.symmetrize
-    monkeypatch.setattr(
-        repaction, "symmetrize", lambda e, g: calls.append(tuple(e)) or real(e, g)
-    )
+    _count_orbit_sums(monkeypatch, calls)
     rs = root_system("A:4")
     several = 0
     for w in rs.elements():
@@ -322,13 +331,10 @@ def test_read_off_rows_equal_orbit_sums(label, w):
     g = build_schubert_moment_graph(rs, rs.parse_element(w))
     ids = [rs.index[v] for v in g.vertices]
     _, rows = repaction._read_off(g, ids)
-    one = Polynomial.one(g.n)
-    for v, k in zip(g.vertices, ids):
+    for k in ids:
         row, _, clean = rows[k]
         assert clean
-        assert {rs.elements()[y]: p for y, p in row.items()} == repaction.symmetrize(
-            {v: one}, g
-        )
+        assert row == repaction._orbit_sum({k: {0: 1}}, g)
 
 
 @pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "B2", "G2"])
@@ -344,6 +350,58 @@ def test_divided_differences_of_the_identity_coefficients(label):
             xs = rs.mul(x, rs.simple_reflection(i))
             want = -P[xs] if rs.length(xs) < rs.length(x) else zero
             assert rs.divided_difference(P[x], i) == want, (label, x, i)
+
+
+def bgg_table(rs) -> dict:
+    """S by element id from the top down, without the root system's simple
+    twists (BGG 1973): S_{w0} = (-1)^{|Phi+|} times the product of the
+    positive roots, and S_{x s_i} = -d_i S_x whenever x s_i < x, each d_i
+    formed from the coadjoint substitution of s_i and alpha_i."""
+    steps = [
+        (rs.coadjoint_substitution(rs.simple_reflection(i)), rs.simple_root_form(i))
+        for i in range(1, rs.rank + 1)
+    ]
+    top = Polynomial.constant(rs.dim, (-1) ** len(rs.positive_roots))
+    for beta in rs.positive_roots:
+        top = top * rs.root_form(beta)
+    w0 = len(rs.elements()) - 1
+    table = {w0: top}
+    for x in range(w0, -1, -1):  # ids by length: x s_i > x comes first
+        p = table[x]
+        for (sub, alpha), row in zip(steps, rs.rmul):
+            xs = row[x]
+            if rs.lengths[xs] < rs.lengths[x] and xs not in table:
+                table[xs] = -exact_divide(p - p.substitute(sub), alpha)
+    return table
+
+
+def read_off_table(g) -> dict:
+    """decompose's table S of g, its term maps as polynomials."""
+    table, _ = repaction._read_off(g, [g.rs.index[v] for v in g.vertices])
+    return {x: Polynomial._make(g.n, c) for x, c in table.items()}
+
+
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
+def test_read_off_table_is_the_bgg_table(label):
+    """Every S_x decompose reads off the orbit sums is, up to sign, the BGG
+    harmonic polynomial d_{x^{-1} w0} of the product of the roots."""
+    rs = root_system(label)
+    assert read_off_table(build_flag_moment_graph(rs)) == bgg_table(rs)
+
+
+@pytest.mark.parametrize("label,ok", [("A:3", False), ("B2", True), ("G2", True)])
+def test_wrong_sign_of_alpha_breaks_the_bgg_table(monkeypatch, label, ok):
+    """With +alpha_1 in place of -alpha_1 in the steps' simple twist, the
+    rank-two orbit sums still pass decompose's own checks, which read the
+    same twist; the BGG table, which does not, tells them apart."""
+    rs = root_system(label)
+    g = build_flag_moment_graph(rs)
+    twists = list(rs.simple_twists)
+    sub, minus_alpha = twists[0]
+    twists[0] = (sub, -minus_alpha)
+    monkeypatch.setattr(rs, "simple_twists", tuple(twists))
+    assert decompose(g).ok is ok
+    assert read_off_table(g) != bgg_table(rs)
 
 
 def _constant_in_minus_alpha(monkeypatch, rs, i):

@@ -329,6 +329,10 @@ SPECIAL_ASSIGNMENTS = {
     "t1->(t2 + t3)/2, t2->t2/2": {
         1: (v(2) + v(3)) * Fraction(1, 2), 2: v(2) * Fraction(1, 2)
     },
+    # every variable of a term moves, so its image chains three powers
+    "t1->t1 + t2, t2->t2 + t3, t3->t1 - t3": {
+        1: v(1) + v(2), 2: v(2) + v(3), 3: v(1) - v(3)
+    },
 }
 
 
@@ -379,6 +383,17 @@ def test_expansions_that_sum_to_an_integer_are_stored_as_int():
     p = v(1) + v(2) + 2 * v(1) * v(2)
     want = ref_substitute(p.terms(), N, {i: q.terms() for i, q in sub.items()})
     assert want[(0, 1, 0)] == 1
+    assert_matches(p.substitute(sub), want, N)
+    assert_matches(p.substitute(COMPILED[name]), want, N)
+
+
+def test_three_moving_variables_chain_every_power():
+    """The image of t1*t2*t3 is the product of three two-term images; each
+    of them must enter it, and t1^2*t3's square power beside them."""
+    name = "t1->t1 + t2, t2->t2 + t3, t3->t1 - t3"
+    sub = SPECIAL_ASSIGNMENTS[name]
+    p = v(1) * v(2) * v(3) + 2 * v(1) * v(1) * v(3)
+    want = ref_substitute(p.terms(), N, {i: q.terms() for i, q in sub.items()})
     assert_matches(p.substitute(sub), want, N)
     assert_matches(p.substitute(COMPILED[name]), want, N)
 
@@ -502,16 +517,16 @@ def test_a_perturbed_table_entry_flips_invariant(monkeypatch):
         calls.append(1)
         return add_mul_terms(out, a, b, n)
 
-    symmetrize = repaction.symmetrize
+    orbit_sum = repaction._orbit_sum
 
-    def perturbed(expansion, graph):
-        total = symmetrize(expansion, graph)
+    def perturbed(terms, graph):
+        total = repaction._by_element(orbit_sum(terms, graph), graph)
         y = graph.vertex_by_str("132")
         total[y] = total[y] + Polynomial.variable(graph.n, 1)
-        return total
+        return repaction._by_id(total, graph)
 
     monkeypatch.setattr(repaction, "_add_mul_terms", counting)
-    monkeypatch.setattr(repaction, "symmetrize", perturbed)
+    monkeypatch.setattr(repaction, "_orbit_sum", perturbed)
     report = decompose(g)
     assert calls  # the identity check went through the fused kernel
     assert not report.ok

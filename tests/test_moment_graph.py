@@ -1,6 +1,7 @@
 """Moment graph builders, axiom validation, Palais-Smale, and serialization."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,36 @@ class TestSerialization:
     def test_dot_deterministic(self):
         g = toric_hexagon_graph()
         assert graph_to_dot(g) == graph_to_dot(toric_hexagon_graph())
+
+    def test_dot_strings_read_back(self):
+        """Every quoted string ends where it should: a backslash and a quote
+        in a name are escaped, and each line reads back as its strings."""
+        names = ["a\\", 'b"q', '\\"']
+        g = load_external_graph(
+            {
+                "vertices": names,
+                "edges": [
+                    {"tail": names[1], "head": names[0], "label": "t1"},
+                    {"tail": names[2], "head": names[1], "label": "t1 - t2"},
+                ],
+                "metadata": {"n": 2},
+            }
+        )
+        string = r'"((?:[^"\\]|\\.)*)"'
+
+        def read(s):
+            return re.sub(r"\\(.)", r"\1", s)
+
+        dot = graph_to_dot(g).splitlines()
+        vertex = re.compile(rf"  {string} \[label={string}\];")
+        edge = re.compile(
+            rf"  {string} -> {string} \[label={string}, style=\w+, color=\w+\];"
+        )
+        got = {tuple(map(read, vertex.fullmatch(line).groups())) for line in dot[3:6]}
+        assert got == {(v, v) for v in names}
+        got = {tuple(map(read, edge.fullmatch(line).groups())) for line in dot[6:8]}
+        assert got == {(names[1], names[0], "t1"), (names[2], names[1], "t1 - t2")}
+        assert len(dot) == 9
 
 
 class TestOrderStructure:

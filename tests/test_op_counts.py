@@ -6,10 +6,11 @@ do not depend on the machine or the hash seed: each test wraps a kernel
 binding (``add_mul`` where gkm calls it, with the product loop
 ``_add_mul_terms`` where gkm and repaction add into term maps they own,
 ``Substitution._apply``, which makes every substitution, the
-``exact_divide`` of repaction or root_system, or
-``MomentGraph.in_edges``), runs one computation and pins the number of
-calls with ``==``.  A count that moves, either way, is a change in the
-work done and is stated old -> new where the change is described.
+``exact_divide`` of repaction or root_system, ``Polynomial._make``,
+which makes every polynomial, or ``MomentGraph.in_edges``), runs one
+computation and pins the number of calls with ``==``.  A count that
+moves, either way, is a change in the work done and is stated old -> new
+where the change is described.
 """
 
 import importlib
@@ -139,6 +140,23 @@ def test_rank_two_flag_decompose(count, label, calls):
     count(Substitution, "_apply", "substitute")
     assert decompose(g).ok
     assert count.calls == calls
+
+
+@pytest.mark.parametrize("label,w", [
+    ("A:6", "462513"), ("A:4", None), ("B2", None), ("G2", None),
+])
+def test_decompose_builds_no_polynomial(count, label, w):
+    """decompose holds S, its rows and the identity check's maps as term
+    maps by element id, and makes no polynomial of them."""
+    rs = root_system(label)
+    g = (
+        build_flag_moment_graph(rs)
+        if w is None
+        else build_schubert_moment_graph(rs, rs.parse_element(w))
+    )
+    count(Polynomial, "_make", "polynomials")
+    assert decompose(g).ok
+    assert count.calls.get("polynomials", 0) == 0
 
 
 def test_symmetrize_on_the_a5_flag_graph(count):
