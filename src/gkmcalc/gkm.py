@@ -65,7 +65,6 @@ from .polyring import (
     Substitution,
     _add_mul_terms,
     _add_terms,
-    add_mul,
     exact_divide,
     polynomial_from_json,
     to_strings,
@@ -366,13 +365,15 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
     i, which the root system keeps as a table (``rdescent``); a Schubert
     graph is closed under this, so its columns xi^.(w) are built depth
     first down that tree, over the in-edges of each column, with only the
-    current path's columns alive.  Each column entry takes its beta term
-    by one fused multiply-add (``add_mul``), so no product beta *
-    xi^{u s_i}(w') is built only to be added.  Row u draws only on the
-    rows u and u s_i < u, so row v needs only the rows u = v s_j ... s_k
-    reached by length-lowering right multiplications: the lower ideal of
-    v in the right weak order, which lies inside [e, v]: the left factors
-    of RootSystem.factorizations(v).  Each step down the tree lowers the
+    current path's columns alive.  A column holds term maps: an entry it
+    changes is a copy of its parent's map, into which the ring's product
+    loop adds beta * xi^{u s_i}(w') in place, so no product is built only
+    to be added, and each distinct map becomes one polynomial as the
+    class leaves.  Row u draws only on the rows u and u s_i < u, so row
+    v needs only the rows u = v s_j ... s_k reached by length-lowering
+    right multiplications: the lower ideal of v in the right weak order,
+    which lies inside [e, v]: the left factors of
+    RootSystem.factorizations(v).  Each step down the tree lowers the
     row length by at most one, so a row u can still reach row v from
     column x only when l(x) - l(u) <= top - l(v), where top is the
     largest length in the graph; the other rows are dropped.
@@ -422,16 +423,17 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
                 m = rmul[rdescent[m]][m]
         rep[k] = r
         members.append((w, r))
-    zero = Polynomial.zero(g.n)
-    loc: dict = {}  # column id -> xi^v there, when nonzero
-    # (w, i, beta, column of w s_i): w's column is built when it is popped,
-    # so only the columns on the current path stay alive
+    n = g.n
+    loc: dict = {}  # column id -> the term map of xi^v there, when nonzero
+    # (w, i, beta's term map, column of w s_i): w's column is built when
+    # it is popped, so only the columns on the current path stay alive.
+    # An entry a column changes is a copy it owns: the parent's is shared
     stack: list = [(g.vertices[0], None, None, None)]
     while stack:
         w, i, beta, parent = stack.pop()
         k = index[w]
         if parent is None:
-            col = {0: Polynomial.one(g.n)}
+            col = {0: {0: 1}}
         else:
             lw = length[k]
             col = {u: p for u, p in parent.items() if lw - length[u] <= slack}
@@ -440,7 +442,7 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
                 us = row[u]
                 if length[us] > length[u] and us in rows and lw - length[us] <= slack:
                     # a sum of products of positive roots: never zero
-                    col[us] = add_mul(col.get(us, zero), beta, p)
+                    col[us] = _add_mul_terms(dict(col.get(us, {})), beta, p, n)
             if not col:
                 continue  # and so is every column below w
         if top in col:
@@ -451,8 +453,15 @@ def knutson_tao_class_billey(g: MomentGraph, v) -> EquivariantClass:
             y = index[e.tail]
             j = rdescent[y]
             if rmul[j][y] == k and y in needed:
-                stack.append((e.tail, j, e.label, col))
-    return EquivariantClass(g, {w: loc[r] for w, r in members if r in loc}, base=v)
+                stack.append((e.tail, j, e.label._terms, col))
+    # one polynomial per distinct map, so a coset's vertices share it
+    made: dict = {}
+    for m in loc.values():
+        if id(m) not in made:
+            made[id(m)] = Polynomial._make(n, m)
+    return EquivariantClass(
+        g, {w: made[id(loc[r])] for w, r in members if r in loc}, base=v
+    )
 
 
 def knutson_tao_class_descent(g: MomentGraph, v) -> EquivariantClass:
@@ -525,9 +534,10 @@ def _solve_vertex(
                 ) from exc
         levels.append((a1, t1))
         labels, residues, d = labels[1:], nxt, d - 1
-    p = Polynomial.zero(g.n)
+    terms: dict = {}  # p = t_1 + a_1 * (t_2 + a_2 * (...)), made once
     for a, t in reversed(levels):
-        p = add_mul(t, a, p)
+        terms = _add_mul_terms(dict(t._terms), a._terms, terms, g.n)
+    p = Polynomial._make(g.n, terms)
     for e, h in checks:
         if not _agree(p, h, e.label, restricted):
             raise SolveError(f"constraints at vertex {name} are inconsistent")

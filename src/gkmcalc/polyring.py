@@ -61,19 +61,16 @@ into its result in one pass: the term times the kept powers of the
 images, added straight in with that loop's order and stored-form rules;
 powers are multiplied together first only for a term in which three or
 more variables move.  A sum runs through a plain add loop.  Code that
-sums many terms runs the two loops in place into term maps it owns,
-never a given polynomial's, drops an entry whose sum cancels and makes
-each polynomial once, as the result leaves (basis expansion and
+sums many terms, with no exception, runs the two loops in place into
+term maps it owns, never a given polynomial's, drops an entry whose sum
+cancels and makes each polynomial once, as the result leaves (Billey's
+columns, the vertex solver's assembly, basis expansion and
 reconstruction, the divided difference of an expansion, the action's
-step, the decomposition's identity check).  ``add_mul(p, a, b)`` is
-p + a * b, the first loop run into one copy of p's terms (Billey's step,
-the vertex solver).  ``exact_divide`` keeps its own heap loop.
-``to_strings`` forms the text of many polynomials of one ring: each
-distinct polynomial object and each distinct monomial is put into text
-once per call; ``to_string`` is its one-polynomial case:
+step, the decomposition's identity check).  ``exact_divide`` keeps its
+own heap loop.  ``to_strings`` forms the text of many polynomials of one
+ring: each distinct polynomial object and each distinct monomial is put
+into text once per call; ``to_string`` is its one-polynomial case:
 
->>> str(add_mul(t1, t1 - t2, t2))
-'t1*t2 - t2^2 + t1'
 >>> to_strings([t1 - t2, 2 * t1, t1 - t1], prefix="a")
 ['a1 - a2', '2*a1', '0']
 """
@@ -92,7 +89,6 @@ __all__ = [
     "MAX_DEGREE",
     "Polynomial",
     "Substitution",
-    "add_mul",
     "divides",
     "exact_divide",
     "hyperplane",
@@ -448,19 +444,6 @@ class Polynomial:
         elif assignment.n != self.n:
             raise ValueError(f"ring dimension mismatch: {self.n} vs {assignment.n}")
         return Polynomial._make(self.n, assignment._apply(self._terms))
-
-
-def add_mul(p: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
-    """p + a * b, accumulated into one copy of p's terms in one pass.
-
-    The product is never built: the ring's one multiply-accumulate loop
-    adds each term product into the copy, after the degree check a
-    product makes.
-    """
-    p._check_dim(a)
-    p._check_dim(b)
-    out = _add_mul_terms(dict(p._terms), a._terms, b._terms, p.n)
-    return Polynomial._make(p.n, out)
 
 
 class Substitution:

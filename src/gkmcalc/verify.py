@@ -510,12 +510,13 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
 
     ok = True
     checks = 0
-    for n in range(2, min(max_n, 4) + 1):
-        rs = type_a(n)
+    for label in _general_labels(min(max_n, 4)):
+        rs = root_system(label)
         basis = flag_basis(rs)
+        simple = range(1, rs.rank + 1)
         acted = {}
         for v in rs.elements():
-            for i in range(1, n):
+            for i in simple:
                 acted[(i, v)] = apply_group_element(
                     rs.simple_reflection(i), basis.cls(v)
                 )
@@ -523,7 +524,7 @@ def suite_repaction(max_n: int = 4, seed: int = 0) -> list[CheckResult]:
             xg = build_schubert_moment_graph(rs, w)
             xbasis = KnutsonTaoBasis(xg)
             for v in xg.vertices:
-                for i in range(1, n):
+                for i in simple:
                     lhs = restrict(acted[(i, v)], xg)
                     rhs = xbasis.reconstruct(act_on_schubert_basis(i, v, xg))
                     ok &= lhs == rhs

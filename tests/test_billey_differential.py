@@ -7,8 +7,8 @@ the references here: over whole groups for A:2..A:5, B2 and G2, on two A:5
 Schubert varieties for the solver, and at the longest element of A:5 and
 A:6, where the row pruning keeps one row per column.  Billey's walk builds
 one column per coset of the right ascents of v; descent never uses that
-fact, so its classes check it, and a count of fused products pins the
-walk's size.
+fact, so its classes check it, a count of the walk's multiply-adds pins
+its size, and each coset's vertices must hold one object.
 """
 
 import pytest
@@ -73,18 +73,30 @@ def test_billey_walk_builds_one_column_per_coset(monkeypatch):
     rs = root_system("A:5")
     g = build_flag_moment_graph(rs)
     calls = []
-    add_mul = gkm.add_mul
+    add_mul_terms = gkm._add_mul_terms
 
-    def counting(p, a, b):
+    def counting(out, a, b, n):
         calls.append(1)
-        return add_mul(p, a, b)
+        return add_mul_terms(out, a, b, n)
 
     vs = rs.elements()[::10]
-    monkeypatch.setattr(gkm, "add_mul", counting)
+    monkeypatch.setattr(gkm, "_add_mul_terms", counting)
     got = [knutson_tao_class_billey(g, v) for v in vs]
     assert 0 < len(calls) <= 783
     monkeypatch.undo()
     assert got == [knutson_tao_class_descent(g, v) for v in vs]
+    # a coset's vertices hold its one value, as one object
+    elements, length = rs.elements(), rs.lengths
+    for v, c in zip(vs, got):
+        k = rs.element_id(v)
+        for row in rs.rmul:
+            if length[row[k]] < length[k]:
+                continue
+            for w, p in c._loc.items():
+                assert c._loc[elements[row[rs.element_id(w)]]] is p, (
+                    g.vertex_str(v),
+                    g.vertex_str(w),
+                )
 
 
 @pytest.mark.parametrize("label", LABELS)

@@ -14,6 +14,7 @@ from gkmcalc.cli import main
 from gkmcalc.gkm import class_to_json, knutson_tao_class_descent, knutson_tao_class_solve
 from gkmcalc.moment_graph import schubert_graph, toric_hexagon_json
 from gkmcalc.polyring import MAX_DEGREE
+from gkmcalc.root_system import root_system
 from gkmcalc.verify import run_suite
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -375,6 +376,18 @@ class TestVerifyCommand:
         results = run_suite("gkm", max_n=3, seed=5) + run_suite("repaction", max_n=3, seed=5)
         assert all(r.ok for r in results)
         assert seeds == [12, 16]
+
+    @pytest.mark.parametrize("label", ["B2", "G2"])
+    def test_wrong_sign_of_alpha_fails_the_simple_action_formula(self, monkeypatch, label):
+        # with +alpha_1 in the simple-reflection step's twist, the step no
+        # longer matches the pointwise action on the rank-two flag graph
+        rs = root_system(label)
+        twists = list(rs.simple_twists)
+        sub, minus_alpha = twists[0]
+        twists[0] = (sub, -minus_alpha)
+        monkeypatch.setattr(rs, "simple_twists", tuple(twists))
+        rows = {r.name: r.ok for r in run_suite("repaction", max_n=3)}
+        assert rows["simple-action-formula"] is False
 
     def test_root_system_rows_stop_at_a4(self):
         # the whole-group rows stay at desk scale for any --max-n

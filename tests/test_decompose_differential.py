@@ -381,7 +381,7 @@ def read_off_table(g) -> dict:
     return {x: Polynomial._make(g.n, c) for x, c in table.items()}
 
 
-@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "B2", "G2"])
+@pytest.mark.parametrize("label", ["A:2", "A:3", "A:4", "A:5", "A:6", "B2", "G2"])
 def test_read_off_table_is_the_bgg_table(label):
     """Every S_x decompose reads off the orbit sums is, up to sign, the BGG
     harmonic polynomial d_{x^{-1} w0} of the product of the roots."""

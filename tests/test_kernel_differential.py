@@ -9,8 +9,9 @@ stores integral coefficients as ``int`` and divides off a heap; on every
 input here it must give the same polynomial, the same hash and the same
 text and JSON bytes.  A compiled ``Substitution`` keeps the powers of its
 images between calls, so one object is applied to many polynomials.  The
-fused ``add_mul(p, a, b)`` must equal ``p + a * b``, and the batch text
-form ``to_strings`` the straightforward per-polynomial formatter below.
+product loop run into a copy of p's terms, as Billey's walk and the
+vertex solver run it, must give ``p + a * b``, and the batch text form
+``to_strings`` the straightforward per-polynomial formatter below.
 
 The kernel packs each monomial into one int (see ``gkmcalc.polyring``);
 the last section checks the packing itself, and every way of applying a
@@ -34,7 +35,6 @@ from gkmcalc.polyring import (
     ExactDivisionError,
     Polynomial,
     Substitution,
-    add_mul,
     exact_divide,
     hyperplane,
     parse_polynomial,
@@ -461,47 +461,52 @@ def test_exact_divide_failures():
             exact_divide(num, den)
 
 
-# -- the fused multiply-add ------------------------------------------------------
+# -- the product loop as a multiply-add -----------------------------------------
+
+
+def plus_product(p, a, b):
+    """p + a * b: the ring's product loop run into a copy of p's terms."""
+    return Polynomial._make(N, polyring._add_mul_terms(dict(p._terms), a._terms, b._terms, N))
 
 
 @settings(max_examples=120, deadline=None)
 @given(p=polys(), a=polys(), b=polys())
 def test_add_mul_matches_reference(p, a, b):
     want = ref_add(p.terms(), ref_mul(a.terms(), b.terms()))
-    got = add_mul(p, a, b)
+    got = plus_product(p, a, b)
     assert_matches(got, want, N)
     assert got == p + a * b
-    assert_matches(add_mul(Polynomial.zero(N), a, b), ref_mul(a.terms(), b.terms()), N)
-    assert add_mul(p, a, Polynomial.zero(N)) == p == add_mul(p, Polynomial.zero(N), b)
+    assert_matches(plus_product(Polynomial.zero(N), a, b), ref_mul(a.terms(), b.terms()), N)
+    assert plus_product(p, a, Polynomial.zero(N)) == p == plus_product(p, Polynomial.zero(N), b)
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=polys(), b=polys(), c=polys())
 def test_add_mul_cancels_to_zero(a, b, c):
     # p = -(a * b) cancels every term; with p = a * (b - c), a * c cancels
-    assert add_mul(-(a * b), a, b)._terms == {}
-    assert_matches(add_mul(a * (b - c), a, c), ref_mul(a.terms(), b.terms()), N)
+    assert plus_product(-(a * b), a, b)._terms == {}
+    assert_matches(plus_product(a * (b - c), a, c), ref_mul(a.terms(), b.terms()), N)
 
 
 def test_add_mul_stores_integral_fractions_as_int():
     t1, t2 = v(1), v(2)
     half = (t1 + t2) * Fraction(1, 2)
     for got, want in (
-        (add_mul(half * t1, half, t1), t1 * t1 + t1 * t2),  # 1/2 + 1/2 per term
-        (add_mul(t1 * t1, half, 2 * t1), 2 * t1 * t1 + t1 * t2),
-        (add_mul(Polynomial.zero(N), half, 2 * (t1 - t2)), t1 * t1 - t2 * t2),
+        (plus_product(half * t1, half, t1), t1 * t1 + t1 * t2),  # 1/2 + 1/2 per term
+        (plus_product(t1 * t1, half, 2 * t1), 2 * t1 * t1 + t1 * t2),
+        (plus_product(Polynomial.zero(N), half, 2 * (t1 - t2)), t1 * t1 - t2 * t2),
     ):
         assert got == want
         assert all(type(c) is int for c in got._terms.values())
-    third = add_mul(t1, t1, Polynomial.constant(N, Fraction(-2, 3)))._terms
+    third = plus_product(t1, t1, Polynomial.constant(N, Fraction(-2, 3)))._terms
     assert third == {polyring._pack((1, 0, 0)): Fraction(1, 3)}
 
 
 def test_add_mul_checks_the_ring():
     other = Polynomial.variable(N + 1, 1)
-    for args in ((other, v(1), v(2)), (v(1), other, v(2)), (v(1), v(2), other)):
+    for a, b in ((other, v(1)), (v(1), other), (v(1) + v(2), other)):
         with pytest.raises(ValueError, match="ring dimension mismatch"):
-            add_mul(*args)
+            a * b
 
 
 def test_a_perturbed_table_entry_flips_invariant(monkeypatch):
@@ -736,12 +741,12 @@ def test_add_mul_at_the_degree_bound(p, f):
     prod = p * f
     assert prod.total_degree() == MAX_DEGREE
     # degree 255 is accepted, with or without a polynomial to add to
-    assert add_mul(prod, p, f) == prod + prod
-    assert add_mul(Polynomial.zero(N), p, f) == prod
+    assert plus_product(prod, p, f) == prod + prod
+    assert plus_product(Polynomial.zero(N), p, f) == prod
     with pytest.raises(ValueError) as product:
         prod * f
     with pytest.raises(ValueError) as fused:
-        add_mul(f, prod, f)
+        plus_product(f, prod, f)
     assert str(fused.value) == str(product.value)
     assert str(fused.value) == (
         f"total degree {MAX_DEGREE + 1} is above MAX_DEGREE = {MAX_DEGREE}"

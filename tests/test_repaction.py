@@ -18,6 +18,7 @@ from gkmcalc.gkm import (
     expansions_equal,
     flag_basis,
     knutson_tao_class_descent,
+    kt_report,
     point_class_top,
     restrict,
 )
@@ -150,6 +151,22 @@ class TestSimpleBasisFormula:
                 lhs = apply_group_element(rs.simple_reflection(i), fb.cls(v))
                 rhs = fb.reconstruct(act_on_schubert_basis(i, v, g))
                 assert lhs == rhs
+
+    def test_action_theorem_on_the_a5_flag_basis(self):
+        # the paper's theorem on every class of Billey's A:5 basis: s_i
+        # fixes xi^v when s_i v > v and adds -alpha_i xi^{s_i v} otherwise
+        rs = type_a(5)
+        fb = flag_basis(rs)
+        for v in rs.elements():
+            xi = fb.cls(v)
+            assert kt_report(xi).ok, v
+            for i in range(1, rs.rank + 1):
+                s = rs.simple_reflection(i)
+                sv = rs.mul(s, v)
+                want = xi
+                if rs.length(sv) < rs.length(v):
+                    want = xi + fb.cls(sv).scale(-rs.simple_root_form(i))
+                assert apply_group_element(s, xi) == want, (v, i)
 
 
 class TestActWord:
