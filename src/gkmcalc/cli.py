@@ -218,17 +218,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suites
+    from .verify import ledger
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, max_n=args.max_n, seed=args.seed)
-    lines = [r.line() for r in results]
-    ok = all(r.ok for r in results)
-    lines.append(
-        f"{'OK' if ok else 'FAILED'}: {sum(r.ok for r in results)}/{len(results)} "
-        f"checks passed (max n = {args.max_n})"
-    )
-    _emit("\n".join(lines) + "\n", args.output)
+    text, ok = ledger(names, max_n=args.max_n, seed=args.seed)
+    _emit(text, args.output)
     return 0 if ok else CHECK_FAILED
 
 
@@ -309,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=("all", *SUITE_NAMES), default="all", help="which suite to run"
     )
-    p.add_argument("--max-n", dest="max_n", type=int, default=4)
+    p.add_argument(
+        "--max-n", dest="max_n", type=int, default=4,
+        help="upper bound on A:n; each row also stops at its own cap",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(fn=cmd_verify)

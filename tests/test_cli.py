@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -346,6 +347,29 @@ class TestDecomposeCommand:
         )
 
 
+def _types_named(detail):
+    """The root systems a verify detail names, with A:2–A:4 spelled out."""
+    names = []
+    for first, last, one in re.findall(r"A:(\d+)–A:(\d+)|(A:\d+|B2|G2)", detail):
+        names += [f"A:{n}" for n in range(int(first), int(last) + 1)] if first else [one]
+    return names
+
+
+def _record_builds(monkeypatch):
+    """The labels of the root systems verify builds, in order.  type_a
+    reaches root_system through its own module, so both names are wrapped."""
+    built = []
+    for name in ("root_system", "type_a"):
+
+        def recording(arg, make=getattr(verify, name)):
+            rs = make(arg)
+            built.append(rs.label)
+            return rs
+
+        monkeypatch.setattr(verify, name, recording)
+    return built
+
+
 class TestVerifyCommand:
     def test_single_suite_ledger(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "root-system", "--max-n", "3")
@@ -427,6 +451,108 @@ class TestVerifyCommand:
         ranks = {int(label[2:]) for label in labels if label.startswith("A:")}
         assert max(ranks) == 4
         assert {"B2", "G2"} <= set(labels)
+
+    def test_default_ledger_rows_and_counts(self, capsys):
+        # the rows at --max-n 4 in ledger order, each with the count its
+        # detail opens with, if it prints one
+        rows = {
+            "polyring/ring-axioms": "60 random triples",
+            "polyring/divide-roundtrip": "",
+            "polyring/ddiff-squares-to-zero": "",
+            "polyring/substitution-homomorphism": "",
+            "root_system/group-orders": "",
+            "root_system/reflections": "",
+            "root_system/length-and-reduced-words": "",
+            "root_system/simple-edge-recursion": "",
+            "root_system/covering-reflection-lemma": "",
+            "root_system/bruhat-partial-order": "",
+            "root_system/type-a-crosscheck": "",
+            "moment_graph/flag-axioms": "",
+            "moment_graph/edge-lifting": "",
+            "moment_graph/out-label-recursion": "",
+            "moment_graph/path-order-is-bruhat": "",
+            "moment_graph/schubert-induced-subgraph": "",
+            "moment_graph/schubert-palais-smale": "32 Schubert graphs",
+            "moment_graph/hexagon-not-palais-smale": "",
+            "gkm/kt-support-and-degree": "",
+            "gkm/covering-localization-product": "",
+            "gkm/neighbor-localizations": "",
+            "gkm/route-equivalence": "52 classes",
+            "gkm/restriction-preserves-kt": "",
+            "gkm/expansion-roundtrip": "",
+            "repaction/action-composition": "22 generator pairs",
+            "repaction/simple-action-formula": "892 pointwise-vs-formula comparisons",
+            "repaction/general-type-action-theorem": "",
+            "repaction/action-triangularity": "",
+            "repaction/word-independence": "",
+            "repaction/divided-difference-basics": "",
+            "repaction/ddiff-expansion-formula": "120 random expansions",
+            "repaction/averaging-invariance": "",
+            "repaction/orbit-sum-read-off": "",
+            "repaction/decomposition-report": "",
+        }
+        code, out, _ = run(capsys, "verify", "--max-n", "4")
+        assert code == 0
+        *lines, summary = out.splitlines()
+        assert summary.startswith("OK: 34/34 checks passed")
+        assert [line.split(" -- ")[0] for line in lines] == [f"PASS {row}" for row in rows]
+        for line, count in zip(lines, rows.values()):
+            assert line.partition(" -- ")[2].startswith(count), line
+
+    @pytest.mark.parametrize("max_n", [3, 4, 6])
+    def test_each_detail_names_the_types_its_row_ran(self, monkeypatch, max_n):
+        # a row clamped apart from its table entry builds, or checks, other
+        # types than its detail names
+        built, cases, rows = _record_builds(monkeypatch), [], []
+
+        def counting(check):
+            def wrapped(*args):
+                verdicts = list(check(*args))
+                if args and not isinstance(args[0], int):  # a root system
+                    cases.append((args[0].label, len(verdicts)))
+                yield from verdicts
+
+            return wrapped
+
+        class Cut(verify.CheckResult):
+            # the runner makes a row's result once its checks are done
+            def __init__(self, *args):
+                super().__init__(*args)
+                rows.append((self, built[:], cases[:]))
+                built.clear()
+                cases.clear()
+
+        monkeypatch.setattr(verify, "CheckResult", Cut)
+        table = tuple(row._replace(check=counting(row.check)) for row in verify._ROWS)
+        monkeypatch.setattr(verify, "_ROWS", table)
+        results = verify.run_suites(list(verify.SUITES), max_n=max_n)
+        assert len(results) == 34 and all(r.ok for r in results)
+        for entry, (result, labels, ran) in zip(table, rows):
+            named = _types_named(result.detail)
+            # the table's rule: A:2 up to A:min(max n, cap), then B2 and G2
+            top = min(max_n, entry.cap or 1)
+            if entry.variables:
+                assert named == [] and result.detail.endswith(f"t1..t{top}")
+            else:
+                rank_two = ["B2", "G2"] if entry.rank_two else []
+                assert named == [f"A:{n}" for n in range(2, top + 1)] + rank_two
+            assert labels == named, result.line()
+            assert [label for label, _ in ran] == named, result.line()
+            # every type a row is handed gives a verdict, but on A:2 the one
+            # transposition is the simple reflection: nothing to lift
+            empty = [label for label, n in ran if n == 0]
+            assert empty == (["A:2"] if result.name == "edge-lifting" else []), result.line()
+
+    @pytest.mark.parametrize("max_n", [2, 3, 6])
+    def test_summary_names_only_a_size_that_ran(self, capsys, monkeypatch, max_n):
+        built = _record_builds(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--max-n", str(max_n))
+        assert code == 0
+        largest = max(int(label[2:]) for label in built if label.startswith("A:"))
+        scope = f"max n = {max_n}"
+        if largest < max_n:
+            scope += f" requested; largest run A:{largest}"
+        assert out.splitlines()[-1].endswith(f"checks passed ({scope})")
 
 
 class TestOutputFiles:
